@@ -266,13 +266,6 @@ class ConstraintSystem:
             for row in self.rows
         )
 
-    def matrix(self) -> np.ndarray:
-        out = np.zeros((len(self.rows), self.n**4), dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for s, c in row.items():
-                out[i, s] = c
-        return out
-
 
 def _difference_row(
     before: dict[int, int], after: dict[int, int]

@@ -190,6 +190,8 @@ def cmd_endos(args) -> int:
 
 
 def cmd_weights_find(args) -> int:
+    if args.modulus < 1:
+        raise InputError(f"--modulus must be a positive integer, got {args.modulus}")
     b = _biquandle(args.biquandle)
     found = []
     for w in search_weights(b, args.modulus, limit=args.limit, nontrivial=args.nontrivial):

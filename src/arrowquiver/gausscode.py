@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 __all__ = [
@@ -93,31 +94,22 @@ class GaussDiagram:
     def __str__(self) -> str:
         return "".join(str(e) for e in self.endpoints)
 
-    def _tables(self) -> tuple[dict[tuple[int, str], int], dict[int, int]]:
-        try:
-            return self._index, self._signs  # type: ignore[attr-defined]
-        except AttributeError:
-            index = {
-                (e.chord, e.passage): i for i, e in enumerate(self.endpoints)
-            }
-            signs = {e.chord: e.sign for e in self.endpoints}
-            object.__setattr__(self, "_index", index)
-            object.__setattr__(self, "_signs", signs)
-            return index, signs
+    @cached_property
+    def compiled(self) -> "CompiledDiagram":
+        """Flat integer tables of this diagram, built on first use."""
+        return _compile(self.endpoints)
 
     def index_of(self, chord: int, passage: str) -> int:
-        index, _ = self._tables()
-        try:
-            return index[(chord, passage)]
-        except KeyError:
-            raise KeyError((chord, passage)) from None
+        c = self.compiled
+        if passage in ("U", "O") and chord in c.chords:
+            return (c.under if passage == "U" else c.over)[chord]
+        raise KeyError((chord, passage))
 
     def sign_of(self, chord: int) -> int:
-        _, signs = self._tables()
-        try:
-            return signs[chord]
-        except KeyError:
-            raise KeyError(chord) from None
+        c = self.compiled
+        if chord in c.chords:
+            return c.sign[chord]
+        raise KeyError(chord)
 
     def chords_cross(self, p: int, q: int) -> bool:
         """Whether chords p and q interleave in the cyclic order."""
@@ -169,6 +161,54 @@ class GaussDiagram:
         return min(
             str(self.rotated(k)._relabeled()) for k in range(max(1, two_n))
         )
+
+
+@dataclass(frozen=True)
+class CompiledDiagram:
+    """A diagram as flat integer tables, the form coloring search reads.
+
+    Per-chord tuples are indexed by the chord label 1..n; entry 0 is unused.
+    A chord's four *slots* are the semiarcs around its crossing, at
+    positions 0-3: ``(u_in, u_out, o_in, o_out)``, the semiarcs entering and
+    leaving its under passage and its over passage.  Two slots of one chord
+    are the same semiarc when its passages are adjacent (a kink).
+    """
+
+    chords: range  # the chord labels 1..n
+    under: tuple[int, ...]  # passage index of each chord's U endpoint
+    over: tuple[int, ...]  # passage index of each chord's O endpoint
+    sign: tuple[int, ...]
+    slots: tuple[tuple[int, int, int, int], ...]
+    # per semiarc, the (chord, position) of the two slots it fills
+    touching: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
+    two_n = len(endpoints)
+    n = two_n // 2
+    under = [0] * (n + 1)
+    over = [0] * (n + 1)
+    sign = [0] * (n + 1)
+    for i, e in enumerate(endpoints):
+        (under if e.passage == "U" else over)[e.chord] = i
+        sign[e.chord] = e.sign
+    slots = ((0, 0, 0, 0),) + tuple(
+        ((under[c] - 1) % two_n, under[c], (over[c] - 1) % two_n, over[c])
+        for c in range(1, n + 1)
+    )
+    # semiarc i leaves passage i and enters passage i + 1
+    touching = tuple(
+        ((e.chord, 1 if e.passage == "U" else 3), (f.chord, 0 if f.passage == "U" else 2))
+        for e, f in zip(endpoints, endpoints[1:] + endpoints[:1])
+    )
+    return CompiledDiagram(
+        range(1, n + 1),
+        tuple(under),
+        tuple(over),
+        tuple(sign),
+        slots,
+        touching or ((),),
+    )
 
 
 def _relabel(endpoints) -> tuple[Endpoint, ...]:

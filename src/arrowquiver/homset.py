@@ -18,11 +18,23 @@ sense of the crossing: (u_in, o_out) at a positive crossing and
 inverse crossing.  Arrow weight sums (:mod:`arrowquiver.arrowweight`) are
 functions of these labels.
 
+Search: one solver finds every coloring that extends a partial one.  It
+reads the diagram compiled to flat tables
+(:attr:`~arrowquiver.gausscode.GaussDiagram.compiled`: the four semiarc
+slots around each chord) and, per biquandle, the crossing relation
+tabulated by which slots are known.  It propagates, then branches: a
+crossing whose known colors admit exactly one solution of its equations
+colors its remaining slots, and one that admits none prunes the branch.
+By axiom B2 the colors of (u_in, o_out), (o_in, u_out), (u_in, o_in) or
+(u_out, o_out) each fix a crossing, so propagation usually runs around the
+whole knot.  When nothing is forced, the uncolored semiarc whose crossings
+allow the fewest values is tried with each of them in ascending order.
+
 Transport: performing a Reidemeister move on a colored diagram leaves the
 colors of all semiarcs outside the move disk unchanged and determines the
-colors inside uniquely.  :func:`transport_coloring` computes this, raising
-:class:`TransportError` if the input was not a valid coloring or the move
-does not match.
+colors inside uniquely.  :func:`transport_coloring` computes this with the
+same solver, raising :class:`TransportError` if the input was not a valid
+coloring or the move does not match.
 """
 
 from __future__ import annotations
@@ -62,26 +74,64 @@ def chord_colors(
     d: GaussDiagram, coloring: tuple[int, ...], chord: int
 ) -> tuple[int, int, int, int]:
     """The four semiarc colors (u_in, u_out, o_in, o_out) around a chord."""
-    two_n = len(d.endpoints)
-    ui = d.index_of(chord, "U")
-    oi = d.index_of(chord, "O")
-    return (
-        coloring[(ui - 1) % two_n],
-        coloring[ui],
-        coloring[(oi - 1) % two_n],
-        coloring[oi],
-    )
+    cd = d.compiled
+    if chord not in cd.chords:
+        raise KeyError(chord)
+    s0, s1, s2, s3 = cd.slots[chord]
+    return coloring[s0], coloring[s1], coloring[s2], coloring[s3]
 
 
-def _chord_ok(
-    b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...], chord: int
-) -> bool:
-    u_in, u_out, o_in, o_out = chord_colors(d, coloring, chord)
-    if d.sign_of(chord) > 0:
-        return (
-            b.under_of(u_in, o_out) == u_out and b.over_of(o_out, u_in) == o_in
-        )
-    return b.under_of(u_out, o_in) == u_in and b.over_of(o_in, u_out) == o_out
+class _Relation:
+    """One biquandle's crossing relation, tabulated for the solver.
+
+    ``valid[sign]`` holds the n^2 tuples (u_in, u_out, o_in, o_out) that
+    satisfy a crossing's equations.  A partial tuple is encoded as the
+    integer sum of v_k * (n+1)^k, with v_k = 0 for an unknown slot;
+    ``table[sign, shape][key]`` lists the valid tuples it extends, and
+    ``values[sign, shape][key]`` holds, for each slot, the bitmask of the
+    values those tuples give it.  ``shape`` marks the slots that coincide
+    at a kink: bit 0 for u_in == o_out, bit 1 for u_out == o_in; the table
+    of a shape keeps only tuples that agree on the coinciding slots.
+    """
+
+    def __init__(self, b: Biquandle):
+        self.radix = r = b.n + 1
+        pairs = list(product(b.elements, repeat=2))
+        pos = [(a, b.under_of(a, t), b.over_of(t, a), t) for a, t in pairs]
+        neg = [(b.under_of(a, t), a, t, b.over_of(t, a)) for a, t in pairs]
+        self.valid = {1: frozenset(pos), -1: frozenset(neg)}
+        self.table: dict[tuple[int, int], list[tuple[tuple[int, ...], ...]]] = {}
+        self.values: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for sign, tuples in ((1, pos), (-1, neg)):
+            for shape in range(4):
+                groups: dict[int, list[tuple[int, ...]]] = {}
+                for t in tuples:
+                    if (shape & 1 and t[0] != t[3]) or (shape & 2 and t[1] != t[2]):
+                        continue
+                    keys = [0]  # the keys of t's 16 partial tuples
+                    for k in range(4):
+                        keys += [key + t[k] * r**k for key in keys]
+                    for key in keys:
+                        groups.setdefault(key, []).append(t)
+                table: list[tuple[tuple[int, ...], ...]] = [()] * r**4
+                values = [(0, 0, 0, 0)] * r**4
+                for key, ts in groups.items():
+                    table[key] = tuple(ts)
+                    values[key] = tuple(_bits(t[k] for t in ts) for k in range(4))
+                self.table[sign, shape] = table
+                self.values[sign, shape] = values
+
+
+def _bits(values) -> int:
+    out = 0
+    for v in values:
+        out |= 1 << v
+    return out
+
+
+@lru_cache(maxsize=64)
+def _relation(b: Biquandle) -> _Relation:
+    return _Relation(b)
 
 
 def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> bool:
@@ -90,7 +140,12 @@ def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> boo
         return False
     if any(c not in b.elements for c in coloring):
         return False
-    return all(_chord_ok(b, d, coloring, ch) for ch in range(1, d.n + 1))
+    valid = _relation(b).valid
+    sign = d.compiled.sign
+    return all(
+        chord_colors(d, coloring, ch) in valid[sign[ch]]
+        for ch in range(1, d.n + 1)
+    )
 
 
 def chord_status(
@@ -104,13 +159,10 @@ def chord_status(
     Returns ``"satisfied"`` or ``"violated"`` when all four semiarc colors
     around the chord are assigned, ``"undetermined"`` otherwise.
     """
-    two_n = len(d.endpoints)
-    ui = d.index_of(chord, "U")
-    oi = d.index_of(chord, "O")
-    spots = ((ui - 1) % two_n, ui, (oi - 1) % two_n, oi)
-    if any(partial[i] is None for i in spots):
+    colors = chord_colors(d, partial, chord)  # type: ignore[arg-type]
+    if None in colors:
         return "undetermined"
-    ok = _chord_ok(b, d, partial, chord)  # type: ignore[arg-type]
+    ok = colors in _relation(b).valid[d.compiled.sign[chord]]
     return "satisfied" if ok else "violated"
 
 
@@ -119,121 +171,87 @@ def enumerate_colorings(
 ) -> list[tuple[int, ...]]:
     """All colorings of ``d`` by ``b``, sorted lexicographically.
 
-    Colors are propagated semiarc by semiarc; a passage whose partner
-    semiarc is still uncolored opens a branch, and complete assignments are
-    verified against every crossing equation.
+    The search propagates, then branches.  A crossing whose known semiarc
+    colors leave exactly one solution of its equations colors its other
+    semiarcs; no solution prunes the branch.  When nothing more is forced,
+    the uncolored semiarc with the fewest values its crossings still allow
+    is tried with each of them in ascending order.
     """
     return list(_colorings(b, d))
 
 
-def _helper_positions(d: GaussDiagram) -> list[int]:
-    """For each endpoint, the semiarc whose color (with the previous
-    semiarc's) forces the color after the endpoint."""
-    two_n = len(d.endpoints)
-    out = []
-    for ep in d.endpoints:
-        partner = d.index_of(ep.chord, "O" if ep.passage == "U" else "U")
-        if (ep.passage == "U") == (ep.sign > 0):
-            out.append(partner)
-        else:
-            out.append((partner - 1) % two_n)
-    return out
-
-
 @lru_cache(maxsize=1 << 15)
 def _colorings(b: Biquandle, d: GaussDiagram) -> tuple[tuple[int, ...], ...]:
-    two_n = len(d.endpoints)
-    if two_n == 0:
-        return tuple((x,) for x in b.elements)
+    return tuple(sorted(_extensions(b, d, [0] * d.num_semiarcs)))
 
-    # Walking forward from the basepoint, position e branches only when its
-    # helper semiarc is still uncolored (lies at or ahead of e).  Start at
-    # the basepoint rotation that minimizes such branch points, and rotate
-    # the found colorings back at the end.
-    best_k, best_cost = 0, None
-    for k in range(two_n):
-        dd = d.rotated(k)
-        helpers = _helper_positions(dd)
-        cost = sum(1 for e in range(1, two_n) if helpers[e] >= e)
-        if best_cost is None or cost < best_cost:
-            best_k, best_cost = k, cost
-        if cost == 0:
-            break
-    if best_k:
-        back = two_n - best_k
-        return tuple(
-            sorted(
-                c[back:] + c[:back] for c in _colorings(b, d.rotated(best_k))
-            )
-        )
 
-    # a chord's equations close as soon as the last of its four surrounding
-    # semiarcs is colored, which prunes branches immediately
-    closes_at: list[list[tuple[tuple[int, int, int, int], int]]] = [
-        [] for _ in range(two_n)
-    ]
-    for chord in range(1, d.n + 1):
-        ui = d.index_of(chord, "U")
-        oi = d.index_of(chord, "O")
-        spots = ((ui - 1) % two_n, ui, (oi - 1) % two_n, oi)
-        closes_at[max(spots)].append((spots, d.sign_of(chord)))
-
-    def closed_ok(seg: list[int | None], e: int) -> bool:
-        for (s0, s1, s2, s3), sign in closes_at[e]:
-            u_in, u_out, o_in, o_out = seg[s0], seg[s1], seg[s2], seg[s3]
-            if sign > 0:
-                if (
-                    b.under_of(u_in, o_out) != u_out
-                    or b.over_of(o_out, u_in) != o_in
-                ):
-                    return False
-            elif (
-                b.under_of(u_out, o_in) != u_in
-                or b.over_of(o_in, u_out) != o_out
-            ):
-                return False
-        return True
-
+def _extensions(
+    b: Biquandle, d: GaussDiagram, start: list[int]
+) -> list[tuple[int, ...]]:
+    """Every coloring of ``d`` that agrees with ``start`` where it is
+    nonzero (0 marks an uncolored semiarc), in no particular order."""
+    cd = d.compiled
+    rel = _relation(b)
+    r = rel.radix
+    r2, r3 = r * r, r * r * r
+    everything = _bits(b.elements)
+    # per chord (0-based): its slots and the tables of its sign and shape
+    chords = []
+    for ch in cd.chords:
+        s0, s1, s2, s3 = cd.slots[ch]
+        key = (cd.sign[ch], (s0 == s3) | (s1 == s2) << 1)
+        chords.append((s0, s1, s2, s3, rel.table[key], rel.values[key]))
+    touch = [[(ch - 1, k) for ch, k in t] for t in cd.touching]
+    touching = [[ch for ch, _ in t] for t in touch]
+    val = list(start)
     found: list[tuple[int, ...]] = []
 
-    def step(seg: list[int | None], e: int) -> None:
-        if e == two_n:
-            found.append(tuple(seg))  # type: ignore[arg-type]
-            return
-        # color of segment e is determined by the passage at endpoint e
-        ep = d.endpoints[e]
-        prev = seg[e - 1]
-        partner = d.index_of(ep.chord, "O" if ep.passage == "U" else "U")
-        nxt: int | None = None
-        if ep.passage == "U" and ep.sign > 0:
-            o_out = seg[partner]
-            if o_out is not None:
-                nxt = b.under_of(prev, o_out)
-        elif ep.passage == "O" and ep.sign > 0:
-            u_in = seg[(partner - 1) % two_n]
-            if u_in is not None:
-                nxt = b.over_inv(prev, u_in)
-        elif ep.passage == "U":
-            o_in = seg[(partner - 1) % two_n]
-            if o_in is not None:
-                nxt = b.under_inv(prev, o_in)
-        else:
-            u_out = seg[partner]
-            if u_out is not None:
-                nxt = b.over_of(prev, u_out)
-        candidates = b.elements if nxt is None else (nxt,)
-        for v in candidates:
-            seg[e] = v
-            if closed_ok(seg, e):
-                step(seg, e + 1)
-        seg[e] = None
+    def propagate(queue: list[int], trail: list[int]) -> bool:
+        while queue:
+            s0, s1, s2, s3, table, _ = chords[queue.pop()]
+            fits = table[val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]]
+            if not fits:
+                return False
+            if len(fits) == 1:
+                for s, v in zip((s0, s1, s2, s3), fits[0]):
+                    if not val[s]:
+                        val[s] = v
+                        trail.append(s)
+                        queue.extend(touching[s])
+        return True
 
-    for first in b.elements:
-        seg: list[int | None] = [None] * two_n
-        seg[0] = first
-        if closed_ok(seg, 0):
-            step(seg, 1)
-    return tuple(sorted(found))
+    def search(queue: list[int]) -> None:
+        trail: list[int] = []
+        if propagate(queue, trail):
+            best, best_values, fewest = -1, 0, r
+            for s, v in enumerate(val):
+                if v:
+                    continue
+                allowed = everything
+                for ch, k in touch[s]:
+                    s0, s1, s2, s3, _, values = chords[ch]
+                    allowed &= values[
+                        val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]
+                    ][k]
+                count = allowed.bit_count()
+                if count < fewest:
+                    best, best_values, fewest = s, allowed, count
+                    if count <= 1:
+                        break
+            if best < 0:
+                found.append(tuple(val))
+            else:
+                while best_values:
+                    low = best_values & -best_values
+                    best_values ^= low
+                    val[best] = low.bit_length() - 1
+                    search(list(touching[best]))
+                val[best] = 0
+        for s in trail:
+            val[s] = 0
+
+    search(list(range(len(chords))))
+    return found
 
 
 def counting_invariant(b: Biquandle, d: GaussDiagram) -> int:
@@ -277,19 +295,10 @@ def _insertion_tags(
 
 
 def _solve_middles(
-    b: Biquandle,
-    d2: GaussDiagram,
-    partial: list[int | None],
-    middles: list[int],
+    b: Biquandle, d2: GaussDiagram, partial: list[int | None]
 ) -> tuple[int, ...]:
-    solutions = []
-    for values in product(b.elements, repeat=len(middles)):
-        seg = list(partial)
-        for i, v in zip(middles, values):
-            seg[i] = v
-        coloring = tuple(seg)  # type: ignore[arg-type]
-        if is_coloring(b, d2, coloring):
-            solutions.append(coloring)
+    """The unique coloring of ``d2`` that extends ``partial``."""
+    solutions = _extensions(b, d2, [v or 0 for v in partial])
     if len(solutions) != 1:
         raise TransportError(
             f"expected a unique extension, found {len(solutions)}"
@@ -309,18 +318,17 @@ def _transport_insert(
     new_len = len(d2.endpoints)
     assert len(tags) == new_len
     partial: list[int | None] = [None] * new_len
-    middles: list[int] = []
     for j in range(new_len):
         here, nxt = tags[j], tags[(j + 1) % new_len]
         if here[0] == "new" and nxt[0] == "new" and here[1] == nxt[1] and nxt[2] == here[2] + 1:
-            middles.append(j)  # strictly inside an inserted block
-        elif here[0] == "old":
+            continue  # strictly inside an inserted block: left to the solver
+        if here[0] == "old":
             partial[j] = coloring[here[1]]
         else:
             # a piece of the old semiarc the block at gap g was inserted in
             g = here[1]
             partial[j] = coloring[(g - 1) % two_n] if two_n else coloring[0]
-    return _solve_middles(b, d2, partial, middles)
+    return _solve_middles(b, d2, partial)
 
 
 def _transport_delete(
@@ -391,8 +399,7 @@ def transport_coloring(
         return _transport_delete(b, d, d2, coloring, removed, inside)
     if isinstance(move, R3Slide):
         partial: list[int | None] = list(coloring)
-        middles = list(move.sites)
-        for s in middles:
+        for s in move.sites:
             partial[s] = None
-        return _solve_middles(b, d2, partial, middles)
+        return _solve_middles(b, d2, partial)
     raise TypeError(f"unknown move {move!r}")

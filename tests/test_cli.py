@@ -356,6 +356,16 @@ class TestErrors:
         assert code == 2
         assert ":2: [1, 1, 2] is not an endomorphism" in err
 
+    @pytest.mark.parametrize("modulus", ["0", "-3"])
+    def test_bad_modulus_exits_2(self, capsys, modulus):
+        code, out, err = run(
+            capsys,
+            "weights", "find", "--biquandle", FLIP2, "--modulus", modulus,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--modulus must be a positive integer, got {modulus}" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -1,8 +1,16 @@
 """Colorings of Gauss diagrams and their transport through moves."""
 
+import random
+from itertools import product
+
+import numpy as np
 import pytest
 
+from arrowquiver import homset
+from arrowquiver.arrowweight import _r3_template_hosts, _small_hosts
 from arrowquiver.gausscode import (
+    Endpoint,
+    GaussDiagram,
     R1Delete,
     R1Insert,
     R2Insert,
@@ -26,6 +34,65 @@ from arrowquiver.homset import (
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
 TREFOIL = parse_gauss_code("O1+U2+O3+U1+O2+U3+")
 R3_HOST = parse_gauss_code("U1+U2+O1+U3+O2+O3+")
+
+
+def _random_diagrams(count: int, seed: int = 20260815) -> list[GaussDiagram]:
+    """Seeded random diagrams of 3 or 4 chords."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        word = []
+        for c in range(1, rng.choice((3, 4)) + 1):
+            s = rng.choice((1, -1))
+            word += [Endpoint(c, "O", s), Endpoint(c, "U", s)]
+        rng.shuffle(word)
+        out.append(GaussDiagram(tuple(word)))
+    return out
+
+
+def _equations_hold(b, d, grid: np.ndarray) -> np.ndarray:
+    """For each row of ``grid`` (one color per semiarc), whether every
+    crossing equation of ``d`` holds, evaluated straight from the equations
+    in the docstring of :mod:`arrowquiver.homset`."""
+    under, over = np.array(b.under), np.array(b.over)
+    two_n = len(d.endpoints)
+    ok = np.ones(len(grid), dtype=bool)
+    for chord in range(1, d.n + 1):
+        ui, oi = d.index_of(chord, "U"), d.index_of(chord, "O")
+        u_in, u_out = grid[:, (ui - 1) % two_n] - 1, grid[:, ui] - 1
+        o_in, o_out = grid[:, (oi - 1) % two_n] - 1, grid[:, oi] - 1
+        if d.sign_of(chord) > 0:
+            ok &= (under[u_in, o_out] == u_out + 1) & (over[o_out, u_in] == o_in + 1)
+        else:
+            ok &= (under[u_out, o_in] == u_in + 1) & (over[o_in, u_out] == o_out + 1)
+    return ok
+
+
+def _brute_force_colorings(b, d) -> tuple[tuple[int, ...], ...]:
+    """Every assignment in X^(semiarcs) that is a coloring, in lex order."""
+    k = d.num_semiarcs
+    grid = np.indices((b.n,) * k).reshape(k, -1).T + 1
+    return tuple(tuple(int(v) for v in row) for row in grid[_equations_hold(b, d, grid)])
+
+
+def _brute_force_extension(b, d2, partial) -> tuple[int, ...]:
+    """The extension search transport once used: try every color on every
+    uncolored semiarc and keep the assignments that are colorings."""
+    middles = [i for i, v in enumerate(partial) if v is None]
+    grid = np.array([[v or 0 for v in partial]] * b.n ** len(middles))
+    if middles:
+        grid[:, middles] = list(product(b.elements, repeat=len(middles)))
+    solutions = grid[_equations_hold(b, d2, grid)]
+    if len(solutions) != 1:
+        raise TransportError(f"expected a unique extension, found {len(solutions)}")
+    return tuple(int(v) for v in solutions[0])
+
+
+def _transport_or_error(b, d, move, c):
+    try:
+        return transport_coloring(b, d, move, c)
+    except TransportError as err:
+        return str(err)
 
 
 class TestEnumeration:
@@ -85,6 +152,13 @@ class TestEnumeration:
                 for k in range(two_n):
                     rotated = set(enumerate_colorings(b, d.rotated(k)))
                     assert rotated == {c[k:] + c[:k] for c in base}
+
+    def test_brute_force_oracle(self, flip2, cyc3, quad4, shift4):
+        diagrams = _small_hosts() + _random_diagrams(20)
+        for b in (flip2, cyc3, quad4, shift4):
+            for d in diagrams:
+                expected = _brute_force_colorings(b, d)
+                assert tuple(enumerate_colorings(b, d)) == expected, str(d)
 
 
 class TestPredicates:
@@ -172,3 +246,41 @@ class TestTransport:
         for move in enumerate_moves(d):
             d2 = apply_move(d, move)
             assert counting_invariant(shift4, d2) == base, move
+
+    @pytest.mark.parametrize("name", ["flip2", "cyc3", "quad4", "shift4"])
+    def test_matches_brute_force_extension(self, request, monkeypatch, name):
+        b = request.getfixturevalue(name)
+        hosts = [(d, enumerate_moves(d)) for d in _small_hosts()]
+        hosts += [
+            (d, [mv for mv in enumerate_moves(d) if isinstance(mv, R3Slide)])
+            for d in _r3_template_hosts(0)
+        ]
+        cases = [
+            (b, d, move, c)
+            for d, moves in hosts
+            for move in moves
+            for c in enumerate_colorings(b, d)
+        ]
+        got = [_transport_or_error(*case) for case in cases]
+        monkeypatch.setattr(homset, "_solve_middles", _brute_force_extension)
+        expected = [_transport_or_error(*case) for case in cases]
+        assert got == expected
+        assert not any(isinstance(g, str) for g in got)
+
+    def test_corrupted_input_raises(self, quad4):
+        move = R3Slide((0, 2, 4), "L", (1, 2, 3), 1)
+        d2 = apply_move(R3_HOST, move)
+        for c in enumerate_colorings(quad4, R3_HOST):
+            bad = c[:1] + (c[1] % quad4.n + 1,) + c[2:]  # 1 is not a site
+            with pytest.raises(TransportError, match="not a coloring"):
+                transport_coloring(quad4, R3_HOST, move, bad)
+            # an inconsistent or underdetermined partial coloring of the
+            # slid diagram fails to extend exactly as the brute force does
+            for partial in (
+                [None if i in move.sites else v for i, v in enumerate(bad)],
+                [None] * len(c),
+            ):
+                with pytest.raises(TransportError) as err:
+                    homset._solve_middles(quad4, d2, partial)
+                with pytest.raises(TransportError, match=str(err.value)):
+                    _brute_force_extension(quad4, d2, partial)
