@@ -474,9 +474,13 @@ def search_weights(
 
 
 def _random_diagram(rng: random.Random, max_chords: int) -> GaussDiagram:
-    n = rng.randint(0, max_chords)
+    return _random_diagram_of_size(rng, rng.randint(0, max_chords))
+
+
+def _random_diagram_of_size(rng: random.Random, chords: int) -> GaussDiagram:
+    """A random signed diagram; virtual, so any order of passages occurs."""
     word = []
-    for c in range(1, n + 1):
+    for c in range(1, chords + 1):
         s = rng.choice((1, -1))
         word.append(Endpoint(c, "O", s))
         word.append(Endpoint(c, "U", s))

@@ -102,13 +102,13 @@ class GaussDiagram:
     def index_of(self, chord: int, passage: str) -> int:
         c = self.compiled
         if passage in ("U", "O") and chord in c.chords:
-            return (c.under if passage == "U" else c.over)[chord]
+            return (c.under if passage == "U" else c.over)[chord - 1]
         raise KeyError((chord, passage))
 
     def sign_of(self, chord: int) -> int:
         c = self.compiled
         if chord in c.chords:
-            return c.sign[chord]
+            return c.sign[chord - 1]
         raise KeyError(chord)
 
     def chords_cross(self, p: int, q: int) -> bool:
@@ -167,11 +167,12 @@ class GaussDiagram:
 class CompiledDiagram:
     """A diagram as flat integer tables, the form coloring search reads.
 
-    Per-chord tuples are indexed by the chord label 1..n; entry 0 is unused.
-    A chord's four *slots* are the semiarcs around its crossing, at
-    positions 0-3: ``(u_in, u_out, o_in, o_out)``, the semiarcs entering and
-    leaving its under passage and its over passage.  Two slots of one chord
-    are the same semiarc when its passages are adjacent (a kink).
+    Chords are numbered from 0 here: per-chord tuples hold chord label c at
+    index c - 1.  A chord's four *slots* are the semiarcs around its
+    crossing, at positions 0-3: ``(u_in, u_out, o_in, o_out)``, the
+    semiarcs entering and leaving its under passage and its over passage.
+    Two slots of one chord are the same semiarc when its passages are
+    adjacent (a kink).
     """
 
     chords: range  # the chord labels 1..n
@@ -179,26 +180,29 @@ class CompiledDiagram:
     over: tuple[int, ...]  # passage index of each chord's O endpoint
     sign: tuple[int, ...]
     slots: tuple[tuple[int, int, int, int], ...]
-    # per semiarc, the (chord, position) of the two slots it fills
+    # per semiarc, the (chord index, position) of the slots it fills; the
+    # lone semiarc of the empty diagram fills none
     touching: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
     two_n = len(endpoints)
     n = two_n // 2
-    under = [0] * (n + 1)
-    over = [0] * (n + 1)
-    sign = [0] * (n + 1)
+    under = [0] * n
+    over = [0] * n
+    sign = [0] * n
     for i, e in enumerate(endpoints):
-        (under if e.passage == "U" else over)[e.chord] = i
-        sign[e.chord] = e.sign
-    slots = ((0, 0, 0, 0),) + tuple(
-        ((under[c] - 1) % two_n, under[c], (over[c] - 1) % two_n, over[c])
-        for c in range(1, n + 1)
+        (under if e.passage == "U" else over)[e.chord - 1] = i
+        sign[e.chord - 1] = e.sign
+    slots = tuple(
+        ((u - 1) % two_n, u, (o - 1) % two_n, o) for u, o in zip(under, over)
     )
     # semiarc i leaves passage i and enters passage i + 1
     touching = tuple(
-        ((e.chord, 1 if e.passage == "U" else 3), (f.chord, 0 if f.passage == "U" else 2))
+        (
+            (e.chord - 1, 1 if e.passage == "U" else 3),
+            (f.chord - 1, 0 if f.passage == "U" else 2),
+        )
         for e, f in zip(endpoints, endpoints[1:] + endpoints[:1])
     )
     return CompiledDiagram(

@@ -22,9 +22,10 @@ Search: one solver finds every coloring that extends a partial one.  It
 reads the diagram compiled to flat tables
 (:attr:`~arrowquiver.gausscode.GaussDiagram.compiled`: the four semiarc
 slots around each chord) and, per biquandle, the crossing relation
-tabulated by which slots are known.  It propagates, then branches: a
-crossing whose known colors admit exactly one solution of its equations
-colors its remaining slots, and one that admits none prunes the branch.
+tabulated by which slots are known.  It propagates, then branches: when
+the solutions of a crossing's equations that agree with its known colors
+all give an uncolored slot the same value, the slot gets that value, and a
+crossing with no such solution prunes the branch.
 By axiom B2 the colors of (u_in, o_out), (o_in, u_out), (u_in, o_in) or
 (u_out, o_out) each fix a crossing, so propagation usually runs around the
 whole knot.  When nothing is forced, the uncolored semiarc whose crossings
@@ -77,7 +78,7 @@ def chord_colors(
     cd = d.compiled
     if chord not in cd.chords:
         raise KeyError(chord)
-    s0, s1, s2, s3 = cd.slots[chord]
+    s0, s1, s2, s3 = cd.slots[chord - 1]
     return coloring[s0], coloring[s1], coloring[s2], coloring[s3]
 
 
@@ -86,12 +87,13 @@ class _Relation:
 
     ``valid[sign]`` holds the n^2 tuples (u_in, u_out, o_in, o_out) that
     satisfy a crossing's equations.  A partial tuple is encoded as the
-    integer sum of v_k * (n+1)^k, with v_k = 0 for an unknown slot;
-    ``table[sign, shape][key]`` lists the valid tuples it extends, and
-    ``values[sign, shape][key]`` holds, for each slot, the bitmask of the
-    values those tuples give it.  ``shape`` marks the slots that coincide
-    at a kink: bit 0 for u_in == o_out, bit 1 for u_out == o_in; the table
-    of a shape keeps only tuples that agree on the coinciding slots.
+    integer sum of v_k * (n+1)^k, with v_k = 0 for an unknown slot.
+    ``values[sign, shape]`` maps the key of each partial tuple that some
+    valid tuple extends to, for each slot, the bitmask of the values those
+    tuples give it; a key that no valid tuple extends is absent, so a table
+    has at most 16 n^2 keys.  ``shape`` marks the slots that coincide at a
+    kink: bit 0 for u_in == o_out, bit 1 for u_out == o_in; the table of a
+    shape keeps only tuples that agree on the coinciding slots.
     """
 
     def __init__(self, b: Biquandle):
@@ -100,11 +102,10 @@ class _Relation:
         pos = [(a, b.under_of(a, t), b.over_of(t, a), t) for a, t in pairs]
         neg = [(b.under_of(a, t), a, t, b.over_of(t, a)) for a, t in pairs]
         self.valid = {1: frozenset(pos), -1: frozenset(neg)}
-        self.table: dict[tuple[int, int], list[tuple[tuple[int, ...], ...]]] = {}
-        self.values: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self.values: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
         for sign, tuples in ((1, pos), (-1, neg)):
             for shape in range(4):
-                groups: dict[int, list[tuple[int, ...]]] = {}
+                masks: dict[int, list[int]] = {}
                 for t in tuples:
                     if (shape & 1 and t[0] != t[3]) or (shape & 2 and t[1] != t[2]):
                         continue
@@ -112,21 +113,12 @@ class _Relation:
                     for k in range(4):
                         keys += [key + t[k] * r**k for key in keys]
                     for key in keys:
-                        groups.setdefault(key, []).append(t)
-                table: list[tuple[tuple[int, ...], ...]] = [()] * r**4
-                values = [(0, 0, 0, 0)] * r**4
-                for key, ts in groups.items():
-                    table[key] = tuple(ts)
-                    values[key] = tuple(_bits(t[k] for t in ts) for k in range(4))
-                self.table[sign, shape] = table
-                self.values[sign, shape] = values
-
-
-def _bits(values) -> int:
-    out = 0
-    for v in values:
-        out |= 1 << v
-    return out
+                        m = masks.setdefault(key, [0, 0, 0, 0])
+                        for k in range(4):
+                            m[k] |= 1 << t[k]
+                self.values[sign, shape] = {
+                    key: tuple(m) for key, m in masks.items()
+                }
 
 
 @lru_cache(maxsize=64)
@@ -141,10 +133,10 @@ def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> boo
     if any(c not in b.elements for c in coloring):
         return False
     valid = _relation(b).valid
-    sign = d.compiled.sign
+    cd = d.compiled
     return all(
-        chord_colors(d, coloring, ch) in valid[sign[ch]]
-        for ch in range(1, d.n + 1)
+        (coloring[s0], coloring[s1], coloring[s2], coloring[s3]) in valid[sign]
+        for (s0, s1, s2, s3), sign in zip(cd.slots, cd.sign)
     )
 
 
@@ -162,7 +154,7 @@ def chord_status(
     colors = chord_colors(d, partial, chord)  # type: ignore[arg-type]
     if None in colors:
         return "undetermined"
-    ok = colors in _relation(b).valid[d.compiled.sign[chord]]
+    ok = colors in _relation(b).valid[d.compiled.sign[chord - 1]]
     return "satisfied" if ok else "violated"
 
 
@@ -172,10 +164,10 @@ def enumerate_colorings(
     """All colorings of ``d`` by ``b``, sorted lexicographically.
 
     The search propagates, then branches.  A crossing whose known semiarc
-    colors leave exactly one solution of its equations colors its other
-    semiarcs; no solution prunes the branch.  When nothing more is forced,
-    the uncolored semiarc with the fewest values its crossings still allow
-    is tried with each of them in ascending order.
+    colors leave one value for another of its semiarcs colors it; no
+    solution of its equations prunes the branch.  When nothing more is
+    forced, the uncolored semiarc with the fewest values its crossings
+    still allow is tried with each of them in ascending order.
     """
     return list(_colorings(b, d))
 
@@ -194,30 +186,27 @@ def _extensions(
     rel = _relation(b)
     r = rel.radix
     r2, r3 = r * r, r * r * r
-    everything = _bits(b.elements)
-    # per chord (0-based): its slots and the tables of its sign and shape
-    chords = []
-    for ch in cd.chords:
-        s0, s1, s2, s3 = cd.slots[ch]
-        key = (cd.sign[ch], (s0 == s3) | (s1 == s2) << 1)
-        chords.append((s0, s1, s2, s3, rel.table[key], rel.values[key]))
-    touch = [[(ch - 1, k) for ch, k in t] for t in cd.touching]
-    touching = [[ch for ch, _ in t] for t in touch]
+    everything = sum(1 << v for v in b.elements)
+    # per chord: its slots and the table of its sign and shape
+    chords = [
+        (s0, s1, s2, s3, rel.values[sign, (s0 == s3) | (s1 == s2) << 1])
+        for (s0, s1, s2, s3), sign in zip(cd.slots, cd.sign)
+    ]
+    touching = cd.touching
     val = list(start)
     found: list[tuple[int, ...]] = []
 
     def propagate(queue: list[int], trail: list[int]) -> bool:
         while queue:
-            s0, s1, s2, s3, table, _ = chords[queue.pop()]
-            fits = table[val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]]
-            if not fits:
+            s0, s1, s2, s3, values = chords[queue.pop()]
+            masks = values.get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
+            if masks is None:
                 return False
-            if len(fits) == 1:
-                for s, v in zip((s0, s1, s2, s3), fits[0]):
-                    if not val[s]:
-                        val[s] = v
-                        trail.append(s)
-                        queue.extend(touching[s])
+            for s, m in zip((s0, s1, s2, s3), masks):
+                if not val[s] and not m & (m - 1):
+                    val[s] = m.bit_length() - 1
+                    trail.append(s)
+                    queue += [ch for ch, _ in touching[s]]
         return True
 
     def search(queue: list[int]) -> None:
@@ -228,8 +217,8 @@ def _extensions(
                 if v:
                     continue
                 allowed = everything
-                for ch, k in touch[s]:
-                    s0, s1, s2, s3, _, values = chords[ch]
+                for ch, k in touching[s]:
+                    s0, s1, s2, s3, values = chords[ch]
                     allowed &= values[
                         val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]
                     ][k]
@@ -245,7 +234,7 @@ def _extensions(
                     low = best_values & -best_values
                     best_values ^= low
                     val[best] = low.bit_length() - 1
-                    search(list(touching[best]))
+                    search([ch for ch, _ in touching[best]])
                 val[best] = 0
         for s in trail:
             val[s] = 0

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from arrowquiver import homset
-from arrowquiver.arrowweight import _r3_template_hosts, _small_hosts
+from arrowquiver.biquandle import Biquandle
+from arrowquiver.arrowweight import (
+    _r3_template_hosts,
+    _random_diagram_of_size,
+    _small_hosts,
+)
 from arrowquiver.gausscode import (
-    Endpoint,
     GaussDiagram,
     R1Delete,
     R1Insert,
@@ -39,15 +43,7 @@ R3_HOST = parse_gauss_code("U1+U2+O1+U3+O2+O3+")
 def _random_diagrams(count: int, seed: int = 20260815) -> list[GaussDiagram]:
     """Seeded random diagrams of 3 or 4 chords."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        word = []
-        for c in range(1, rng.choice((3, 4)) + 1):
-            s = rng.choice((1, -1))
-            word += [Endpoint(c, "O", s), Endpoint(c, "U", s)]
-        rng.shuffle(word)
-        out.append(GaussDiagram(tuple(word)))
-    return out
+    return [_random_diagram_of_size(rng, rng.choice((3, 4))) for _ in range(count)]
 
 
 def _equations_hold(b, d, grid: np.ndarray) -> np.ndarray:
@@ -159,6 +155,16 @@ class TestEnumeration:
             for d in diagrams:
                 expected = _brute_force_colorings(b, d)
                 assert tuple(enumerate_colorings(b, d)) == expected, str(d)
+
+    def test_relation_tables_grow_with_n_squared(self):
+        # the trivial biquandle, under(x, y) = over(x, y) = x, on 32 elements
+        n = 32
+        rows = tuple((x,) * n for x in range(1, n + 1))
+        trivial = Biquandle(rows, rows)
+        tables = homset._relation(trivial).values
+        assert len(tables) == 8  # one per sign and kink shape
+        assert all(len(t) <= 16 * n * n for t in tables.values())
+        assert counting_invariant(trivial, TREFOIL) == n
 
 
 class TestPredicates:

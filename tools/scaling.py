@@ -1,11 +1,11 @@
 """Time coloring search on seeded random diagrams of growing size.
 
-For each bundled biquandle and each crossing count, draw ``--samples``
-random signed Gauss diagrams (virtual, so every shuffle of the passages is
-allowed) from ``--seed`` and time ``enumerate_colorings`` on each.  One
-*point* is one (biquandle, crossings) pair; all its samples run under one
-``SIGALRM`` timeout of ``--timeout`` seconds.  A point that times out is
-recorded with status ``"timeout"``, and the larger points of that
+For each bundled biquandle and each crossing count in ``SIZES``, draw
+``SAMPLES`` random signed Gauss diagrams (virtual, so every shuffle of the
+passages is allowed) from ``SEED`` and time ``enumerate_colorings`` on
+each.  One *point* is one (biquandle, crossings) pair; all its samples run
+under one ``SIGALRM`` timeout of ``TIMEOUT_S`` seconds.  A point that times
+out is recorded with status ``"timeout"``, and the larger points of that
 biquandle are recorded as ``"skipped"`` without running.  The result is
 one JSON object on stdout.
 
@@ -13,12 +13,10 @@ Run from the repository root (uses only the standard library and the
 package in ``src``):
 
     python3 tools/scaling.py
-    python3 tools/scaling.py --sizes 14,16 --samples 5 --timeout 20
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import random
@@ -30,12 +28,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from arrowquiver.arrowweight import _random_diagram_of_size  # noqa: E402
 from arrowquiver.biquandle import load as load_biquandle  # noqa: E402
-from arrowquiver.gausscode import Endpoint, GaussDiagram  # noqa: E402
+from arrowquiver.gausscode import GaussDiagram  # noqa: E402
 from arrowquiver.homset import enumerate_colorings  # noqa: E402
 from arrowquiver.knotdata import bundled_path  # noqa: E402
 
 BIQUANDLES = ("flip2", "cyc3", "quad4", "shift4")
+SIZES = (8, 10, 12, 14, 16, 20, 24, 30)
+SAMPLES = 5
+SEED = 1
+TIMEOUT_S = 10.0
 
 
 class PointTimeout(Exception):
@@ -46,21 +49,12 @@ def _alarm(signum, frame):
     raise PointTimeout
 
 
-def random_diagram(rng: random.Random, chords: int) -> GaussDiagram:
-    word = []
-    for c in range(1, chords + 1):
-        s = rng.choice((1, -1))
-        word += [Endpoint(c, "O", s), Endpoint(c, "U", s)]
-    rng.shuffle(word)
-    return GaussDiagram(tuple(word))
-
-
-def run_point(b, name: str, chords: int, samples: int, seed: int, timeout: float) -> dict:
-    rng = random.Random(f"{seed}:{name}:{chords}")
-    diagrams = [random_diagram(rng, chords) for _ in range(samples)]
+def run_point(b, name: str, chords: int) -> dict:
+    rng = random.Random(f"{SEED}:{name}:{chords}")
+    diagrams = [_random_diagram_of_size(rng, chords) for _ in range(SAMPLES)]
     times_ms: list[float] = []
     counts: list[int] = []
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     try:
         for d in diagrams:
             t0 = time.perf_counter()
@@ -82,27 +76,18 @@ def run_point(b, name: str, chords: int, samples: int, seed: int, timeout: float
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--sizes", default="8,10,12,14,16,20,24,30", help="crossing counts")
-    p.add_argument("--samples", type=int, default=5, help="diagrams per point")
-    p.add_argument("--timeout", type=float, default=10.0, help="seconds per point")
-    p.add_argument("--seed", type=int, default=1)
-    args = p.parse_args(argv)
-    sizes = sorted(int(tok) for tok in args.sizes.split(","))
-    if args.samples < 1 or args.timeout <= 0 or any(k < 0 for k in sizes):
-        p.error("--samples and --timeout must be positive, --sizes non-negative")
+def main() -> int:
     signal.signal(signal.SIGALRM, _alarm)
     points = []
     for name in BIQUANDLES:
         b = load_biquandle(str(bundled_path(f"biquandle_{name}.txt")))
         enumerate_colorings(b, GaussDiagram(()))  # per-biquandle set-up, untimed
         timed_out = False
-        for chords in sizes:
+        for chords in SIZES:
             if timed_out:
                 points.append({"biquandle": name, "crossings": chords, "status": "skipped"})
                 continue
-            point = run_point(b, name, chords, args.samples, args.seed, args.timeout)
+            point = run_point(b, name, chords)
             timed_out = point["status"] == "timeout"
             points.append(point)
     print(
@@ -110,9 +95,9 @@ def main(argv: list[str] | None = None) -> int:
             {
                 "python": platform.python_version(),
                 "machine": platform.machine(),
-                "seed": args.seed,
-                "samples": args.samples,
-                "timeout_s": args.timeout,
+                "seed": SEED,
+                "samples": SAMPLES,
+                "timeout_s": TIMEOUT_S,
                 "points": points,
             },
             indent=1,
