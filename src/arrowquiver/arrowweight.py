@@ -9,12 +9,13 @@ diagram contributes
 
 where the first slot belongs to the crossing whose under-passage comes
 first from the basepoint.  The total is the weight sum sigma_D of the
-coloring.  For W to define a knot
-invariant the multiset of weight sums over all colorings must be unchanged
-by Reidemeister moves and by moving the basepoint; both requirements are
+coloring; every sum is read from one per-pair table (:func:`_pair_terms`).
+Moving the basepoint to passage k swaps the labels of exactly the pairs
+it straddles, those with under-passages u1 < k <= u2.  For W to define a
+knot invariant the multiset of weight sums over all colorings must be
+unchanged by Reidemeister moves and by moving the basepoint; both are
 linear conditions on the entries of W, collected by
-:func:`generate_constraints` and solved over Z_m by
-:func:`solve_constraints`.
+:func:`generate_constraints` and solved over Z_m by :func:`solve_constraints`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
-from math import gcd
+from itertools import islice, permutations, product
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .gausscode import (
     enumerate_moves,
     parse_gauss_code,
 )
-from .homset import arrow_label, enumerate_colorings, transport_coloring
+from .homset import LABEL_SLOTS, enumerate_colorings, transport_coloring
 
 __all__ = [
     "WeightTensor",
@@ -47,6 +48,7 @@ __all__ = [
     "weight_multiset",
     "ConstraintSystem",
     "SolutionSet",
+    "max_modulus",
     "generate_constraints",
     "solve_constraints",
     "search_weights",
@@ -96,6 +98,10 @@ class WeightTensor:
     def loads(cls, text: str) -> "WeightTensor":
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        for i, field in enumerate(("modulus", "size")):
+            value = lines[i] if i < len(lines) else "nothing"
+            if not value.isdecimal() or int(value) < 1:
+                raise ValueError(f"{field} must be a positive integer, found {value}")
         m, n = int(lines[0]), int(lines[1])
         rows = lines[2:]
         if len(rows) != n * n:
@@ -114,11 +120,35 @@ class WeightTensor:
             return cls.loads(fh.read())
 
 
-def _ordered_pair(d: GaussDiagram, p: int, q: int) -> tuple[int, int]:
-    """Order a crossing pair: smaller under-passage index takes the first slot."""
-    fp = d.index_of(p, "U")
-    fq = d.index_of(q, "U")
-    return (p, q) if fp < fq else (q, p)
+def _pair_terms(d: GaussDiagram, coloring: tuple[int, ...], n: int) -> list[tuple]:
+    """The weight-sum evaluator: per intersecting chord pair, in the order of
+    ``crossing_pairs``, the sign product, the tensor slot of (label(first),
+    label(second)), the slot with the labels swapped, and the under-passage
+    indices u1 < u2 of the pair (the first chord's is u1)."""
+    cd = d.compiled
+    labels = [
+        (coloring[s[i]] - 1) * n + coloring[s[j]] - 1
+        for s, (i, j) in zip(cd.slots, map(LABEL_SLOTS.get, cd.sign))
+    ]
+    terms = []
+    for p, q in cd.pairs:
+        if cd.under[p] > cd.under[q]:
+            p, q = q, p
+        lp, lq = labels[p], labels[q]
+        sign = cd.sign[p] * cd.sign[q]
+        terms.append((sign, lp * n * n + lq, lq * n * n + lp, cd.under[p], cd.under[q]))
+    return terms
+
+
+def _rotation_rows(terms: list[tuple], two_n: int) -> list[dict[int, int]]:
+    """Row k - 1 is sigma_D minus sigma_D from basepoint k, for 0 < k < 2n:
+    moving the basepoint to k swaps the labels of the pairs with u1 < k <= u2."""
+    rows: list[dict[int, int]] = [{} for _ in range(1, two_n)]
+    for sign, slot, swapped, u1, u2 in terms:
+        for row in rows[u1:u2]:
+            row[slot] = row.get(slot, 0) + sign
+            row[swapped] = row.get(swapped, 0) - sign
+    return rows
 
 
 def sigma_coefficients(
@@ -126,12 +156,8 @@ def sigma_coefficients(
 ) -> dict[int, int]:
     """sigma_D as a sparse vector of coefficients on tensor slots."""
     coeffs: dict[int, int] = {}
-    for p, q in d.crossing_pairs():
-        first, second = _ordered_pair(d, p, q)
-        la = arrow_label(d, coloring, first)
-        lb = arrow_label(d, coloring, second)
-        slot = WeightTensor.slot(n, la[0], la[1], lb[0], lb[1])
-        coeffs[slot] = coeffs.get(slot, 0) + d.sign_of(p) * d.sign_of(q)
+    for sign, slot, *_ in _pair_terms(d, coloring, n):
+        coeffs[slot] = coeffs.get(slot, 0) + sign
     return coeffs
 
 
@@ -139,16 +165,9 @@ def sigma_terms(
     w: WeightTensor, d: GaussDiagram, coloring: tuple[int, ...]
 ) -> list[tuple[tuple[int, int], int]]:
     """The ((p, q), term) contributions of each intersecting chord pair."""
-    out = []
-    for p, q in d.crossing_pairs():
-        first, second = _ordered_pair(d, p, q)
-        term = (
-            d.sign_of(p)
-            * d.sign_of(q)
-            * w.get(arrow_label(d, coloring, first), arrow_label(d, coloring, second))
-        ) % w.m
-        out.append(((p, q), term))
-    return out
+    terms = _pair_terms(d, coloring, w.n)
+    pairs = [(p + 1, q + 1) for p, q in d.compiled.pairs]
+    return [(pq, t[0] * w.entries[t[1]] % w.m) for pq, t in zip(pairs, terms)]
 
 
 def sigma_D(
@@ -159,33 +178,24 @@ def sigma_D(
 ) -> int:
     """The weight sum of one coloring, reduced mod m.
 
-    With ``check_rotations`` the sum is recomputed from every basepoint and
-    must agree, which holds for every valid arrow weight.
+    With ``check_rotations`` the sum from every other basepoint must agree,
+    which holds for every valid arrow weight; see :func:`_rotation_rows`.
     """
-    total = sum(t for _, t in sigma_terms(w, d, coloring)) % w.m
+    terms = _pair_terms(d, coloring, w.n)
     if check_rotations:
-        two_n = len(d.endpoints)
-        for k in range(1, two_n):
-            dk = d.rotated(k)
-            ck = coloring[k:] + coloring[:k]
-            tk = sum(t for _, t in sigma_terms(w, dk, ck)) % w.m
-            if tk != total:
-                raise ValueError(
-                    f"weight sum depends on the basepoint (rotation {k})"
-                )
-    return total
+        rows = _rotation_rows(terms, len(d.endpoints))
+        for k, row in enumerate(rows, start=1):
+            if sum(c * w.entries[s] for s, c in row.items()) % w.m:
+                raise ValueError(f"weight sum depends on the basepoint (rotation {k})")
+    return sum(t[0] * w.entries[t[1]] for t in terms) % w.m
 
 
 def weight_multiset(
     b: Biquandle, w: WeightTensor, d: GaussDiagram, check_rotations: bool = False
 ) -> tuple[int, ...]:
     """Sorted weight sums over all colorings: the multiset-valued invariant."""
-    return tuple(
-        sorted(
-            sigma_D(w, d, c, check_rotations=check_rotations)
-            for c in enumerate_colorings(b, d)
-        )
-    )
+    colorings = enumerate_colorings(b, d)
+    return tuple(sorted(sigma_D(w, d, c, check_rotations) for c in colorings))
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +268,20 @@ class ConstraintSystem:
                 unique[tuple(sorted(reduced.items()))] = None
         self.rows: list[dict[int, int]] = [dict(key) for key in unique]
 
-    def holds_for(self, w: WeightTensor) -> bool:
+    def violated(self, w: WeightTensor) -> tuple[int, ...]:
+        """The indices of the rows that ``w`` does not satisfy."""
         if (w.n, w.m) != (self.n, self.m):
             raise ValueError("tensor shape does not match the system")
-        return all(
-            sum(c * w.entries[s] for s, c in row.items()) % self.m == 0
-            for row in self.rows
+        m, e = self.m, w.entries
+        return tuple(
+            i for i, row in enumerate(self.rows) if sum(c * e[s] for s, c in row.items()) % m
         )
 
+    def holds_for(self, w: WeightTensor) -> bool:
+        return not self.violated(w)
 
-def _difference_row(
-    before: dict[int, int], after: dict[int, int]
-) -> dict[int, int]:
+
+def _difference_row(before: dict[int, int], after: dict[int, int]) -> dict[int, int]:
     row = dict(before)
     for s, c in after.items():
         row[s] = row.get(s, 0) - c
@@ -290,28 +302,19 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
 
     def move_rows(d: GaussDiagram, moves) -> None:
         colorings = enumerate_colorings(b, d)
+        bases = [sigma_coefficients(d, c, n) for c in colorings]
         for move in moves:
             d2 = apply_move(d, move)
-            for c in colorings:
+            for c, base in zip(colorings, bases):
                 c2 = transport_coloring(b, d, move, c)
-                rows.append(
-                    _difference_row(
-                        sigma_coefficients(d, c, n), sigma_coefficients(d2, c2, n)
-                    )
-                )
+                rows.append(_difference_row(base, sigma_coefficients(d2, c2, n)))
 
     def rotation_rows(d: GaussDiagram) -> None:
         two_n = len(d.endpoints)
         if two_n < 4:
             return
         for c in enumerate_colorings(b, d):
-            base = sigma_coefficients(d, c, n)
-            for k in range(1, two_n):
-                rows.append(
-                    _difference_row(
-                        base, sigma_coefficients(d.rotated(k), c[k:] + c[:k], n)
-                    )
-                )
+            rows.extend(_rotation_rows(_pair_terms(d, c, n), two_n))
 
     for d in _small_hosts():
         move_rows(d, enumerate_moves(d))
@@ -343,6 +346,12 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def max_modulus(ncols: int) -> int:
+    """The largest m with max(2, ncols) * (m - 1)^2 < 2^63, which keeps the
+    int64 elimination and dot products of :class:`SolutionSet` exact."""
+    return isqrt((2**63 - 1) // max(2, ncols)) + 1
+
+
 class SolutionSet:
     """The solutions of a homogeneous system over Z_m, in echelon form.
 
@@ -354,6 +363,8 @@ class SolutionSet:
     """
 
     def __init__(self, ncols: int, m: int, rows: list[dict[int, int]]):
+        if m > max_modulus(ncols):
+            raise ValueError(f"modulus {m} is above the limit {max_modulus(ncols)}")
         self.ncols = ncols
         self.m = m
         self.pivot: dict[int, np.ndarray] = {}
@@ -445,36 +456,25 @@ _PROBE_CODES = (
 )
 
 
-def _probes() -> list[GaussDiagram]:
-    return [parse_gauss_code(code) for code in _PROBE_CODES]
-
-
 def search_weights(
     b: Biquandle, m: int, limit: int | None = None, nontrivial: bool = False
 ):
-    """Yield valid arrow weight tensors for ``b`` over Z_m in lex order.
+    """Yield valid arrow weight tensors for ``b`` over Z_m in lex order,
+    at most ``limit`` of them.
 
     With ``nontrivial``, tensors whose weight sums vanish on every coloring
     of a small probe family of diagrams are skipped (this drops the zero
     tensor in particular).
     """
-    probes = _probes() if nontrivial else []
+    probes = [parse_gauss_code(code) for code in _PROBE_CODES] if nontrivial else []
     colorings = [(d, enumerate_colorings(b, d)) for d in probes]
-    count = 0
-    for values in solve_constraints(generate_constraints(b, m)):
-        w = WeightTensor(b.n, m, values)
-        if nontrivial and not any(
-            sigma_D(w, d, c) for d, cs in colorings for c in cs
-        ):
-            continue
-        yield w
-        count += 1
-        if limit is not None and count >= limit:
-            return
-
-
-def _random_diagram(rng: random.Random, max_chords: int) -> GaussDiagram:
-    return _random_diagram_of_size(rng, rng.randint(0, max_chords))
+    sols = solve_constraints(generate_constraints(b, m))
+    tensors = (WeightTensor(b.n, m, values) for values in sols)
+    if nontrivial:
+        tensors = (
+            w for w in tensors if any(sigma_D(w, d, c) for d, cs in colorings for c in cs)
+        )
+    yield from islice(tensors, limit)
 
 
 def _random_diagram_of_size(rng: random.Random, chords: int) -> GaussDiagram:
@@ -528,17 +528,12 @@ def is_valid_weight(
     """
     if w.n != b.n:
         return ValidityReport(False, failed_trial={"error": "dimension mismatch"})
-    system = generate_constraints(b, w.m)
-    bad = tuple(
-        i
-        for i, row in enumerate(system.rows)
-        if sum(c * w.entries[s] for s, c in row.items()) % w.m
-    )
+    bad = generate_constraints(b, w.m).violated(w)
     if bad:
         return ValidityReport(False, violated_rows=bad)
     rng = random.Random(seed)
     for trial in range(trials):
-        d = _random_diagram(rng, max_chords)
+        d = _random_diagram_of_size(rng, rng.randint(0, max_chords))
         for _ in range(rng.randint(1, 3)):
             moves = enumerate_moves(d)
             if d.n >= 6:

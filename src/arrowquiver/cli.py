@@ -14,7 +14,7 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 invalid input (bad biquandle,
 endomorphism, tensor, code or knot name; the offending axiom or witness is
 reported), 3 internal assertion failure.  All output is deterministic for a
-fixed command line and seed.
+fixed command line.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from itertools import product
 from .arrowweight import (
     WeightTensor,
     is_valid_weight,
+    max_modulus,
     search_weights,
     sigma_D,
     weight_multiset,
@@ -192,7 +193,11 @@ def cmd_endos(args) -> int:
 def cmd_weights_find(args) -> int:
     if args.modulus < 1:
         raise InputError(f"--modulus must be a positive integer, got {args.modulus}")
+    if args.limit is not None and args.limit < 0:
+        raise InputError(f"--limit must be a non-negative integer, got {args.limit}")
     b = _biquandle(args.biquandle)
+    if args.modulus > (limit := max_modulus(b.n**4)):
+        raise InputError(f"--modulus {args.modulus} is above the exact limit {limit}")
     found = []
     for w in search_weights(b, args.modulus, limit=args.limit, nontrivial=args.nontrivial):
         found.append(w)
@@ -529,7 +534,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="emit the invariant of all four orientation variants",
     )
-    p.add_argument("--seed", type=int, default=0)
     add_format(p, ["tsv", "json"], "tsv")
     p.set_defaults(func=cmd_table)
 

@@ -111,21 +111,9 @@ class GaussDiagram:
             return c.sign[chord - 1]
         raise KeyError(chord)
 
-    def chords_cross(self, p: int, q: int) -> bool:
-        """Whether chords p and q interleave in the cyclic order."""
-        po, pu = self.index_of(p, "O"), self.index_of(p, "U")
-        qo, qu = self.index_of(q, "O"), self.index_of(q, "U")
-        lo, hi = min(po, pu), max(po, pu)
-        inside_q = (lo < qo < hi, lo < qu < hi)
-        return inside_q[0] != inside_q[1]
-
     def crossing_pairs(self) -> list[tuple[int, int]]:
         """All unordered pairs of chords that interleave, as (p, q), p < q."""
-        return [
-            (p, q)
-            for p, q in combinations(range(1, self.n + 1), 2)
-            if self.chords_cross(p, q)
-        ]
+        return [(p + 1, q + 1) for p, q in self.compiled.pairs]
 
     def rotated(self, k: int) -> "GaussDiagram":
         """Move the basepoint k passages forward; chord labels are kept."""
@@ -165,7 +153,7 @@ class GaussDiagram:
 
 @dataclass(frozen=True)
 class CompiledDiagram:
-    """A diagram as flat integer tables, the form coloring search reads.
+    """A diagram as flat integer tables, read by coloring search and weight sums.
 
     Chords are numbered from 0 here: per-chord tuples hold chord label c at
     index c - 1.  A chord's four *slots* are the semiarcs around its
@@ -183,6 +171,8 @@ class CompiledDiagram:
     # per semiarc, the (chord index, position) of the slots it fills; the
     # lone semiarc of the empty diagram fills none
     touching: tuple[tuple[tuple[int, int], ...], ...]
+    # the chord index pairs (p, q), p < q, whose endpoints interleave
+    pairs: tuple[tuple[int, int], ...]
 
 
 def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
@@ -205,6 +195,12 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
         )
         for e, f in zip(endpoints, endpoints[1:] + endpoints[:1])
     )
+    spans = [sorted(ends) for ends in zip(under, over)]
+    pairs = tuple(
+        (p, q)
+        for (p, (lo, hi)), (q, (a, b)) in combinations(enumerate(spans), 2)
+        if (lo < a < hi) != (lo < b < hi)
+    )
     return CompiledDiagram(
         range(1, n + 1),
         tuple(under),
@@ -212,6 +208,7 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
         tuple(sign),
         slots,
         touching or ((),),
+        pairs,
     )
 
 

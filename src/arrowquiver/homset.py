@@ -248,6 +248,10 @@ def counting_invariant(b: Biquandle, d: GaussDiagram) -> int:
     return len(enumerate_colorings(b, d))
 
 
+# where a crossing's arrow label sits in (u_in, u_out, o_in, o_out), by sign
+LABEL_SLOTS = {1: (0, 3), -1: (1, 2)}
+
+
 def arrow_label(
     d: GaussDiagram, coloring: tuple[int, ...], chord: int
 ) -> tuple[int, int]:
@@ -256,10 +260,9 @@ def arrow_label(
     At a negative crossing the positive sense is reached by inverting the
     crossing, which exchanges in and out on both strands.
     """
-    u_in, u_out, o_in, o_out = chord_colors(d, coloring, chord)
-    if d.sign_of(chord) > 0:
-        return (u_in, o_out)
-    return (u_out, o_in)
+    colors = chord_colors(d, coloring, chord)
+    i, j = LABEL_SLOTS[d.sign_of(chord)]
+    return colors[i], colors[j]
 
 
 # ---------------------------------------------------------------------------

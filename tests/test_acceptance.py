@@ -338,7 +338,6 @@ def test_criterion_9_table_output_deterministic(capsys):
         "--biquandle", str(bundled_path("biquandle_cyc3.txt")),
         "--tensor", str(bundled_path("weight_cyc3_z8.txt")),
         "--endos", str(bundled_path("endos_cyc3.txt")),
-        "--seed", "11",
     ]
     assert main(list(argv)) == 0
     first = capsys.readouterr().out

@@ -1,18 +1,31 @@
 """Arrow weight tensors, weight sums, and the validity machinery."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from arrowquiver.arrowweight import (
+    SolutionSet,
     WeightTensor,
+    _difference_row,
+    _pair_terms,
+    _r3_template_hosts,
+    _random_diagram_of_size,
+    _rotation_rows,
+    _small_hosts,
     generate_constraints,
     is_valid_weight,
+    max_modulus,
     search_weights,
+    sigma_coefficients,
     sigma_D,
     sigma_terms,
     solve_constraints,
     weight_multiset,
 )
 from arrowquiver.gausscode import parse_gauss_code
+from arrowquiver.homset import arrow_label, enumerate_colorings
 
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
 
@@ -169,3 +182,119 @@ class TestValidity:
         assert data["valid"] is False
         assert data["violated_rows"] == list(report.violated_rows)
         assert data["failed_trial"] is None
+
+
+def _nonzero(row: dict[int, int]) -> dict[int, int]:
+    return {s: c for s, c in row.items() if c}
+
+
+def _oracle_diagrams() -> list:
+    """The constraint hosts plus seeded random diagrams of up to 6 chords."""
+    rng = random.Random(20261018)
+    randoms = [_random_diagram_of_size(rng, rng.randint(0, 6)) for _ in range(100)]
+    return _small_hosts() + _r3_template_hosts(0) + randoms
+
+
+class TestEvaluatorOracles:
+    """The per-pair evaluator against definitions evaluated the long way."""
+
+    def test_crossing_pairs_are_interleaving_chords(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            d = _random_diagram_of_size(rng, rng.randint(0, 9))
+            where = {}
+            for i, e in enumerate(d.endpoints):
+                where.setdefault(e.chord, []).append(i)
+            brute = []
+            for p, q in combinations(range(1, d.n + 1), 2):
+                lo, hi = sorted(where[p])
+                inside = sum(lo < i < hi for i in where[q])
+                if inside == 1:
+                    brute.append((p, q))
+            assert d.crossing_pairs() == brute, str(d)
+
+    def test_coefficients_match_labels_and_under_order(self, quad4):
+        """sigma_D read straight from arrow_label and the under-passage rule."""
+        n = quad4.n
+        for d in _oracle_diagrams():
+            for c in enumerate_colorings(quad4, d):
+                brute: dict[int, int] = {}
+                for p, q in d.crossing_pairs():
+                    if d.index_of(p, "U") > d.index_of(q, "U"):
+                        p, q = q, p
+                    la, lb = arrow_label(d, c, p), arrow_label(d, c, q)
+                    slot = WeightTensor.slot(n, *la, *lb)
+                    brute[slot] = brute.get(slot, 0) + d.sign_of(p) * d.sign_of(q)
+                assert sigma_coefficients(d, c, n) == brute, (str(d), c)
+
+    @pytest.mark.parametrize("name", ["flip2", "cyc3", "quad4", "shift4"])
+    def test_rotation_rows_match_rebuilt_diagrams(self, request, name):
+        b = request.getfixturevalue(name)
+        n = b.n
+        checked = 0
+        for d in _oracle_diagrams():
+            two_n = len(d.endpoints)
+            for c in enumerate_colorings(b, d):
+                rows = _rotation_rows(_pair_terms(d, c, n), two_n)
+                assert len(rows) == max(0, two_n - 1)
+                base = sigma_coefficients(d, c, n)
+                for k in range(1, two_n):
+                    rebuilt = sigma_coefficients(d.rotated(k), c[k:] + c[:k], n)
+                    want = _nonzero(_difference_row(base, rebuilt))
+                    assert _nonzero(rows[k - 1]) == want, (str(d), c, k)
+                    checked += 1
+        assert checked > 1000
+
+    def test_rotation_error_names_the_first_failing_rotation(self, flip2):
+        d = parse_gauss_code("U1+O2+O1+U3+U2+O3+")
+        c = (2, 1, 2, 1, 2, 1)
+        entries = [0] * 16
+        entries[WeightTensor.slot(2, 1, 1, 2, 1)] = 1
+        w = WeightTensor(2, 2, tuple(entries))
+        base = sigma_D(w, d, c)
+        rebuilt = [
+            sigma_D(w, d.rotated(k), c[k:] + c[:k]) for k in range(1, len(d.endpoints))
+        ]
+        # rotations 1-3 agree with the basepoint; rotation 4 is the first not to
+        assert rebuilt.index(next(t for t in rebuilt if t != base)) + 1 == 4
+        with pytest.raises(ValueError, match=r"basepoint \(rotation 4\)$"):
+            sigma_D(w, d, c, check_rotations=True)
+
+
+class TestModulusLimit:
+    def test_limit_is_the_int64_bound(self):
+        for ncols in (1, 16, 81, 256):
+            m = max_modulus(ncols)
+            assert max(2, ncols) * (m - 1) ** 2 < 2**63
+            assert max(2, ncols) * m**2 >= 2**63
+
+    def test_modulus_above_limit_rejected(self):
+        m = 3 * 2**31
+        assert m > max_modulus(81)
+        with pytest.raises(ValueError, match=f"modulus {m} is above the limit"):
+            SolutionSet(81, m, [])
+
+    def test_counts_multiply_over_coprime_moduli(self, cyc3):
+        def count(m):
+            return solve_constraints(generate_constraints(cyc3, m)).count()
+
+        assert count(24) == count(8) * count(3)
+
+    def test_limit_zero_yields_nothing(self, flip2):
+        assert list(search_weights(flip2, 2, limit=0)) == []
+
+
+class TestTensorHeader:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "modulus must be a positive integer, found nothing"),
+            ("0\n1\n0\n", "modulus must be a positive integer, found 0"),
+            ("-3\n1\n0\n", "modulus must be a positive integer, found -3"),
+            ("4\n", "size must be a positive integer, found nothing"),
+            ("4\n0\n", "size must be a positive integer, found 0"),
+        ],
+    )
+    def test_bad_header_names_the_field(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            WeightTensor.loads(text)

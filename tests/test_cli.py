@@ -91,6 +91,14 @@ class TestWeights:
         assert data["count"] == 8
         assert [tuple(t) for t in data["tensors"]] == rows
 
+    def test_find_limit_zero_prints_no_tensor(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "weights", "find", "--biquandle", FLIP2, "--modulus", "2", "--limit", "0",
+        )
+        assert code == 0
+        assert out == "# 0 solutions\n"
+
     def test_find_nontrivial(self, capsys):
         _, out, _ = run(
             capsys,
@@ -270,7 +278,6 @@ class TestTable:
         args = (
             "table", "--type", "indeg", "--biquandle", CYC3, "--tensor", W8,
             "--endos", ENDOS_CYC3, "--knots", self.small(tmp_path),
-            "--seed", "5",
         )
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
@@ -365,6 +372,51 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"--modulus must be a positive integer, got {modulus}" in err
+
+    @pytest.mark.parametrize(
+        "text, witness",
+        [
+            ("0\n2\n" + "0 0 0 0\n" * 4, "modulus must be a positive integer, found 0"),
+            ("-3\n2\n" + "0 0 0 0\n" * 4, "modulus must be a positive integer, found -3"),
+            ("", "modulus must be a positive integer, found nothing"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["weights", "check"],
+            ["invariant", "--type", "weight-poly", "--knot", "2.1"],
+        ],
+    )
+    def test_bad_tensor_header_exits_2(self, capsys, tmp_path, text, witness, command):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, *command, "--biquandle", FLIP2, "--tensor", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"invalid tensor file {path}: {witness}" in err
+
+    @pytest.mark.parametrize("modulus", [3 * 2**31, 2**64])
+    def test_modulus_above_exact_limit_exits_2(self, capsys, modulus):
+        from arrowquiver.arrowweight import max_modulus
+
+        code, out, err = run(
+            capsys, "weights", "find", "--biquandle", CYC3, "--modulus", str(modulus)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--modulus {modulus} is above the exact limit {max_modulus(81)}" in err
+
+    def test_negative_limit_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "weights", "find", "--biquandle", FLIP2, "--modulus", "2", "--limit", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--limit must be a non-negative integer, got -1" in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
