@@ -32,6 +32,7 @@ from .biquandle import Biquandle
 from .gausscode import (
     Endpoint,
     GaussDiagram,
+    Move,
     R1Insert,
     R2Insert,
     R3Slide,
@@ -66,6 +67,8 @@ class WeightTensor:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"modulus must be a positive integer, got {self.m}")
         if len(self.entries) != self.n**4:
             raise ValueError("wrong number of tensor entries")
         if any(not 0 <= e < self.m for e in self.entries):
@@ -464,8 +467,10 @@ def search_weights(
 
     With ``nontrivial``, tensors whose weight sums vanish on every coloring
     of a small probe family of diagrams are skipped (this drops the zero
-    tensor in particular).
+    tensor in particular).  A negative ``limit`` raises ValueError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be a non-negative integer, got {limit}")
     probes = [parse_gauss_code(code) for code in _PROBE_CODES] if nontrivial else []
     colorings = [(d, enumerate_colorings(b, d)) for d in probes]
     sols = solve_constraints(generate_constraints(b, m))
@@ -486,6 +491,15 @@ def _random_diagram_of_size(rng: random.Random, chords: int) -> GaussDiagram:
         word.append(Endpoint(c, "U", s))
     rng.shuffle(word)
     return GaussDiagram(tuple(word))
+
+
+def _random_move(rng: random.Random, d: GaussDiagram) -> Move | None:
+    """One scramble step's move: ``rng.choice`` over ``enumerate_moves(d)``,
+    without the insertions once ``d`` has 6 chords, or None if no move is left."""
+    moves = enumerate_moves(d)
+    if d.n >= 6:
+        moves = [mv for mv in moves if not isinstance(mv, (R1Insert, R2Insert))]
+    return rng.choice(moves) if moves else None
 
 
 @dataclass(frozen=True)
@@ -535,14 +549,9 @@ def is_valid_weight(
     for trial in range(trials):
         d = _random_diagram_of_size(rng, rng.randint(0, max_chords))
         for _ in range(rng.randint(1, 3)):
-            moves = enumerate_moves(d)
-            if d.n >= 6:
-                moves = [
-                    mv for mv in moves if not isinstance(mv, (R1Insert, R2Insert))
-                ]
-            if not moves:
+            move = _random_move(rng, d)
+            if move is None:
                 break
-            move = rng.choice(moves)
             d2 = apply_move(d, move)
             for c in enumerate_colorings(b, d):
                 try:

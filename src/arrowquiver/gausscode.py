@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 __all__ = [
@@ -476,92 +476,98 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
 
 
 def enumerate_moves(d: GaussDiagram) -> list[Move]:
-    """Every move instance applicable to ``d``.
+    """Every move instance applicable to ``d``, in a fixed order.
 
-    Insertions are listed for every gap, both R1 chiralities, both R2
-    arrangements and both signs; deletions and slides are found by pattern
-    matching.  The list is deterministic.
+    First the insertions: for every gap, both R1 chiralities and both signs,
+    then for every (over gap, under gap) pair both signs, antiparallel
+    before parallel.  They depend only on the number of passages, so one
+    tuple of them per size is built once and shared (the moves are frozen).
+    Then the R1 deletions, the R2 deletions and the R3 slides, each by
+    ascending first index; they are matched by lookup in one index of the
+    cyclically adjacent passage pairs, without building any diagram.
+
+    The result is a new list each call; callers may change it.
     """
-    moves: list[Move] = []
-    two_n = len(d.endpoints)
-    gaps = range(two_n + 1) if two_n else [0]
-
-    for g in gaps:
-        for head_first in (False, True):
-            for sign in (1, -1):
-                moves.append(R1Insert(g, head_first, sign))
-    for go in gaps:
-        for gu in gaps:
-            for sign in (1, -1):
-                moves.append(R2Insert(go, gu, True, sign))
-                moves.append(R2Insert(go, gu, False, sign))
-
-    if two_n:
-        for i in range(two_n):
-            j = _adjacent(d, i)
-            if j != i and d.endpoints[i].chord == d.endpoints[j].chord:
-                moves.append(R1Delete(i))
-        for i in range(two_n):
-            for j in range(two_n):
-                for anti in (True, False):
-                    try:
-                        apply_move(d, R2Delete(i, j, anti))
-                    except ValueError:
-                        continue
-                    moves.append(R2Delete(i, j, anti))
-        moves.extend(_find_r3(d))
+    moves: list[Move] = list(_insertions(len(d.endpoints)))
+    if d.endpoints:
+        moves += _deletions(d.endpoints)
     return moves
 
 
-def _find_r3(d: GaussDiagram) -> list[R3Slide]:
-    """All R3 slide instances present in ``d``, both forms."""
-    two_n = len(d.endpoints)
-    found: list[R3Slide] = []
-    # index pairs (s, s+1) by their (passage, chord) content
-    for sa in range(two_n):
-        a1, a2 = d.endpoints[sa], d.endpoints[_adjacent(d, sa)]
-        for form in ("L", "R"):
-            if form == "L":
-                if (a1.passage, a2.passage) != ("U", "U"):
-                    continue
-                x, y = a1.chord, a2.chord
-            else:
-                if (a1.passage, a2.passage) != ("U", "U"):
-                    continue
-                y, x = a1.chord, a2.chord
-            if x == y:
+# Scrambles meet a handful of sizes; at 30 chords one size holds about
+# 15 000 moves.
+_INSERTION_SIZES = 16
+
+
+@lru_cache(maxsize=_INSERTION_SIZES)
+def _insertions(two_n: int) -> tuple[Move, ...]:
+    gaps = range(two_n + 1)
+    r1 = [
+        R1Insert(g, head_first, sign)
+        for g in gaps
+        for head_first in (False, True)
+        for sign in (1, -1)
+    ]
+    r2 = [
+        R2Insert(go, gu, anti, sign)
+        for go in gaps
+        for gu in gaps
+        for sign in (1, -1)
+        for anti in (True, False)
+    ]
+    return tuple(r1 + r2)
+
+
+def _deletions(ends: tuple[Endpoint, ...]) -> list[Move]:
+    """The R1Delete, R2Delete and R3Slide instances of a nonempty diagram.
+
+    Block s is the cyclically adjacent pair (ends[s], ends[s + 1 mod 2n]).
+    Each passage occurs once, so every pattern fixes its blocks: an R2 pair
+    [Oa Ob] with opposite signs needs the U block [Ub Ua] (antiparallel) or
+    [Ua Ub] (parallel), at most one of which exists when 2n > 2; an R3 site
+    [Ux Uy] of one sign fixes its O x block and from it z.
+    """
+    two_n = len(ends)
+    blocks = list(zip(ends, ends[1:] + ends[:1]))
+    over = {e.chord: s for s, e in enumerate(ends) if e.passage == "O"}
+    uu: dict[tuple[int, int], int] = {}
+    oo: dict[tuple[int, int], int] = {}
+    for s, (e, f) in enumerate(blocks):
+        if e.passage == f.passage:
+            (uu if e.passage == "U" else oo)[e.chord, f.chord] = s
+
+    r1: list[Move] = []
+    r2: list[Move] = []
+    r3: list[Move] = []
+    for s, (e, f) in enumerate(blocks):
+        if e.chord == f.chord:
+            r1.append(R1Delete(s))
+        elif e.passage != f.passage:
+            continue
+        elif e.passage == "O":
+            if e.sign == f.sign:
                 continue
-            eps = a1.sign
-            if a2.sign != eps:
-                continue
-            for sb in range(two_n):
-                b1, b2 = d.endpoints[sb], d.endpoints[_adjacent(d, sb)]
-                if form == "L":
-                    if (b1.passage, b1.chord) != ("O", x):
-                        continue
-                    if b2.passage != "U" or b2.chord in (x, y):
-                        continue
-                    z = b2.chord
-                else:
-                    if (b2.passage, b2.chord) != ("O", x):
-                        continue
-                    if b1.passage != "U" or b1.chord in (x, y):
-                        continue
-                    z = b1.chord
-                if d.sign_of(z) != eps:
-                    continue
-                for sc in range(two_n):
-                    c1, c2 = d.endpoints[sc], d.endpoints[_adjacent(d, sc)]
-                    if form == "L":
-                        want = (("O", y), ("O", z))
-                    else:
-                        want = (("O", z), ("O", y))
-                    if ((c1.passage, c1.chord), (c2.passage, c2.chord)) != want:
-                        continue
-                    idx = []
-                    for s in (sa, sb, sc):
-                        idx.extend([s, _adjacent(d, s)])
-                    if len(set(idx)) != 6:
-                        continue
-                    found.append(R3Slide((sa, sb, sc), form, (x, y, z), eps))
-    return found
+            a, b = e.chord, f.chord
+            if (b, a) in uu:
+                r2.append(R2Delete(s, uu[b, a], True))
+            elif (a, b) in uu:
+                r2.append(R2Delete(s, uu[a, b], False))
+        elif e.sign == f.sign:
+            eps = e.sign
+            # left form [Ux Uy] [Ox Uz] [Oy Oz]
+            x, y = e.chord, f.chord
+            sb = over[x]
+            z = blocks[sb][1]
+            if z.passage == "U" and z.chord not in (x, y) and z.sign == eps:
+                sc = oo.get((y, z.chord))
+                if sc is not None:
+                    r3.append(R3Slide((s, sb, sc), "L", (x, y, z.chord), eps))
+            # right form [Uy Ux] [Uz Ox] [Oz Oy]
+            y, x = e.chord, f.chord
+            sb = (over[x] - 1) % two_n
+            z = blocks[sb][0]
+            if z.passage == "U" and z.chord not in (x, y) and z.sign == eps:
+                sc = oo.get((z.chord, y))
+                if sc is not None:
+                    r3.append(R3Slide((s, sb, sc), "R", (x, y, z.chord), eps))
+    return r1 + r2 + r3

@@ -15,6 +15,7 @@ import pytest
 
 from arrowquiver.arrowweight import (
     WeightTensor,
+    _random_move,
     generate_constraints,
     is_valid_weight,
     sigma_coefficients,
@@ -25,8 +26,6 @@ from arrowquiver.biquandle import BiquandleError, load as load_biquandle
 from arrowquiver.gausscode import (
     Endpoint,
     GaussDiagram,
-    R1Insert,
-    R2Insert,
     apply_move,
     enumerate_moves,
     parse_gauss_code,
@@ -281,12 +280,10 @@ def _random_diagram(rng, max_chords):
 
 def _scramble(rng, d):
     for _ in range(rng.randint(1, 8)):
-        moves = enumerate_moves(d)
-        if d.n >= 6:
-            moves = [m for m in moves if not isinstance(m, (R1Insert, R2Insert))]
-        if not moves:
+        move = _random_move(rng, d)
+        if move is None:
             break
-        d = apply_move(d, rng.choice(moves))
+        d = apply_move(d, move)
     return d
 
 

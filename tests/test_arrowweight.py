@@ -56,6 +56,11 @@ class TestTensor:
         with pytest.raises(ValueError, match="entries must lie in 0..3"):
             WeightTensor(1, 4, (7,))
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_modulus_checked(self, m):
+        with pytest.raises(ValueError, match=f"^modulus must be a positive integer, got {m}$"):
+            WeightTensor(1, m, (0,))
+
     def test_is_zero(self, w16):
         assert WeightTensor(1, 4, (0,)).is_zero()
         assert not w16.is_zero()
@@ -143,6 +148,10 @@ class TestSearch:
 
     def test_limit(self, flip2):
         assert len(list(search_weights(flip2, 16, limit=5))) == 5
+
+    def test_negative_limit_named(self, flip2):
+        with pytest.raises(ValueError, match="^limit must be a non-negative integer, got -1$"):
+            list(search_weights(flip2, 2, limit=-1))
 
     def test_nontrivial_drops_vanishing_tensors(self, flip2):
         found = list(search_weights(flip2, 2, nontrivial=True))

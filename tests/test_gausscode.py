@@ -1,7 +1,16 @@
 """Signed Gauss codes, diagram operations, and Reidemeister moves."""
 
+import random
+
 import pytest
 
+from arrowquiver import gausscode
+from arrowquiver.arrowweight import (
+    _r3_template_hosts,
+    _random_diagram_of_size,
+    _random_move,
+    _small_hosts,
+)
 from arrowquiver.gausscode import (
     Endpoint,
     GaussDiagram,
@@ -15,6 +24,7 @@ from arrowquiver.gausscode import (
     inverse_move,
     parse_gauss_code,
 )
+from arrowquiver.knotdata import bundled_table, orientation_variants
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 R3_HOST = "U1+U2+O1+U3+O2+O3+"
@@ -227,3 +237,165 @@ class TestEnumeration:
                 d2 = apply_move(d, move)
                 back = apply_move(d2, inverse_move(d, move))
                 assert back.canonical_code() == d.canonical_code(), (code, move)
+
+
+def _brute_force_moves(d):
+    """The enumerator as it was before deletions were matched by lookup:
+    every R2 deletion is a trial ``apply_move`` over all index pairs, and R3
+    slides come from a triple scan over passage pairs."""
+    moves = []
+    two_n = len(d.endpoints)
+    gaps = range(two_n + 1) if two_n else [0]
+    for g in gaps:
+        for head_first in (False, True):
+            for sign in (1, -1):
+                moves.append(R1Insert(g, head_first, sign))
+    for go in gaps:
+        for gu in gaps:
+            for sign in (1, -1):
+                moves.append(R2Insert(go, gu, True, sign))
+                moves.append(R2Insert(go, gu, False, sign))
+    if not two_n:
+        return moves
+    for i in range(two_n):
+        j = (i + 1) % two_n
+        if j != i and d.endpoints[i].chord == d.endpoints[j].chord:
+            moves.append(R1Delete(i))
+    for i in range(two_n):
+        for j in range(two_n):
+            for anti in (True, False):
+                try:
+                    apply_move(d, R2Delete(i, j, anti))
+                except ValueError:
+                    continue
+                moves.append(R2Delete(i, j, anti))
+    moves.extend(_brute_force_slides(d))
+    return moves
+
+
+def _brute_force_slides(d):
+    two_n = len(d.endpoints)
+
+    def block(s):
+        return d.endpoints[s], d.endpoints[(s + 1) % two_n]
+
+    found = []
+    for sa in range(two_n):
+        a1, a2 = block(sa)
+        for form in ("L", "R"):
+            if (a1.passage, a2.passage) != ("U", "U"):
+                continue
+            x, y = (a1.chord, a2.chord) if form == "L" else (a2.chord, a1.chord)
+            if x == y:
+                continue
+            eps = a1.sign
+            if a2.sign != eps:
+                continue
+            for sb in range(two_n):
+                b1, b2 = block(sb)
+                if form == "L":
+                    if (b1.passage, b1.chord) != ("O", x):
+                        continue
+                    if b2.passage != "U" or b2.chord in (x, y):
+                        continue
+                    z = b2.chord
+                else:
+                    if (b2.passage, b2.chord) != ("O", x):
+                        continue
+                    if b1.passage != "U" or b1.chord in (x, y):
+                        continue
+                    z = b1.chord
+                if d.sign_of(z) != eps:
+                    continue
+                for sc in range(two_n):
+                    c1, c2 = block(sc)
+                    want = (("O", y), ("O", z)) if form == "L" else (("O", z), ("O", y))
+                    if ((c1.passage, c1.chord), (c2.passage, c2.chord)) != want:
+                        continue
+                    idx = []
+                    for s in (sa, sb, sc):
+                        idx.extend([s, (s + 1) % two_n])
+                    if len(set(idx)) != 6:
+                        continue
+                    found.append(R3Slide((sa, sb, sc), form, (x, y, z), eps))
+    return found
+
+
+def _assert_same_moves(d):
+    got = enumerate_moves(d)
+    assert list(map(repr, got)) == list(map(repr, _brute_force_moves(d))), str(d)
+    return got
+
+
+def _wraps(d, move):
+    """Whether a deletion or slide uses the block (2n - 1, 0)."""
+    last = len(d.endpoints) - 1
+    if isinstance(move, R1Delete):
+        return move.start == last
+    if isinstance(move, R2Delete):
+        return last in (move.over_start, move.under_start)
+    return last in move.sites
+
+
+class TestEnumerationOracle:
+    """``enumerate_moves`` against the brute-force enumerator, repr for repr
+    and in order: seeded scrambles draw from the list by position."""
+
+    def test_table_diagrams(self):
+        for entry in bundled_table():
+            for d in orientation_variants(entry.diagram):
+                _assert_same_moves(d)
+
+    def test_constraint_hosts(self):
+        for d in _small_hosts() + _r3_template_hosts(0) + _r3_template_hosts(1):
+            _assert_same_moves(d)
+
+    def test_random_diagrams_and_scrambles(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(200):
+            d = _random_diagram_of_size(rng, rng.randint(0, 6))
+            _assert_same_moves(d)
+            for _ in range(rng.randint(1, 8)):
+                move = _random_move(rng, d)
+                if move is None:
+                    break
+                d = apply_move(d, move)
+                for mv in _assert_same_moves(d):
+                    if isinstance(mv, (R1Delete, R2Delete, R3Slide)):
+                        anti = getattr(mv, "antiparallel", None)
+                        form = getattr(mv, "form", None)
+                        seen.add((type(mv).__name__, anti, form, _wraps(d, mv)))
+        # the inputs reach every pattern, across the basepoint too
+        for wraps in (False, True):
+            assert ("R1Delete", None, None, wraps) in seen
+            for anti in (False, True):
+                assert ("R2Delete", anti, None, wraps) in seen
+            for form in ("L", "R"):
+                assert ("R3Slide", None, form, wraps) in seen
+
+    def test_no_trial_moves(self, monkeypatch):
+        host = parse_gauss_code(R3_HOST).endpoints
+        rest = _random_diagram_of_size(random.Random(30), 25).endpoints
+        word = host + tuple(Endpoint(e.chord + 3, e.passage, e.sign) for e in rest)
+        d = apply_move(GaussDiagram(word), R2Insert(20, 41, True, -1))
+        assert d.n == 30
+        expected = _brute_force_moves(d)
+        assert {R2Delete, R3Slide} <= {type(mv) for mv in expected}
+
+        def refuse(*args):
+            raise AssertionError("enumerate_moves built a trial diagram")
+
+        monkeypatch.setattr(gausscode, "apply_move", refuse)
+        assert enumerate_moves(d) == expected
+
+    def test_returned_list_is_the_callers(self):
+        d = parse_gauss_code(R3_HOST)
+        moves = enumerate_moves(d)
+        expected = list(moves)
+        moves[0] = R1Delete(0)
+        del moves[1:5]
+        moves.append(R1Delete(1))
+        assert enumerate_moves(d) == expected
+        same_size = parse_gauss_code(TREFOIL)
+        assert enumerate_moves(same_size) == _brute_force_moves(same_size)
