@@ -16,6 +16,8 @@ knot invariant the multiset of weight sums over all colorings must be
 unchanged by Reidemeister moves and by moving the basepoint; both are
 linear conditions on the entries of W, collected by
 :func:`generate_constraints` and solved over Z_m by :func:`solve_constraints`.
+The conditions are integer rows that do not depend on m: they are built and
+deduplicated once per biquandle, and each modulus reduces that one list.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ from .gausscode import (
     R1Insert,
     R2Insert,
     R3Slide,
-    apply_move,
     enumerate_moves,
     parse_gauss_code,
 )
-from .homset import LABEL_SLOTS, enumerate_colorings, transport_coloring
+from .homset import LABEL_SLOTS, enumerate_colorings, transport_colorings
 
 __all__ = [
     "WeightTensor",
@@ -298,26 +299,42 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     Rows come from three sources: each Reidemeister move applicable to a
     family of small host diagrams (weight sums of a coloring and of its
     transport must agree), slide moves on dedicated three- and four-chord
-    hosts, and basepoint rotation on every host.
+    hosts, and basepoint rotation on every host.  The rows have integer
+    coefficients that do not depend on m, so they are built once per
+    biquandle (:func:`_integer_rows`) and only reduced mod m here; the
+    first row to reduce to a given row mod m is always the first occurrence
+    of its integer row, so the order is that of the rows as generated.
     """
+    return ConstraintSystem(b.n, m, _integer_rows(b))
+
+
+@lru_cache(maxsize=16)
+def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
+    """The distinct nonzero integer constraint rows for ``b``, in order of
+    first occurrence."""
     n = b.n
-    rows: list[dict[int, int]] = []
+    unique: dict[tuple[tuple[int, int], ...], None] = {}
+
+    def add(row: dict[int, int]) -> None:
+        key = tuple(sorted((s, c) for s, c in row.items() if c))
+        if key:
+            unique[key] = None
 
     def move_rows(d: GaussDiagram, moves) -> None:
         colorings = enumerate_colorings(b, d)
         bases = [sigma_coefficients(d, c, n) for c in colorings]
         for move in moves:
-            d2 = apply_move(d, move)
-            for c, base in zip(colorings, bases):
-                c2 = transport_coloring(b, d, move, c)
-                rows.append(_difference_row(base, sigma_coefficients(d2, c2, n)))
+            d2, images = transport_colorings(b, d, move, colorings)
+            for base, c2 in zip(bases, images):
+                add(_difference_row(base, sigma_coefficients(d2, c2, n)))
 
     def rotation_rows(d: GaussDiagram) -> None:
         two_n = len(d.endpoints)
         if two_n < 4:
             return
         for c in enumerate_colorings(b, d):
-            rows.extend(_rotation_rows(_pair_terms(d, c, n), two_n))
+            for row in _rotation_rows(_pair_terms(d, c, n), two_n):
+                add(row)
 
     for d in _small_hosts():
         move_rows(d, enumerate_moves(d))
@@ -326,8 +343,7 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
         for d in _r3_template_hosts(spectators):
             move_rows(d, [mv for mv in enumerate_moves(d) if isinstance(mv, R3Slide)])
             rotation_rows(d)
-
-    return ConstraintSystem(n, m, rows)
+    return [dict(key) for key in unique]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +555,10 @@ def is_valid_weight(
     randomized trials: random diagrams, random applicable moves, and for
     every coloring the weight sum must survive transport and basepoint
     rotation exactly.  The report is truthy exactly when ``w`` passes.
+    A negative ``trials`` raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be a non-negative integer, got {trials}")
     if w.n != b.n:
         return ValidityReport(False, failed_trial={"error": "dimension mismatch"})
     bad = generate_constraints(b, w.m).violated(w)
@@ -552,11 +571,12 @@ def is_valid_weight(
             move = _random_move(rng, d)
             if move is None:
                 break
-            d2 = apply_move(d, move)
-            for c in enumerate_colorings(b, d):
+            colorings = enumerate_colorings(b, d)
+            d2, images = transport_colorings(b, d, move, colorings)
+            for c, c2 in zip(colorings, images):
                 try:
                     before = sigma_D(w, d, c, check_rotations=True)
-                    after = sigma_D(w, d2, transport_coloring(b, d, move, c))
+                    after = sigma_D(w, d2, c2)
                     mismatch = before != after
                     detail = {"before": before, "after": after}
                 except ValueError as err:

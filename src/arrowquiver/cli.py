@@ -224,6 +224,8 @@ def cmd_weights_find(args) -> int:
 
 
 def cmd_weights_check(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be a non-negative integer, got {args.trials}")
     b = _biquandle(args.biquandle)
     w = _tensor(args.tensor, b)
     report = is_valid_weight(b, w, trials=args.trials, seed=args.seed)

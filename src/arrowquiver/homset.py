@@ -33,13 +33,18 @@ allow the fewest values is tried with each of them in ascending order.
 
 Transport: performing a Reidemeister move on a colored diagram leaves the
 colors of all semiarcs outside the move disk unchanged and determines the
-colors inside uniquely.  :func:`transport_coloring` computes this with the
-same solver, raising :class:`TransportError` if the input was not a valid
-coloring or the move does not match.
+colors inside uniquely.  :func:`transport_colorings` carries any number of
+colorings of one diagram through one move: it builds the moved diagram and
+the map from its semiarcs to the old ones once, then restricts each
+coloring (deletions) or extends it with the same solver (insertions and
+slides).  Every coloring is checked on its own, and
+:class:`TransportError` is raised if one was not a valid coloring or the
+move does not match.  :func:`transport_coloring` is the one-coloring case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import product
 
@@ -63,6 +68,7 @@ __all__ = [
     "chord_colors",
     "arrow_label",
     "transport_coloring",
+    "transport_colorings",
     "TransportError",
 ]
 
@@ -269,21 +275,22 @@ def arrow_label(
 # transport
 
 
-def _insertion_tags(
-    two_n: int, blocks: dict[int, int]
-) -> list[tuple[str, int, int]]:
-    """Tags ('old', i, 0) / ('new', gap, t) in new diagram order.
+def _insertion_sources(two_n: int, blocks: dict[int, int]) -> list[int | None]:
+    """Per semiarc after an insertion, the old semiarc whose color it keeps,
+    or None strictly inside an inserted block (left to the solver).
 
     ``blocks`` maps a gap to the number of endpoints inserted there,
-    mirroring the placement rule of the move engine.
+    mirroring the placement rule of the move engine: a block at gap g comes
+    just before old passage g.
     """
-    tags: list[tuple[str, int, int]] = []
+    sources: list[int | None] = []
     for g in range(two_n + 1):
         if g in blocks:
-            tags.extend(("new", g, t) for t in range(blocks[g]))
+            # the block's last endpoint starts the rest of old semiarc g - 1
+            sources += [None] * (blocks[g] - 1) + [(g - 1) % two_n if two_n else 0]
         if g < two_n:
-            tags.append(("old", g, 0))
-    return tags
+            sources.append(g)
+    return sources
 
 
 def _solve_middles(
@@ -298,100 +305,84 @@ def _solve_middles(
     return solutions[0]
 
 
-def _transport_insert(
-    b: Biquandle,
-    d: GaussDiagram,
-    d2: GaussDiagram,
-    coloring: tuple[int, ...],
-    blocks: dict[int, int],
-) -> tuple[int, ...]:
-    two_n = len(d.endpoints)
-    tags = _insertion_tags(two_n, blocks)
-    new_len = len(d2.endpoints)
-    assert len(tags) == new_len
-    partial: list[int | None] = [None] * new_len
-    for j in range(new_len):
-        here, nxt = tags[j], tags[(j + 1) % new_len]
-        if here[0] == "new" and nxt[0] == "new" and here[1] == nxt[1] and nxt[2] == here[2] + 1:
-            continue  # strictly inside an inserted block: left to the solver
-        if here[0] == "old":
-            partial[j] = coloring[here[1]]
-        else:
-            # a piece of the old semiarc the block at gap g was inserted in
-            g = here[1]
-            partial[j] = coloring[(g - 1) % two_n] if two_n else coloring[0]
-    return _solve_middles(b, d2, partial)
+def _boundary_groups(
+    two_n: int, removed: set[int], inside: set[int]
+) -> list[tuple[int, ...]]:
+    """Per semiarc left after deleting the ``removed`` endpoints, the old
+    semiarcs at the move disk boundary that it joins, which must agree.
 
-
-def _transport_delete(
-    b: Biquandle,
-    d: GaussDiagram,
-    d2: GaussDiagram,
-    coloring: tuple[int, ...],
-    removed: set[int],
-    inside: set[int],
-) -> tuple[int, ...]:
-    """Restrict a coloring after deleting ``removed`` endpoints.
-
-    ``inside`` lists the old segment indices strictly inside the move disk,
-    whose colors disappear with the move.
+    ``inside`` lists the old semiarcs strictly inside the move disk, whose
+    colors disappear with the move.
     """
-    two_n = len(d.endpoints)
     kept = [i for i in range(two_n) if i not in removed]
     if not kept:
         # everything vanished; all surviving pieces must agree
-        outer = {coloring[i] for i in range(two_n) if i not in inside}
-        if len(outer) != 1:
-            raise TransportError("move disk boundary colors disagree")
-        result = (outer.pop(),)
+        return [tuple(i for i in range(two_n) if i not in inside)]
+    return [
+        (a % two_n, (z - 1) % two_n)
+        for a, z in zip(kept, kept[1:] + [kept[0] + two_n])
+    ]
+
+
+def transport_colorings(
+    b: Biquandle, d: GaussDiagram, move: Move, colorings: Iterable[tuple[int, ...]]
+) -> tuple[GaussDiagram, list[tuple[int, ...]]]:
+    """Carry colorings of ``d`` through ``move`` together.
+
+    Returns ``apply_move(d, move)`` and the image of each coloring, in
+    order; semiarcs away from the move keep their colors.  The moved
+    diagram, and where each of its semiarcs takes its color from, are
+    built once per call; each coloring is checked and carried on its own.
+    Raises :class:`TransportError` when a coloring is invalid or cannot be
+    extended (which signals a non-move).
+    """
+    colorings = list(colorings)
+    if not all(is_coloring(b, d, c) for c in colorings):
+        raise TransportError("not a coloring of the input diagram")
+    d2 = apply_move(d, move)
+    two_n = len(d.endpoints)
+
+    if isinstance(move, (R1Insert, R2Insert, R3Slide)):
+        # insertions and slides extend the kept colors by the solver
+        if isinstance(move, R1Insert):
+            sources = _insertion_sources(two_n, {move.gap: 2})
+        elif isinstance(move, R3Slide):
+            sites = set(move.sites)
+            sources = [None if i in sites else i for i in range(two_n)]
+        elif move.gap_over == move.gap_under:
+            sources = _insertion_sources(two_n, {move.gap_over: 4})
+        else:
+            sources = _insertion_sources(two_n, {move.gap_over: 2, move.gap_under: 2})
+        assert len(sources) == d2.num_semiarcs
+        return d2, [
+            _solve_middles(b, d2, [None if s is None else c[s] for s in sources])
+            for c in colorings
+        ]
+    if isinstance(move, R1Delete):
+        groups = _boundary_groups(
+            two_n, {move.start, (move.start + 1) % two_n}, {move.start}
+        )
+    elif isinstance(move, R2Delete):
+        removed = set()
+        for s in (move.over_start, move.under_start):
+            removed.update({s, (s + 1) % two_n})
+        groups = _boundary_groups(two_n, removed, {move.over_start, move.under_start})
     else:
-        colors = []
-        for a, z in zip(kept, kept[1:] + [kept[0] + two_n]):
-            first = coloring[a % two_n]
-            last = coloring[(z - 1) % two_n]
-            if first != last:
-                raise TransportError("move disk boundary colors disagree")
-            colors.append(first)
-        result = tuple(colors)
-    if not is_coloring(b, d2, result):
-        raise TransportError("restricted coloring fails crossing equations")
-    return result
+        raise TypeError(f"unknown move {move!r}")
+    images = []
+    for c in colorings:
+        if any(c[i] != c[g[0]] for g in groups for i in g):
+            raise TransportError("move disk boundary colors disagree")
+        result = tuple(c[g[0]] for g in groups)
+        if not is_coloring(b, d2, result):
+            raise TransportError("restricted coloring fails crossing equations")
+        images.append(result)
+    return d2, images
 
 
 def transport_coloring(
     b: Biquandle, d: GaussDiagram, move: Move, coloring: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """Carry a coloring of ``d`` through ``move``.
-
-    The result colors ``apply_move(d, move)``; semiarcs away from the move
-    keep their colors.  Raises :class:`TransportError` when the coloring is
-    invalid or cannot be extended (which signals a non-move).
-    """
-    if not is_coloring(b, d, coloring):
-        raise TransportError("not a coloring of the input diagram")
-    d2 = apply_move(d, move)
-    two_n = len(d.endpoints)
-
-    if isinstance(move, R1Insert):
-        return _transport_insert(b, d, d2, coloring, {move.gap: 2})
-    if isinstance(move, R2Insert):
-        if move.gap_over == move.gap_under:
-            blocks = {move.gap_over: 4}
-        else:
-            blocks = {move.gap_over: 2, move.gap_under: 2}
-        return _transport_insert(b, d, d2, coloring, blocks)
-    if isinstance(move, R1Delete):
-        removed = {move.start, (move.start + 1) % two_n}
-        return _transport_delete(b, d, d2, coloring, removed, {move.start})
-    if isinstance(move, R2Delete):
-        removed = set()
-        for s in (move.over_start, move.under_start):
-            removed.update({s, (s + 1) % two_n})
-        inside = {move.over_start, move.under_start}
-        return _transport_delete(b, d, d2, coloring, removed, inside)
-    if isinstance(move, R3Slide):
-        partial: list[int | None] = list(coloring)
-        for s in move.sites:
-            partial[s] = None
-        return _solve_middles(b, d2, partial)
-    raise TypeError(f"unknown move {move!r}")
+    """Carry one coloring of ``d`` through ``move``: a one-element
+    :func:`transport_colorings`, whose result colors ``apply_move(d, move)``."""
+    return transport_colorings(b, d, move, [coloring])[1][0]

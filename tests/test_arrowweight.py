@@ -5,10 +5,13 @@ from itertools import combinations
 
 import pytest
 
+from arrowquiver import gausscode, homset
 from arrowquiver.arrowweight import (
+    ConstraintSystem,
     SolutionSet,
     WeightTensor,
     _difference_row,
+    _integer_rows,
     _pair_terms,
     _r3_template_hosts,
     _random_diagram_of_size,
@@ -24,8 +27,8 @@ from arrowquiver.arrowweight import (
     solve_constraints,
     weight_multiset,
 )
-from arrowquiver.gausscode import parse_gauss_code
-from arrowquiver.homset import arrow_label, enumerate_colorings
+from arrowquiver.gausscode import R3Slide, apply_move, enumerate_moves, parse_gauss_code
+from arrowquiver.homset import arrow_label, enumerate_colorings, transport_coloring
 
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
 
@@ -185,6 +188,10 @@ class TestValidity:
         assert not report
         assert report.failed_trial == {"error": "dimension mismatch"}
 
+    def test_negative_trials_named(self, flip2, w16):
+        with pytest.raises(ValueError, match="^trials must be a non-negative integer, got -1$"):
+            is_valid_weight(flip2, w16, trials=-1)
+
     def test_report_to_json(self, flip2):
         report = is_valid_weight(flip2, asymmetric_tensor())
         data = report.to_json()
@@ -268,6 +275,60 @@ class TestEvaluatorOracles:
         assert rebuilt.index(next(t for t in rebuilt if t != base)) + 1 == 4
         with pytest.raises(ValueError, match=r"basepoint \(rotation 4\)$"):
             sigma_D(w, d, c, check_rotations=True)
+
+
+def _per_coloring_rows(b) -> list[dict[int, int]]:
+    """Every constraint row, in generation order and not deduplicated, built
+    the long way: the moved diagram and the transport once per coloring."""
+    n = b.n
+    rows = []
+
+    def move_rows(d, moves):
+        for move in moves:
+            d2 = apply_move(d, move)
+            for c in enumerate_colorings(b, d):
+                after = sigma_coefficients(d2, transport_coloring(b, d, move, c), n)
+                rows.append(_difference_row(sigma_coefficients(d, c, n), after))
+
+    def rotation_rows(d):
+        if len(d.endpoints) >= 4:
+            for c in enumerate_colorings(b, d):
+                rows.extend(_rotation_rows(_pair_terms(d, c, n), len(d.endpoints)))
+
+    for d in _small_hosts():
+        move_rows(d, enumerate_moves(d))
+        rotation_rows(d)
+    for spectators in (0, 1):
+        for d in _r3_template_hosts(spectators):
+            move_rows(d, [mv for mv in enumerate_moves(d) if isinstance(mv, R3Slide)])
+            rotation_rows(d)
+    return rows
+
+
+class TestConstraintRowsOracle:
+    """Rows built once per biquandle against rows built per coloring."""
+
+    MODULI = {"flip2": (16, 2), "cyc3": (8, 3), "quad4": (6,), "shift4": (4,)}
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_rows_match_per_coloring_generator(self, request, name):
+        b = request.getfixturevalue(name)
+        rows = _per_coloring_rows(b)
+        for m in self.MODULI[name]:
+            expected = ConstraintSystem(b.n, m, rows).rows
+            assert generate_constraints(b, m).rows == expected, m
+
+    def test_new_modulus_reuses_the_integer_rows(self, monkeypatch, cyc3):
+        def refuse(*args):
+            raise AssertionError("rows were rebuilt")
+
+        expected = generate_constraints(cyc3, 3).rows
+        _integer_rows(cyc3)
+        generate_constraints.cache_clear()
+        for module in (gausscode, homset):
+            monkeypatch.setattr(module, "apply_move", refuse)
+        monkeypatch.setattr(homset, "_solve_middles", refuse)
+        assert generate_constraints(cyc3, 3).rows == expected
 
 
 class TestModulusLimit:

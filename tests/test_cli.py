@@ -424,3 +424,93 @@ class TestErrors:
             "color", "--biquandle", str(tmp_path / "none.txt"), "--knot", "2.1",
         )
         assert code == 2
+
+    def test_negative_trials_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "weights", "check", "--biquandle", FLIP2, "--tensor", W16, "--trials", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--trials must be a non-negative integer, got -1" in err
+
+    @pytest.mark.parametrize(
+        "text, witness",
+        [
+            ("1 x\n", ":1: not an image vector"),
+            ("1 2\n", ":1: expected 3 images in 1..3"),
+            ("# no maps here\n\n", ": no endomorphisms found"),
+        ],
+    )
+    def test_bad_endos_file_exits_2(self, capsys, tmp_path, text, witness):
+        endos = tmp_path / "endos.txt"
+        endos.write_text(text)
+        code, out, err = run(
+            capsys,
+            "invariant", "--type", "indeg",
+            "--biquandle", CYC3, "--tensor", W8,
+            "--endos", str(endos), "--knot", "2.1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{endos}{witness}" in err
+
+    def test_missing_endos_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "none.txt"
+        code, out, err = run(
+            capsys,
+            "invariant", "--type", "indeg",
+            "--biquandle", CYC3, "--tensor", W8,
+            "--endos", str(missing), "--knot", "2.1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"No such file or directory: '{missing}'" in err
+
+    def test_missing_tensor_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "none.txt"
+        code, out, err = run(
+            capsys,
+            "invariant", "--type", "weight-poly",
+            "--biquandle", FLIP2, "--tensor", str(missing), "--knot", "2.1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"No such file or directory: '{missing}'" in err
+
+    def test_bad_knots_line_exits_2(self, capsys, tmp_path):
+        knots = tmp_path / "knots.tsv"
+        knots.write_text("bad\n")
+        code, out, err = run(
+            capsys, "color", "--biquandle", FLIP2, "--knots", str(knots), "--knot", "2.1"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{knots}:1: expected name<TAB>code" in err
+
+    def test_non_integer_tensor_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("2\n2\n0 0 0 0\n0 x 0 0\n0 0 0 0\n0 0 0 0\n")
+        code, out, err = run(
+            capsys, "weights", "check", "--biquandle", FLIP2, "--tensor", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"invalid tensor file {path}: invalid literal for int() with base 10: 'x'" in err
+
+    def test_malformed_biquandle_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("hello\n")
+        code, out, err = run(capsys, "color", "--biquandle", str(path), "--knot", "2.1")
+        assert code == 2
+        assert out == ""
+        assert f"invalid biquandle file {path}: invalid literal for int()" in err
+
+    def test_missing_knots_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "none.tsv"
+        code, out, err = run(
+            capsys, "color", "--biquandle", FLIP2, "--knots", str(missing), "--knot", "2.1"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"No such file or directory: '{missing}'" in err

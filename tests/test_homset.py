@@ -33,6 +33,7 @@ from arrowquiver.homset import (
     enumerate_colorings,
     is_coloring,
     transport_coloring,
+    transport_colorings,
 )
 
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
@@ -290,3 +291,43 @@ class TestTransport:
                     homset._solve_middles(quad4, d2, partial)
                 with pytest.raises(TransportError, match=str(err.value)):
                     _brute_force_extension(quad4, d2, partial)
+
+
+class TestBatchTransport:
+    def _cases(self, b):
+        hosts = [(d, enumerate_moves(d)) for d in _small_hosts()]
+        hosts += [
+            (d, [mv for mv in enumerate_moves(d) if isinstance(mv, R3Slide)])
+            for d in _r3_template_hosts(0)
+        ]
+        return [(d, move) for d, moves in hosts for move in moves]
+
+    def test_matches_one_at_a_time(self, quad4):
+        for d, move in self._cases(quad4):
+            colorings = enumerate_colorings(quad4, d)
+            d2, images = transport_colorings(quad4, d, move, colorings)
+            assert d2 == apply_move(d, move)
+            assert images == [transport_coloring(quad4, d, move, c) for c in colorings]
+
+    def test_one_moved_diagram_per_call(self, monkeypatch, cyc3):
+        calls = []
+
+        def counted(d, move):
+            calls.append(move)
+            return apply_move(d, move)
+
+        monkeypatch.setattr(homset, "apply_move", counted)
+        for d, move in self._cases(cyc3):
+            calls.clear()
+            colorings = enumerate_colorings(cyc3, d)
+            transport_colorings(cyc3, d, move, colorings)
+            assert calls == [move]
+
+    def test_any_corrupted_coloring_raises(self, quad4):
+        move = R3Slide((0, 2, 4), "L", (1, 2, 3), 1)
+        colorings = enumerate_colorings(quad4, R3_HOST)
+        for k, c in enumerate(colorings):
+            bad = c[:1] + (c[1] % quad4.n + 1,) + c[2:]
+            batch = colorings[:k] + [bad] + colorings[k + 1 :]
+            with pytest.raises(TransportError, match="not a coloring"):
+                transport_colorings(quad4, R3_HOST, move, batch)
