@@ -430,37 +430,42 @@ class SolutionSet:
         vec = np.asarray(values, dtype=np.int64)
         return all(int(row @ vec) % self.m == 0 for row in self.pivot.values())
 
-    def __iter__(self):
+    def _values(self, prefix: list[int]) -> range:
+        """The values of column ``len(prefix)`` that extend ``prefix``."""
         m = self.m
+        col = len(prefix)
+        if col not in self.pivot:
+            return range(m)
+        row = self.pivot[col]
+        g = int(row[col]) % m
+        r = 0
+        if col:
+            r = int(row[:col] @ np.asarray(prefix, dtype=np.int64)) % m
+        d = gcd(g, m)
+        rr = (-r) % m
+        if rr % d:
+            return range(0)
+        # g * v == rr (mod m) has the d solutions v0 + t*(m // d)
+        md = m // d
+        v0 = (rr // d * pow(g // d, -1, md)) % md if md > 1 else 0
+        return range(v0, v0 + m, md)
 
-        def assign(col: int, prefix: list[int]):
-            if col == self.ncols:
+    def __iter__(self):
+        # an explicit stack of per-column value iterators, so the depth is
+        # not bounded by the recursion limit (n^4 columns)
+        prefix: list[int] = []
+        stack = []
+        while True:
+            if len(prefix) == self.ncols:
                 yield tuple(prefix)
+            else:
+                stack.append(iter(self._values(prefix)))
+            while stack and (v := next(stack[-1], None)) is None:
+                stack.pop()
+            if not stack:
                 return
-            if col not in self.pivot:
-                for v in range(m):
-                    prefix.append(v)
-                    yield from assign(col + 1, prefix)
-                    prefix.pop()
-                return
-            row = self.pivot[col]
-            g = int(row[col]) % m
-            r = 0
-            if col:
-                r = int(row[:col] @ np.asarray(prefix, dtype=np.int64)) % m
-            d = gcd(g, m)
-            rr = (-r) % m
-            if rr % d:
-                return
-            # g * v == rr (mod m) has the d solutions v0 + t*(m // d)
-            md = m // d
-            v0 = (rr // d * pow(g // d, -1, md)) % md if md > 1 else 0
-            for t in range(d):
-                prefix.append(v0 + t * md)
-                yield from assign(col + 1, prefix)
-                prefix.pop()
-
-        yield from assign(0, [])
+            del prefix[len(stack) - 1 :]
+            prefix.append(v)
 
 
 def solve_constraints(system: ConstraintSystem) -> SolutionSet:

@@ -136,7 +136,8 @@ def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> boo
     """Whether ``coloring`` satisfies every crossing equation of ``d``."""
     if len(coloring) != d.num_semiarcs:
         return False
-    if any(c not in b.elements for c in coloring):
+    elements = b.elements
+    if any(c not in elements for c in coloring):
         return False
     valid = _relation(b).valid
     cd = d.compiled

@@ -118,22 +118,22 @@ def quotient_quiver(q: Quiver) -> QuotientQuiver:
     return QuotientQuiver(weights, tuple(sizes), edges, q.modulus)
 
 
-def _refine(
-    succ: list[tuple[int, ...]], colors: list[int]
-) -> list[int]:
-    n = len(colors)
+def _refine(succ: list[list[int]], colors: list[int]) -> list[int]:
+    """Split color classes by successor colors and sorted (map, color) lists
+    of predecessors until stable (Paige & Tarjan, SIAM J. Comput. 1987)."""
+    classes = len(set(colors))
     while True:
-        keys = [
-            (colors[i], tuple(colors[s[i]] for s in succ)) for i in range(n)
-        ]
-        relabel: dict[tuple, int] = {}
-        new = []
-        for k in sorted(set(keys)):
-            relabel[k] = len(relabel)
-        new = [relabel[k] for k in keys]
-        if new == colors:
+        preds: list[list[tuple[int, int]]] = [[] for _ in colors]
+        for k, s in enumerate(succ):
+            for v, t in enumerate(s):
+                preds[t].append((k, colors[v]))
+        images = [[colors[t] for t in s] for s in succ]
+        keys = list(zip(colors, *images, (tuple(sorted(p)) for p in preds)))
+        relabel = {k: i for i, k in enumerate(sorted(set(keys)))}
+        colors = [relabel[k] for k in keys]
+        if len(relabel) == classes:
             return colors
-        colors = new
+        classes = len(relabel)
 
 
 def quiver_isomorphic(q1: Quiver, q2: Quiver, ignore_weights: bool = False) -> bool:
@@ -142,57 +142,52 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver, ignore_weights: bool = False) -> b
     An isomorphism is a vertex bijection commuting with the action of each
     endomorphism (matched by position in the endo list) and, unless
     ``ignore_weights``, preserving vertex weights.
+
+    Both quivers are refined as one disjoint union; pairing two vertices
+    pairs their forward orbits, and only unreached vertices are branched on.
     """
     if len(q1.vertices) != len(q2.vertices) or len(q1.endos) != len(q2.endos):
         return False
-    n = len(q1.vertices)
-
-    def successors(q: Quiver) -> list[tuple[int, ...]]:
-        table = [[0] * n for _ in q.endos]
-        for src, dst, k in q.edges:
-            table[k][src] = dst
-        return [tuple(row) for row in table]
-
-    s1, s2 = successors(q1), successors(q2)
-    if ignore_weights:
-        c1 = [0] * n
-        c2 = [0] * n
-    else:
-        if sorted(q1.weights) != sorted(q2.weights) or q1.modulus != q2.modulus:
-            return False
-        order = {w: i for i, w in enumerate(sorted(set(q1.weights)))}
-        c1 = [order[w] for w in q1.weights]
-        c2 = [order[w] for w in q2.weights]
-    c1 = _refine(s1, c1)
-    c2 = _refine(s2, c2)
-    if sorted(c1) != sorted(c2):
+    if not ignore_weights and q1.modulus != q2.modulus:
         return False
+    n = len(q1.vertices)
+    succ = [[0] * n + [n] * n for _ in q1.endos]
+    for offset, q in ((0, q1), (n, q2)):
+        for src, dst, k in q.edges:
+            succ[k][offset + src] = offset + dst
+    seed = [0] * 2 * n if ignore_weights else [*q1.weights, *q2.weights]
+    colors = _refine(succ, seed)
+    if sorted(colors[:n]) != sorted(colors[n:]):
+        return False
+    partner = [-1] * (2 * n)
 
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent() -> bool:
-        for k in range(len(s1)):
-            for v in range(n):
-                if mapping[v] == -1:
-                    continue
-                im = mapping[s1[k][v]]
-                if im != -1 and im != s2[k][mapping[v]]:
-                    return False
+    def pair(v: int, w: int, trail: list[int]) -> bool:
+        # the coloring is stable, so every forced pair is equally colored
+        todo = [(v, w)]
+        while todo:
+            a, b = todo.pop()
+            if partner[a] == b:
+                continue
+            if partner[a] != -1 or partner[b] != -1:
+                return False
+            partner[a], partner[b] = b, a
+            trail.append(a)
+            todo.extend((s[a], s[b]) for s in succ)
         return True
 
-    def extend(i: int) -> bool:
-        if i == n:
+    def search(v: int) -> bool:
+        v = next((u for u in range(v, n) if partner[u] == -1), n)
+        if v == n:
             return True
-        for j in range(n):
-            if used[j] or c1[i] != c2[j]:
+        for w in range(n, 2 * n):
+            if partner[w] != -1 or colors[w] != colors[v]:
                 continue
-            mapping[i] = j
-            used[j] = True
-            if consistent() and extend(i + 1):
+            trail: list[int] = []
+            if pair(v, w, trail) and search(v + 1):
                 return True
-            mapping[i] = -1
-            used[j] = False
+            for a in trail:
+                partner[partner[a]] = -1
+                partner[a] = -1
         return False
 
-    return extend(0)
+    return search(0)

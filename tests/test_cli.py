@@ -99,6 +99,27 @@ class TestWeights:
         assert code == 0
         assert out == "# 0 solutions\n"
 
+    def test_find_on_six_elements(self, capsys, tmp_path):
+        # the dihedral quandle R_6 as a biquandle: 6^4 = 1296 tensor columns,
+        # more than Python's default recursion limit
+        under = [[(2 * y - x) % 6 or 6 for y in range(1, 7)] for x in range(1, 7)]
+        over = [[x] * 6 for x in range(1, 7)]
+        path = tmp_path / "r6.txt"
+        path.write_text(
+            "6\n"
+            + "".join(" ".join(map(str, row)) + "\n" for row in under)
+            + "\n"
+            + "".join(" ".join(map(str, row)) + "\n" for row in over)
+        )
+        code, out, _ = run(
+            capsys,
+            "weights", "find", "--biquandle", str(path), "--modulus", "6",
+            "--limit", "1",
+        )
+        assert code == 0
+        zero_rows = "0 " * 35 + "0\n"
+        assert out == "# solution 0\n6\n6\n" + zero_rows * 36 + "\n# 1 solutions\n"
+
     def test_find_nontrivial(self, capsys):
         _, out, _ = run(
             capsys,

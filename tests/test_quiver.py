@@ -1,10 +1,13 @@
 """Weighted coloring quivers, quotients, and isomorphism testing."""
 
+import random
+from itertools import permutations
+
 import pytest
 
 from arrowquiver.arrowweight import WeightTensor
 from arrowquiver.gausscode import parse_gauss_code
-from arrowquiver.quiver import build_quiver, quiver_isomorphic, quotient_quiver
+from arrowquiver.quiver import Quiver, build_quiver, quiver_isomorphic, quotient_quiver
 
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
 
@@ -102,3 +105,114 @@ class TestIsomorphism:
         q1 = build_quiver(cyc3, w8, d, endos=rotations)
         q2 = build_quiver(cyc3, w8, d.rotated(2), endos=rotations)
         assert quiver_isomorphic(q1, q2)
+
+
+def _quiver(maps, weights, modulus=3):
+    """A quiver on vertices 0..n-1 whose k-th endomorphism acts as ``maps[k]``."""
+    n = len(weights)
+    edges = tuple((v, f[v], k) for k, f in enumerate(maps) for v in range(n))
+    endos = tuple((k + 1,) for k in range(len(maps)))
+    return Quiver(tuple((v,) for v in range(n)), tuple(weights), edges, endos, modulus)
+
+
+def _shuffled(maps, weights, rng):
+    """The same quiver with its vertices renamed by a random permutation."""
+    n = len(weights)
+    p = rng.sample(range(n), n)
+    new_maps = [[0] * n for _ in maps]
+    new_weights = [0] * n
+    for v in range(n):
+        new_weights[p[v]] = weights[v]
+        for k, f in enumerate(maps):
+            new_maps[k][p[v]] = p[f[v]]
+    return new_maps, new_weights
+
+
+def _brute_isomorphic(q1, q2, ignore_weights):
+    """Try every vertex bijection."""
+    n = len(q1.vertices)
+    if n != len(q2.vertices) or len(q1.endos) != len(q2.endos):
+        return False
+    if not ignore_weights and q1.modulus != q2.modulus:
+        return False
+    s1 = [[0] * n for _ in q1.endos]
+    s2 = [[0] * n for _ in q2.endos]
+    for table, q in ((s1, q1), (s2, q2)):
+        for src, dst, k in q.edges:
+            table[k][src] = dst
+    for p in permutations(range(n)):
+        if not ignore_weights and any(
+            q1.weights[v] != q2.weights[p[v]] for v in range(n)
+        ):
+            continue
+        if all(p[f1[v]] == f2[p[v]] for f1, f2 in zip(s1, s2) for v in range(n)):
+            return True
+    return False
+
+
+def _random_case(rng):
+    """A pair of small quivers: a shuffled copy, a copy with one entry
+    changed, or an unrelated quiver.  Maps are random functions or random
+    permutations, so refinement alone cannot always decide."""
+    n = rng.randint(1, 7)
+    k = rng.randint(1, 3)
+    values = rng.randint(1, 3)
+
+    def random_map():
+        if rng.random() < 0.5:
+            return rng.sample(range(n), n)
+        return [rng.randrange(n) for _ in range(n)]
+
+    maps = [random_map() for _ in range(k)]
+    weights = [rng.randrange(values) for _ in range(n)]
+    kind = rng.choice(("shuffled", "perturbed", "unrelated"))
+    if kind == "unrelated":
+        maps2 = [random_map() for _ in range(k)]
+        weights2 = [rng.randrange(values) for _ in range(n)]
+    else:
+        maps2, weights2 = _shuffled(maps, weights, rng)
+        if kind == "perturbed":
+            v = rng.randrange(n)
+            if rng.random() < 0.5:
+                weights2[v] = (weights2[v] + 1) % 3
+            else:
+                f = rng.choice(maps2)
+                f[v] = (f[v] + rng.randint(1, max(1, n - 1))) % n
+    return _quiver(maps, weights), _quiver(maps2, weights2)
+
+
+class TestIsomorphismOracle:
+    """``quiver_isomorphic`` against every vertex bijection, and on pairs
+    where mapping one vertex at a time used to backtrack exponentially."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(6)
+        answers = {True: 0, False: 0}
+        for _ in range(800):
+            q1, q2 = _random_case(rng)
+            for ignore in (False, True):
+                expected = _brute_isomorphic(q1, q2, ignore)
+                assert quiver_isomorphic(q1, q2, ignore) == expected, (q1, q2, ignore)
+                answers[expected] += 1
+        assert min(answers.values()) > 400, answers
+
+    @pytest.mark.parametrize("n", [12, 16, 32, 64])
+    def test_star_against_star_with_hanging_leaf(self, n):
+        # one leaf of the second star maps to another leaf, not the centre;
+        # only the in-structure tells them apart
+        rng = random.Random(n)
+        star = [0] * n
+        hanging = [0] * (n - 1) + [1]
+        q1 = _quiver(*_shuffled([star], [0] * n, rng))
+        q2 = _quiver(*_shuffled([hanging], [0] * n, rng))
+        assert not quiver_isomorphic(q1, q2, ignore_weights=True)
+        assert quiver_isomorphic(q1, _quiver(*_shuffled([star], [0] * n, rng)))
+
+    def test_identity_map_succeeds_without_backtracking(self):
+        # every vertex is a loop, so all 64! bijections are isomorphisms
+        rng = random.Random(0)
+        maps, weights = [list(range(64))], [v % 2 for v in range(64)]
+        q2 = _quiver(*_shuffled(maps, weights, rng))
+        assert quiver_isomorphic(_quiver(maps, weights), q2)
+        assert not quiver_isomorphic(_quiver(maps, [0] * 64), q2)
+        assert quiver_isomorphic(_quiver(maps, [0] * 64), q2, ignore_weights=True)

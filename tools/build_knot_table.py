@@ -46,6 +46,7 @@ from arrowquiver.invariants import (  # noqa: E402
     phi_quotient_loop,
     phi_twovar,
 )
+from arrowquiver.knotdata import load_table, orientation_variants  # noqa: E402
 from arrowquiver.quiver import build_quiver, quiver_isomorphic  # noqa: E402
 
 DATA = ROOT / "src" / "arrowquiver" / "data"
@@ -109,7 +110,7 @@ def variant_codes(d: GaussDiagram) -> list[str]:
     """The four orientation variants as code strings, deduplicated."""
     seen = set()
     out = []
-    for v in (d, d.reversed(), d.mirrored(), d.reversed().mirrored()):
+    for v in orientation_variants(d):
         code = str(v._relabeled())
         key = v.canonical_code()
         if key not in seen:
@@ -279,8 +280,6 @@ def main() -> int:
     OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     # final end-to-end verification of the written file
-    from arrowquiver.knotdata import load_table  # noqa: E402
-
     table = load_table(OUT)
     assert len(table) == 116
     seen_groups: set[str] = set()
