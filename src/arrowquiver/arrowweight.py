@@ -28,7 +28,10 @@ from functools import lru_cache
 from itertools import islice, permutations, product
 from math import gcd, isqrt
 
-import numpy as np
+# Nothing here uses numpy.  perfbench/worker.py reads the numpy version from
+# sys.modules after importing the package, so the import stays until the
+# benchmark records it only when loaded (ROADMAP item 1).
+import numpy  # noqa: F401
 
 from .biquandle import Biquandle
 from .gausscode import (
@@ -366,18 +369,39 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def max_modulus(ncols: int) -> int:
-    """The largest m with max(2, ncols) * (m - 1)^2 < 2^63, which keeps the
-    int64 elimination and dot products of :class:`SolutionSet` exact."""
+    """The largest modulus accepted for ``ncols`` columns: the largest m with
+    max(2, ncols) * (m - 1)^2 < 2^63.
+
+    The elimination of :class:`SolutionSet` works on Python ints and is exact
+    at every m; this is the range the solver and the CLI accept, not a bound
+    of the arithmetic.
+    """
     return isqrt((2**63 - 1) // max(2, ncols)) + 1
+
+
+def _combine(
+    p: int, x: dict[int, int], q: int, y: dict[int, int], m: int
+) -> dict[int, int]:
+    """The sparse row p*x + q*y mod m, without zero entries."""
+    out = {k: p * v for k, v in x.items()}
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + q * v
+    return {k: v % m for k, v in out.items() if v % m}
 
 
 class SolutionSet:
     """The solutions of a homogeneous system over Z_m, in echelon form.
 
-    Elimination pivots on the *last* variable first, so every echelon row
-    relates one variable to strictly earlier ones; solutions can then be
-    enumerated in lexicographic order by assigning variables left to right.
-    Annihilator rows (m/gcd times a pivot row) are folded back in, which
+    Rows are sparse maps from column to entry, reduced mod m, and are kept in
+    buckets by their last nonzero column.  Elimination pivots on the *last*
+    variable first, so every echelon row relates one variable to strictly
+    earlier ones; solutions can then be enumerated in lexicographic order by
+    assigning variables left to right.  At each column the pivot is the live
+    row whose entry has the least gcd with m (ties: the fewest nonzeros).
+    Every other entry that this gcd divides is cleared with one row
+    operation; one it does not divide (possible only when m is not a prime
+    power) is merged into the pivot by an xgcd pair.  Annihilator rows
+    (m/gcd times a pivot row) are folded back in, as in a Howell form, which
     keeps the per-column solution counts exact.
     """
 
@@ -386,49 +410,56 @@ class SolutionSet:
             raise ValueError(f"modulus {m} is above the limit {max_modulus(ncols)}")
         self.ncols = ncols
         self.m = m
-        self.pivot: dict[int, np.ndarray] = {}
-        work: list[np.ndarray] = []
+        self.pivot: dict[int, dict[int, int]] = {}
+        buckets: dict[int, list[dict[int, int]]] = {}
+
+        def put(row: dict[int, int]) -> None:
+            if row:
+                buckets.setdefault(max(row), []).append(row)
+
         for row in rows:
-            vec = np.zeros(ncols, dtype=np.int64)
-            for s, c in row.items():
-                vec[s] = c % m
-            if vec.any():
-                work.append(vec)
+            put({s: c % m for s, c in row.items() if c % m})
         for col in range(ncols - 1, -1, -1):
-            live = [r for r in work if r[col] % m]
-            rest = [r for r in work if not r[col] % m]
+            live = buckets.pop(col, None)
             if not live:
-                work = rest
                 continue
-            piv = live.pop()
+            first = piv = min(live, key=lambda r: (gcd(r[col], m), len(r)))
+            g = gcd(piv[col], m)
             for other in live:
-                a, b = int(piv[col]), int(other[col])
-                g, s, t = _xgcd(a, b)
-                combined = (s * piv + t * other) % m
-                leftover = ((b // g) * piv - (a // g) * other) % m
-                piv = combined
-                if leftover.any():
-                    rest.append(leftover)
-            g = gcd(int(piv[col]), m)
-            ann = ((m // g) * piv) % m
-            if ann.any():
-                rest.append(ann)
+                if other is first:
+                    continue
+                a, b = piv[col], other[col]
+                if b % g == 0:
+                    # c * a == b (mod m); a // g is a unit mod m // g
+                    c = b // g * pow(a // g, -1, m // g)
+                    put(_combine(1, other, -c, piv, m))
+                    continue
+                h, s, t = _xgcd(a, b)
+                put(_combine(b // h, piv, -(a // h), other, m))
+                piv = _combine(s, piv, t, other, m)
+                g = gcd(piv[col], m)
+            ann = m // g
+            put({s: ann * c % m for s, c in piv.items() if ann * c % m})
             self.pivot[col] = piv
-            work = rest
-        assert not work, "rows left over after full elimination"
+        assert not buckets, "rows left over after full elimination"
 
     def count(self) -> int:
         total = 1
         for col in range(self.ncols):
             if col in self.pivot:
-                total *= gcd(int(self.pivot[col][col]), self.m)
+                total *= gcd(self.pivot[col][col], self.m)
             else:
                 total *= self.m
         return total
 
     def contains(self, values: tuple[int, ...]) -> bool:
-        vec = np.asarray(values, dtype=np.int64)
-        return all(int(row @ vec) % self.m == 0 for row in self.pivot.values())
+        if len(values) != self.ncols:
+            raise ValueError(f"expected {self.ncols} values, got {len(values)}")
+        m = self.m
+        return all(
+            sum(c * values[k] for k, c in row.items()) % m == 0
+            for row in self.pivot.values()
+        )
 
     def _values(self, prefix: list[int]) -> range:
         """The values of column ``len(prefix)`` that extend ``prefix``."""
@@ -437,10 +468,8 @@ class SolutionSet:
         if col not in self.pivot:
             return range(m)
         row = self.pivot[col]
-        g = int(row[col]) % m
-        r = 0
-        if col:
-            r = int(row[:col] @ np.asarray(prefix, dtype=np.int64)) % m
+        g = row[col]
+        r = sum(c * prefix[k] for k, c in row.items() if k != col) % m
         d = gcd(g, m)
         rr = (-r) % m
         if rr % d:

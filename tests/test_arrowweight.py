@@ -1,11 +1,13 @@
 """Arrow weight tensors, weight sums, and the validity machinery."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice, product
+from math import gcd
 
+import numpy as np
 import pytest
 
-from arrowquiver import gausscode, homset
+from arrowquiver import arrowweight, gausscode, homset
 from arrowquiver.arrowweight import (
     ConstraintSystem,
     SolutionSet,
@@ -350,8 +352,177 @@ class TestModulusLimit:
 
         assert count(24) == count(8) * count(3)
 
+    def test_counts_multiply_at_a_large_modulus(self, cyc3):
+        def count(m):
+            return solve_constraints(generate_constraints(cyc3, m)).count()
+
+        m = 2**20 * 3**5
+        assert m <= max_modulus(cyc3.n**4)
+        assert count(m) == count(2**20) * count(3**5)
+
     def test_limit_zero_yields_nothing(self, flip2):
         assert list(search_weights(flip2, 2, limit=0)) == []
+
+
+class Int64SolutionSet:
+    """A dense numpy int64 elimination, kept as a reference for the sparse
+    one: it pivots on the last live row of each column, merges every other
+    live row into it with an xgcd pair, and enumerates by trying every value
+    of each column against its pivot row."""
+
+    def __init__(self, ncols, m, rows):
+        self.ncols, self.m = ncols, m
+        self.pivot = {}
+        work = []
+        for row in rows:
+            vec = np.zeros(ncols, dtype=np.int64)
+            for s, c in row.items():
+                vec[s] = c % m
+            if vec.any():
+                work.append(vec)
+        for col in range(ncols - 1, -1, -1):
+            live = [r for r in work if r[col] % m]
+            rest = [r for r in work if not r[col] % m]
+            if not live:
+                work = rest
+                continue
+            piv = live.pop()
+            for other in live:
+                a, b = int(piv[col]), int(other[col])
+                g, s, t = arrowweight._xgcd(a, b)
+                leftover = ((b // g) * piv - (a // g) * other) % m
+                piv = (s * piv + t * other) % m
+                if leftover.any():
+                    rest.append(leftover)
+            g = gcd(int(piv[col]), m)
+            ann = ((m // g) * piv) % m
+            if ann.any():
+                rest.append(ann)
+            self.pivot[col] = piv
+            work = rest
+        assert not work
+
+    def count(self):
+        total = 1
+        for col in range(self.ncols):
+            total *= gcd(int(self.pivot[col][col]), self.m) if col in self.pivot else self.m
+        return total
+
+    def contains(self, values):
+        vec = np.asarray(values, dtype=np.int64)
+        return all(int(row @ vec) % self.m == 0 for row in self.pivot.values())
+
+    def __iter__(self):
+        m = self.m
+
+        def extend(prefix):
+            col = len(prefix)
+            if col == self.ncols:
+                yield tuple(prefix)
+                return
+            for v in range(m):
+                if col in self.pivot:
+                    row = self.pivot[col]
+                    if int(row[: col + 1] @ np.asarray(prefix + [v], dtype=np.int64)) % m:
+                        continue
+                yield from extend(prefix + [v])
+
+        return extend([])
+
+
+def _brute_force(ncols, m, rows):
+    """Every solution of the system, in lexicographic order."""
+    grid = np.array(list(product(range(m), repeat=ncols)), dtype=np.int64)
+    matrix = np.array([[row.get(k, 0) for k in range(ncols)] for row in rows], dtype=np.int64)
+    ok = (grid @ matrix.T % m == 0).all(axis=1) if rows else np.ones(len(grid), bool)
+    return [tuple(v) for v in grid[ok].tolist()]
+
+
+class TestSolverOracles:
+    """The sparse Z_m elimination against brute force and the int64 solver."""
+
+    MODULI = (2, 4, 6, 8, 9, 10, 12, 30, 36)
+
+    def test_matches_brute_force(self):
+        rng = random.Random(20261018)
+        for m in self.MODULI:
+            divisors = [d for d in range(1, m) if m % d == 0]
+            for _ in range(12):
+                ncols = rng.randint(1, 5)
+                while m**ncols > 50_000:
+                    ncols -= 1
+                rows = [
+                    {
+                        k: rng.choice(divisors) * rng.randrange(-m, m)
+                        for k in range(ncols)
+                        if rng.random() < 0.7
+                    }
+                    for _ in range(rng.randint(0, ncols + 1))
+                ]
+                sols = SolutionSet(ncols, m, rows)
+                expected = _brute_force(ncols, m, rows)
+                assert list(sols) == expected, (m, rows)
+                assert sols.count() == len(expected), (m, rows)
+                assert all(sols.contains(v) for v in expected)
+                members = set(expected)
+                others = [v for v in product(range(m), repeat=ncols) if v not in members]
+                for v in rng.sample(others, min(40, len(others))):
+                    assert not sols.contains(v), (m, rows, v)
+
+    def test_mixed_column_mod_6_takes_the_xgcd_pair(self, monkeypatch):
+        calls = []
+        real = arrowweight._xgcd
+
+        def xgcd(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(arrowweight, "_xgcd", xgcd)
+        # column 1 holds 2 and 3, neither of whose gcds with 6 divides the other
+        rows = [{0: 2, 1: 2}, {0: 3, 1: 3}, {0: 4, 2: 1}]
+        sols = SolutionSet(3, 6, rows)
+        assert calls
+        expected = _brute_force(3, 6, rows)
+        assert list(sols) == expected
+        assert sols.count() == len(expected) == 6
+
+    PAIRS = {
+        "flip2/16": ("flip2", "w16", 16),
+        "flip2/2": ("flip2", "w16", 2),
+        "cyc3/8": ("cyc3", "w8", 8),
+        "cyc3/3": ("cyc3", "w3", 3),
+        "quad4/6": ("quad4", "w6", 6),
+        "shift4/4": ("shift4", "w4", 4),
+    }
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_matches_int64_reference(self, request, pair):
+        name, tensor, m = self.PAIRS[pair]
+        b = request.getfixturevalue(name)
+        w = request.getfixturevalue(tensor)
+        system = generate_constraints(b, m)
+        sols = solve_constraints(system)
+        ref = Int64SolutionSet(b.n**4, m, system.rows)
+        assert sols.count() == ref.count()
+        assert list(islice(sols, 64)) == list(islice(ref, 64))
+        rng = random.Random(pair)
+        bundled = tuple(e % m for e in w.entries)
+        probes = [bundled, *islice(ref, 64)]
+        for _ in range(8):
+            probes.append(tuple(rng.randrange(m) for _ in bundled))
+            bumped = list(bundled)
+            bumped[rng.randrange(len(bumped))] += rng.randrange(1, m)
+            probes.append(tuple(bumped))
+        answers = [sols.contains(v) for v in probes]
+        assert answers == [ref.contains(v) for v in probes]
+        assert answers[0] and not all(answers)
+
+    def test_contains_names_the_expected_length(self):
+        sols = SolutionSet(4, 6, [{0: 1, 3: 5}])
+        with pytest.raises(ValueError, match="expected 4 values, got 3"):
+            sols.contains((0, 0, 0))
+        with pytest.raises(ValueError, match="expected 4 values, got 5"):
+            sols.contains((0,) * 5)
 
 
 class TestTensorHeader:
