@@ -576,19 +576,23 @@ class ValidityReport:
         }
 
 
+# the largest random diagram a validity trial starts from
+_TRIAL_MAX_CHORDS = 4
+
+
 def is_valid_weight(
     b: Biquandle,
     w: WeightTensor,
     trials: int = 40,
     seed: int = 0,
-    max_chords: int = 4,
 ) -> ValidityReport:
     """Whether ``w`` is a valid arrow weight for ``b``.
 
     Checks membership in the generated constraint system, then runs seeded
-    randomized trials: random diagrams, random applicable moves, and for
-    every coloring the weight sum must survive transport and basepoint
-    rotation exactly.  The report is truthy exactly when ``w`` passes.
+    randomized trials: random diagrams of at most four chords, random
+    applicable moves, and for every coloring the weight sum must survive
+    transport and basepoint rotation exactly.  The report is truthy
+    exactly when ``w`` passes.
     A negative ``trials`` raises ValueError.
     """
     if trials < 0:
@@ -600,7 +604,7 @@ def is_valid_weight(
         return ValidityReport(False, violated_rows=bad)
     rng = random.Random(seed)
     for trial in range(trials):
-        d = _random_diagram_of_size(rng, rng.randint(0, max_chords))
+        d = _random_diagram_of_size(rng, rng.randint(0, _TRIAL_MAX_CHORDS))
         for _ in range(rng.randint(1, 3)):
             move = _random_move(rng, d)
             if move is None:

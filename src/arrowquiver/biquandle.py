@@ -264,9 +264,9 @@ def validate_tables(
 def loads(text: str) -> Biquandle:
     """Parse a biquandle from its text form.
 
-    The format is the element count on the first line, then the ``under``
-    table one row per line, a blank line, and the ``over`` table.  Entries
-    are whitespace-separated integers in 1..n.
+    The format is the element count (at least 1) on the first line, then
+    the ``under`` table one row per line, a blank line, and the ``over``
+    table.  Entries are whitespace-separated integers in 1..n.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if not ln.startswith("#")]
@@ -275,6 +275,8 @@ def loads(text: str) -> Biquandle:
     if not lines:
         raise ValueError("empty biquandle description")
     n = int(lines[0])
+    if n < 1:
+        raise ValueError(f"size must be a positive integer, found {n}")
     rows = [ln for ln in lines[1:] if ln]
     if len(rows) != 2 * n:
         raise ValueError(f"expected {2 * n} table rows, found {len(rows)}")

@@ -41,7 +41,6 @@ from .invariants import (
     phi_indegree,
     phi_quotient_loop,
     phi_twovar,
-    phi_weight,
     weight_polynomial,
 )
 from .knotdata import bundled_path, bundled_table, load_table, orientation_variants
@@ -248,7 +247,6 @@ def cmd_weights_check(args) -> int:
 
 
 _PHI = {
-    "weight-poly": phi_weight,
     "indeg": phi_indegree,
     "twovar": phi_twovar,
     "qloop": phi_quotient_loop,
@@ -319,15 +317,10 @@ def cmd_table(args) -> int:
     table = _table_arg(args)
     rows = []
     for entry in table:
-        if args.all_orientations:
-            variants = orientation_variants(entry.diagram)
-            renders = [
-                str(_invariant_poly(args.type, b, w, v, endos)) for v in variants
-            ]
-            rows.append((entry.name, renders))
-        else:
-            poly = _invariant_poly(args.type, b, w, entry.diagram, endos)
-            rows.append((entry.name, [str(poly)]))
+        d = entry.diagram
+        variants = orientation_variants(d) if args.all_orientations else [d]
+        renders = [str(_invariant_poly(args.type, b, w, v, endos)) for v in variants]
+        rows.append((entry.name, renders))
     if args.format == "json":
         print(
             json.dumps(

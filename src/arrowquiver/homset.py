@@ -35,11 +35,13 @@ Transport: performing a Reidemeister move on a colored diagram leaves the
 colors of all semiarcs outside the move disk unchanged and determines the
 colors inside uniquely.  :func:`transport_colorings` carries any number of
 colorings of one diagram through one move: it builds the moved diagram and
-the map from its semiarcs to the old ones once, then restricts each
-coloring (deletions) or extends it with the same solver (insertions and
-slides).  Every coloring is checked on its own, and
-:class:`TransportError` is raised if one was not a valid coloring or the
-move does not match.  :func:`transport_coloring` is the one-coloring case.
+the map from its semiarcs to the old ones that continue into them once.
+Every move then takes one path per coloring: the old semiarcs a deletion
+joins must agree, and the same solver extends the kept colors to the
+moved diagram (a deletion leaves nothing to extend, so the solver only
+checks the crossing equations).  :class:`TransportError` is raised if a
+coloring was not valid or the move does not match.
+:func:`transport_coloring` is the one-coloring case.
 """
 
 from __future__ import annotations
@@ -276,21 +278,51 @@ def arrow_label(
 # transport
 
 
-def _insertion_sources(two_n: int, blocks: dict[int, int]) -> list[int | None]:
-    """Per semiarc after an insertion, the old semiarc whose color it keeps,
-    or None strictly inside an inserted block (left to the solver).
+def _semiarc_sources(two_n: int, move: Move) -> list[tuple[int, ...]]:
+    """Per semiarc after ``move`` on a diagram of ``two_n`` passages, the
+    old semiarcs that continue into it, whose colors it must keep.
 
-    ``blocks`` maps a gap to the number of endpoints inserted there,
-    mirroring the placement rule of the move engine: a block at gap g comes
-    just before old passage g.
+    A kept or cut semiarc continues one old semiarc.  A deletion joins the
+    two ends of each gap it closes, or every surviving piece when it
+    empties the diagram; these must agree.  A semiarc inside an inserted
+    block or a slide site continues none and is left to the solver.  This
+    mirrors the placement rule of the move engine: a block inserted at gap
+    g comes just before old passage g, and a deletion keeps the order of
+    the other passages.
     """
-    sources: list[int | None] = []
+    if isinstance(move, R3Slide):
+        sites = set(move.sites)
+        return [() if i in sites else (i,) for i in range(two_n)]
+    if isinstance(move, (R1Delete, R2Delete)):
+        # each deleted block's first semiarc lies inside the move disk
+        inside = (
+            {move.start}
+            if isinstance(move, R1Delete)
+            else {move.over_start, move.under_start}
+        )
+        kept = [i for i in range(two_n) if not {i, (i - 1) % two_n} & inside]
+        if not kept:
+            return [tuple(i for i in range(two_n) if i not in inside)]
+        return [
+            (a,) if z == a + 1 else (a, (z - 1) % two_n)
+            for a, z in zip(kept, kept[1:] + [kept[0] + two_n])
+        ]
+    if isinstance(move, R1Insert):
+        blocks = {move.gap: 2}
+    elif isinstance(move, R2Insert):
+        if move.gap_over == move.gap_under:
+            blocks = {move.gap_over: 4}
+        else:
+            blocks = {move.gap_over: 2, move.gap_under: 2}
+    else:
+        raise TypeError(f"unknown move {move!r}")
+    sources: list[tuple[int, ...]] = []
     for g in range(two_n + 1):
         if g in blocks:
             # the block's last endpoint starts the rest of old semiarc g - 1
-            sources += [None] * (blocks[g] - 1) + [(g - 1) % two_n if two_n else 0]
+            sources += [()] * (blocks[g] - 1) + [((g - 1) % two_n if two_n else 0,)]
         if g < two_n:
-            sources.append(g)
+            sources.append((g,))
     return sources
 
 
@@ -306,25 +338,6 @@ def _solve_middles(
     return solutions[0]
 
 
-def _boundary_groups(
-    two_n: int, removed: set[int], inside: set[int]
-) -> list[tuple[int, ...]]:
-    """Per semiarc left after deleting the ``removed`` endpoints, the old
-    semiarcs at the move disk boundary that it joins, which must agree.
-
-    ``inside`` lists the old semiarcs strictly inside the move disk, whose
-    colors disappear with the move.
-    """
-    kept = [i for i in range(two_n) if i not in removed]
-    if not kept:
-        # everything vanished; all surviving pieces must agree
-        return [tuple(i for i in range(two_n) if i not in inside)]
-    return [
-        (a % two_n, (z - 1) % two_n)
-        for a, z in zip(kept, kept[1:] + [kept[0] + two_n])
-    ]
-
-
 def transport_colorings(
     b: Biquandle, d: GaussDiagram, move: Move, colorings: Iterable[tuple[int, ...]]
 ) -> tuple[GaussDiagram, list[tuple[int, ...]]]:
@@ -332,52 +345,28 @@ def transport_colorings(
 
     Returns ``apply_move(d, move)`` and the image of each coloring, in
     order; semiarcs away from the move keep their colors.  The moved
-    diagram, and where each of its semiarcs takes its color from, are
-    built once per call; each coloring is checked and carried on its own.
-    Raises :class:`TransportError` when a coloring is invalid or cannot be
-    extended (which signals a non-move).
+    diagram, and which old semiarcs each of its semiarcs continues, are
+    built once per call.  Each coloring is then carried on its own, the
+    same way for every move: the old semiarcs joined into one must agree,
+    and the solver extends the kept colors to the unique coloring of the
+    moved diagram.  Raises :class:`TransportError` when a coloring is
+    invalid, its joined semiarcs disagree, or it has no unique extension
+    (each signals a non-move).
     """
     colorings = list(colorings)
     if not all(is_coloring(b, d, c) for c in colorings):
         raise TransportError("not a coloring of the input diagram")
     d2 = apply_move(d, move)
-    two_n = len(d.endpoints)
-
-    if isinstance(move, (R1Insert, R2Insert, R3Slide)):
-        # insertions and slides extend the kept colors by the solver
-        if isinstance(move, R1Insert):
-            sources = _insertion_sources(two_n, {move.gap: 2})
-        elif isinstance(move, R3Slide):
-            sites = set(move.sites)
-            sources = [None if i in sites else i for i in range(two_n)]
-        elif move.gap_over == move.gap_under:
-            sources = _insertion_sources(two_n, {move.gap_over: 4})
-        else:
-            sources = _insertion_sources(two_n, {move.gap_over: 2, move.gap_under: 2})
-        assert len(sources) == d2.num_semiarcs
-        return d2, [
-            _solve_middles(b, d2, [None if s is None else c[s] for s in sources])
-            for c in colorings
-        ]
-    if isinstance(move, R1Delete):
-        groups = _boundary_groups(
-            two_n, {move.start, (move.start + 1) % two_n}, {move.start}
-        )
-    elif isinstance(move, R2Delete):
-        removed = set()
-        for s in (move.over_start, move.under_start):
-            removed.update({s, (s + 1) % two_n})
-        groups = _boundary_groups(two_n, removed, {move.over_start, move.under_start})
-    else:
-        raise TypeError(f"unknown move {move!r}")
+    sources = _semiarc_sources(len(d.endpoints), move)
+    assert len(sources) == d2.num_semiarcs
+    joined = [g for g in sources if len(g) > 1]
     images = []
     for c in colorings:
-        if any(c[i] != c[g[0]] for g in groups for i in g):
+        if any(c[i] != c[g[0]] for g in joined for i in g):
             raise TransportError("move disk boundary colors disagree")
-        result = tuple(c[g[0]] for g in groups)
-        if not is_coloring(b, d2, result):
-            raise TransportError("restricted coloring fails crossing equations")
-        images.append(result)
+        images.append(
+            _solve_middles(b, d2, [c[g[0]] if g else None for g in sources])
+        )
     return d2, images
 
 

@@ -144,6 +144,12 @@ class TestLoading:
         with pytest.raises(ValueError, match="empty biquandle description"):
             loads("# nothing here\n")
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_loads_rejects_size_below_one(self, size):
+        expected = f"size must be a positive integer, found {size}"
+        with pytest.raises(ValueError, match=expected):
+            loads(f"{size}\n")
+
     def test_loads_wrong_row_count(self):
         with pytest.raises(ValueError, match="expected 4 table rows, found 3"):
             loads("2\n2 2\n1 1\n2 2\n")

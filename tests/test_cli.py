@@ -527,6 +527,20 @@ class TestErrors:
         assert out == ""
         assert f"invalid biquandle file {path}: invalid literal for int()" in err
 
+    @pytest.mark.parametrize("command", ["color", "endos"])
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_biquandle_size_below_one_exits_2(self, capsys, tmp_path, command, size):
+        path = tmp_path / "b.txt"
+        path.write_text(f"{size}\n")
+        argv = [command, "--biquandle", str(path)]
+        if command == "color":
+            argv += ["--knot", "2.1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        expected = f"size must be a positive integer, found {size}"
+        assert f"invalid biquandle file {path}: {expected}" in err
+
     def test_missing_knots_file_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "none.tsv"
         code, out, err = run(

@@ -17,6 +17,7 @@ from arrowquiver.gausscode import (
     GaussDiagram,
     R1Delete,
     R1Insert,
+    R2Delete,
     R2Insert,
     R3Slide,
     apply_move,
@@ -235,6 +236,44 @@ class TestTransport:
         for c in enumerate_colorings(cyc3, d):
             back = transport_coloring(cyc3, d, R1Delete(0), c)
             assert back == (c[1],)
+
+    def test_delete_needs_agreeing_boundary(self):
+        # not a biquandle: the kink's crossing equations leave its two outer
+        # semiarcs free, so some colorings cannot lose the kink
+        b = Biquandle(((1, 1), (1, 1)), ((1, 1), (1, 1)))
+        d = parse_gauss_code("U1+O1+O2-U2-")
+        outcomes = set()
+        for c in enumerate_colorings(b, d):
+            outcomes.add(c[1] == c[3])
+            if c[1] == c[3]:
+                assert transport_coloring(b, d, R1Delete(0), c) == (c[2], c[3])
+            else:
+                with pytest.raises(TransportError, match="boundary colors disagree"):
+                    transport_coloring(b, d, R1Delete(0), c)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("kind", [R1Delete, R2Delete])
+    def test_deletions_solve_each_coloring_once(self, monkeypatch, quad4, kind):
+        calls = []
+        solve = homset._solve_middles
+
+        def recorded(b, d2, partial):
+            calls.append(partial)
+            return solve(b, d2, partial)
+
+        monkeypatch.setattr(homset, "_solve_middles", recorded)
+        cases = [
+            (d, move)
+            for d in _small_hosts()
+            for move in enumerate_moves(d)
+            if isinstance(move, kind)
+        ]
+        assert cases
+        for d, move in cases:
+            calls.clear()
+            colorings = enumerate_colorings(quad4, d)
+            transport_colorings(quad4, d, move, colorings)
+            assert len(calls) == len(colorings)
 
     def test_r3_slide_bijects_colorings(self, cyc3, quad4):
         move = R3Slide((0, 2, 4), "L", (1, 2, 3), 1)
