@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
-from math import gcd, isqrt
+from math import gcd
 
 # Nothing here uses numpy.  perfbench/worker.py reads the numpy version from
 # sys.modules after importing the package, so the import stays until the
@@ -53,7 +53,6 @@ __all__ = [
     "weight_multiset",
     "ConstraintSystem",
     "SolutionSet",
-    "max_modulus",
     "generate_constraints",
     "solve_constraints",
     "search_weights",
@@ -266,6 +265,8 @@ class ConstraintSystem:
     """Homogeneous linear conditions on tensor slots over Z_m."""
 
     def __init__(self, n: int, m: int, rows: list[dict[int, int]]):
+        if m < 1:
+            raise ValueError(f"modulus must be a positive integer, got {m}")
         self.n = n
         self.m = m
         unique: dict[tuple[tuple[int, int], ...], None] = {}
@@ -295,7 +296,7 @@ def _difference_row(before: dict[int, int], after: dict[int, int]) -> dict[int, 
     return row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     """Every invariance condition on arrow weights for ``b`` over Z_m.
 
@@ -368,17 +369,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def max_modulus(ncols: int) -> int:
-    """The largest modulus accepted for ``ncols`` columns: the largest m with
-    max(2, ncols) * (m - 1)^2 < 2^63.
-
-    The elimination of :class:`SolutionSet` works on Python ints and is exact
-    at every m; this is the range the solver and the CLI accept, not a bound
-    of the arithmetic.
-    """
-    return isqrt((2**63 - 1) // max(2, ncols)) + 1
-
-
 def _combine(
     p: int, x: dict[int, int], q: int, y: dict[int, int], m: int
 ) -> dict[int, int]:
@@ -402,12 +392,13 @@ class SolutionSet:
     operation; one it does not divide (possible only when m is not a prime
     power) is merged into the pivot by an xgcd pair.  Annihilator rows
     (m/gcd times a pivot row) are folded back in, as in a Howell form, which
-    keeps the per-column solution counts exact.
+    keeps the per-column solution counts exact.  Entries are Python ints, so
+    every positive modulus is exact.
     """
 
     def __init__(self, ncols: int, m: int, rows: list[dict[int, int]]):
-        if m > max_modulus(ncols):
-            raise ValueError(f"modulus {m} is above the limit {max_modulus(ncols)}")
+        if m < 1:
+            raise ValueError(f"modulus must be a positive integer, got {m}")
         self.ncols = ncols
         self.m = m
         self.pivot: dict[int, dict[int, int]] = {}

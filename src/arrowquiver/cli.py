@@ -28,13 +28,12 @@ from itertools import product
 from .arrowweight import (
     WeightTensor,
     is_valid_weight,
-    max_modulus,
     search_weights,
     sigma_D,
     weight_multiset,
 )
 from .biquandle import Biquandle, BiquandleError
-from .biquandle import load as load_biquandle
+from .biquandle import loads as parse_biquandle
 from .gausscode import GaussDiagram, parse_gauss_code
 from .homset import TransportError, chord_colors, enumerate_colorings
 from .invariants import (
@@ -43,7 +42,7 @@ from .invariants import (
     phi_twovar,
     weight_polynomial,
 )
-from .knotdata import bundled_path, bundled_table, load_table, orientation_variants
+from .knotdata import bundled_path, bundled_table, orientation_variants, parse_table
 from .quiver import build_quiver, quotient_quiver
 
 __all__ = ["main"]
@@ -70,11 +69,20 @@ class _Parser(argparse.ArgumentParser):
 # input loading
 
 
+def _read(path: str) -> str:
+    """The text of an input file; one that cannot be read is an InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise InputError(str(err)) from None
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: {err}") from None
+
+
 def _biquandle(path: str) -> Biquandle:
     try:
-        return load_biquandle(path)
-    except FileNotFoundError as err:
-        raise InputError(str(err)) from None
+        return parse_biquandle(_read(path))
     except BiquandleError as err:
         lines = ["invalid biquandle:"]
         lines += [f"  {v}" for v in err.violations]
@@ -85,9 +93,7 @@ def _biquandle(path: str) -> Biquandle:
 
 def _tensor(path: str, b: Biquandle) -> WeightTensor:
     try:
-        w = WeightTensor.load(path)
-    except FileNotFoundError as err:
-        raise InputError(str(err)) from None
+        w = WeightTensor.loads(_read(path))
     except ValueError as err:
         raise InputError(f"invalid tensor file {path}: {err}") from None
     if w.n != b.n:
@@ -103,10 +109,7 @@ def _endos(args, b: Biquandle) -> list[tuple[int, ...]]:
     path = getattr(args, "endos", None)
     if path is None:
         raise InputError("this command needs --endos FILE or --full-endos")
-    try:
-        text = open(path, encoding="utf-8").read()
-    except FileNotFoundError as err:
-        raise InputError(str(err)) from None
+    text = _read(path)
     out: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -144,11 +147,11 @@ def _knot(args) -> tuple[str, GaussDiagram]:
 
 def _table_arg(args):
     path = getattr(args, "knots", None)
-    try:
-        if path is not None:
-            return load_table(path)
+    if path is None:
         return bundled_table()
-    except (FileNotFoundError, ValueError) as err:
+    try:
+        return parse_table(_read(path), source=path)
+    except ValueError as err:
         raise InputError(str(err)) from None
 
 
@@ -195,8 +198,6 @@ def cmd_weights_find(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit must be a non-negative integer, got {args.limit}")
     b = _biquandle(args.biquandle)
-    if args.modulus > (limit := max_modulus(b.n**4)):
-        raise InputError(f"--modulus {args.modulus} is above the exact limit {limit}")
     found = []
     for w in search_weights(b, args.modulus, limit=args.limit, nontrivial=args.nontrivial):
         found.append(w)

@@ -93,15 +93,16 @@ def chord_colors(
 class _Relation:
     """One biquandle's crossing relation, tabulated for the solver.
 
-    ``valid[sign]`` holds the n^2 tuples (u_in, u_out, o_in, o_out) that
-    satisfy a crossing's equations.  A partial tuple is encoded as the
-    integer sum of v_k * (n+1)^k, with v_k = 0 for an unknown slot.
-    ``values[sign, shape]`` maps the key of each partial tuple that some
-    valid tuple extends to, for each slot, the bitmask of the values those
-    tuples give it; a key that no valid tuple extends is absent, so a table
-    has at most 16 n^2 keys.  ``shape`` marks the slots that coincide at a
-    kink: bit 0 for u_in == o_out, bit 1 for u_out == o_in; the table of a
-    shape keeps only tuples that agree on the coinciding slots.
+    A partial tuple (u_in, u_out, o_in, o_out) is encoded as the integer sum
+    of v_k * (n+1)^k, with v_k = 0 for an unknown slot.  ``values[sign,
+    shape]`` maps the key of each partial tuple that some valid tuple (one
+    satisfying a crossing's equations) extends to, for each slot, the
+    bitmask of the values those tuples give it; a key that no valid tuple
+    extends is absent, so a table has at most 16 n^2 keys, and a tuple over
+    1..n is valid exactly when its key is in ``values[sign, 0]``.  ``shape``
+    marks the slots that coincide at a kink: bit 0 for u_in == o_out, bit 1
+    for u_out == o_in; the table of a shape keeps only tuples that agree on
+    the coinciding slots.
     """
 
     def __init__(self, b: Biquandle):
@@ -109,7 +110,6 @@ class _Relation:
         pairs = list(product(b.elements, repeat=2))
         pos = [(a, b.under_of(a, t), b.over_of(t, a), t) for a, t in pairs]
         neg = [(b.under_of(a, t), a, t, b.over_of(t, a)) for a, t in pairs]
-        self.valid = {1: frozenset(pos), -1: frozenset(neg)}
         self.values: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
         for sign, tuples in ((1, pos), (-1, neg)):
             for shape in range(4):
@@ -141,10 +141,11 @@ def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> boo
     elements = b.elements
     if any(c not in elements for c in coloring):
         return False
-    valid = _relation(b).valid
+    values, r = _relation(b).values, b.n + 1
     cd = d.compiled
     return all(
-        (coloring[s0], coloring[s1], coloring[s2], coloring[s3]) in valid[sign]
+        coloring[s0] + r * (coloring[s1] + r * (coloring[s2] + r * coloring[s3]))
+        in values[sign, 0]
         for (s0, s1, s2, s3), sign in zip(cd.slots, cd.sign)
     )
 
@@ -163,7 +164,10 @@ def chord_status(
     colors = chord_colors(d, partial, chord)  # type: ignore[arg-type]
     if None in colors:
         return "undetermined"
-    ok = colors in _relation(b).valid[d.compiled.sign[chord - 1]]
+    ok = all(c in b.elements for c in colors) and (
+        sum(c * (b.n + 1) ** k for k, c in enumerate(colors))
+        in _relation(b).values[d.compiled.sign[chord - 1], 0]
+    )
     return "satisfied" if ok else "violated"
 
 

@@ -21,7 +21,6 @@ from arrowquiver.arrowweight import (
     _small_hosts,
     generate_constraints,
     is_valid_weight,
-    max_modulus,
     search_weights,
     sigma_coefficients,
     sigma_D,
@@ -334,18 +333,6 @@ class TestConstraintRowsOracle:
 
 
 class TestModulusLimit:
-    def test_limit_is_the_int64_bound(self):
-        for ncols in (1, 16, 81, 256):
-            m = max_modulus(ncols)
-            assert max(2, ncols) * (m - 1) ** 2 < 2**63
-            assert max(2, ncols) * m**2 >= 2**63
-
-    def test_modulus_above_limit_rejected(self):
-        m = 3 * 2**31
-        assert m > max_modulus(81)
-        with pytest.raises(ValueError, match=f"modulus {m} is above the limit"):
-            SolutionSet(81, m, [])
-
     def test_counts_multiply_over_coprime_moduli(self, cyc3):
         def count(m):
             return solve_constraints(generate_constraints(cyc3, m)).count()
@@ -357,8 +344,24 @@ class TestModulusLimit:
             return solve_constraints(generate_constraints(cyc3, m)).count()
 
         m = 2**20 * 3**5
-        assert m <= max_modulus(cyc3.n**4)
         assert count(m) == count(2**20) * count(3**5)
+
+    @pytest.mark.parametrize("p, q", [(3, 2**31), (2**64, 3**40)])
+    def test_counts_multiply_above_the_int64_range(self, cyc3, p, q):
+        def count(m):
+            return solve_constraints(generate_constraints(cyc3, m)).count()
+
+        assert count(p * q) == count(p) * count(q)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_modulus_below_one_rejected(self, flip2, m):
+        message = f"modulus must be a positive integer, got {m}"
+        with pytest.raises(ValueError, match=message):
+            generate_constraints(flip2, m)
+        with pytest.raises(ValueError, match=message):
+            list(search_weights(flip2, m))
+        with pytest.raises(ValueError, match=message):
+            SolutionSet(3, m, [{0: 1}])
 
     def test_limit_zero_yields_nothing(self, flip2):
         assert list(search_weights(flip2, 2, limit=0)) == []

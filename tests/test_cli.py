@@ -420,15 +420,15 @@ class TestErrors:
         assert f"invalid tensor file {path}: {witness}" in err
 
     @pytest.mark.parametrize("modulus", [3 * 2**31, 2**64])
-    def test_modulus_above_exact_limit_exits_2(self, capsys, modulus):
-        from arrowquiver.arrowweight import max_modulus
-
-        code, out, err = run(
-            capsys, "weights", "find", "--biquandle", CYC3, "--modulus", str(modulus)
+    def test_modulus_above_the_int64_range_finds_the_zero_tensor(self, capsys, modulus):
+        code, out, _ = run(
+            capsys,
+            "weights", "find", "--biquandle", CYC3, "--modulus", str(modulus),
+            "--limit", "1",
         )
-        assert code == 2
-        assert out == ""
-        assert f"--modulus {modulus} is above the exact limit {max_modulus(81)}" in err
+        assert code == 0
+        zero_rows = "0 0 0 0 0 0 0 0 0\n" * 9
+        assert out == f"# solution 0\n{modulus}\n3\n{zero_rows}\n# 1 solutions\n"
 
     def test_negative_limit_exits_2(self, capsys):
         code, out, err = run(
@@ -549,3 +549,26 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"No such file or directory: '{missing}'" in err
+
+    @pytest.mark.parametrize("flag", ["--biquandle", "--tensor", "--endos", "--knots"])
+    def test_directory_input_exits_2(self, capsys, tmp_path, flag):
+        files = {"--biquandle": CYC3, "--tensor": W8, "--endos": ENDOS_CYC3}
+        files[flag] = str(tmp_path)
+        argv = [arg for pair in files.items() for arg in pair]
+        code, out, err = run(capsys, "invariant", "--type", "indeg", *argv, "--knot", "2.1")
+        assert code == 2
+        assert out == ""
+        assert f"Is a directory: '{tmp_path}'" in err
+
+    def test_non_utf8_endos_file_exits_2(self, capsys, tmp_path):
+        endos = tmp_path / "endos.txt"
+        endos.write_bytes(b"1 2 3\n\xff\xfe\n")
+        code, out, err = run(
+            capsys,
+            "invariant", "--type", "indeg",
+            "--biquandle", CYC3, "--tensor", W8,
+            "--endos", str(endos), "--knot", "2.1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{endos}: 'utf-8' codec can't decode byte 0xff" in err
