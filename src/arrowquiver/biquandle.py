@@ -38,6 +38,7 @@ __all__ = [
     "Violation",
     "loads",
     "load",
+    "parse_endos",
     "validate_tables",
 ]
 
@@ -295,3 +296,35 @@ def loads(text: str) -> Biquandle:
 def load(path: str) -> Biquandle:
     with open(path, encoding="utf-8") as fh:
         return loads(fh.read())
+
+
+def parse_endos(
+    text: str, b: Biquandle, source: str = "<string>"
+) -> list[tuple[int, ...]]:
+    """Parse a set of endomorphisms of ``b``, one image vector per line.
+
+    Each line lists f(1) .. f(n), separated by blanks or commas; ``#``
+    starts a comment.  Every map must be an endomorphism and none may
+    repeat, since the maps form a set.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            f = tuple(int(tok) for tok in line.replace(",", " ").split())
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: not an image vector") from None
+        if len(f) != b.n or any(not 1 <= x <= b.n for x in f):
+            raise ValueError(f"{source}:{lineno}: expected {b.n} images in 1..{b.n}")
+        if not b.is_endomorphism(f):
+            raise ValueError(
+                f"{source}:{lineno}: {list(f)} is not an endomorphism of the biquandle"
+            )
+        if f in out:
+            raise ValueError(f"{source}:{lineno}: {list(f)} repeats line {out[f]}")
+        out[f] = lineno
+    if not out:
+        raise ValueError(f"{source}: no endomorphisms found")
+    return list(out)

@@ -32,16 +32,11 @@ from .arrowweight import (
     sigma_D,
     weight_multiset,
 )
-from .biquandle import Biquandle, BiquandleError
+from .biquandle import Biquandle, BiquandleError, parse_endos
 from .biquandle import loads as parse_biquandle
 from .gausscode import GaussDiagram, parse_gauss_code
 from .homset import TransportError, chord_colors, enumerate_colorings
-from .invariants import (
-    phi_indegree,
-    phi_quotient_loop,
-    phi_twovar,
-    weight_polynomial,
-)
+from .invariants import phi_indegree, phi_quotient_loop, phi_twovar, phi_weight
 from .knotdata import bundled_path, bundled_table, orientation_variants, parse_table
 from .quiver import build_quiver, quotient_quiver
 
@@ -104,31 +99,21 @@ def _tensor(path: str, b: Biquandle) -> WeightTensor:
 
 
 def _endos(args, b: Biquandle) -> list[tuple[int, ...]]:
-    if getattr(args, "full_endos", False):
+    if args.full_endos:
         return b.endomorphisms()
-    path = getattr(args, "endos", None)
-    if path is None:
+    if args.endos is None:
         raise InputError("this command needs --endos FILE or --full-endos")
-    text = _read(path)
-    out: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            f = tuple(int(tok) for tok in line.replace(",", " ").split())
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: not an image vector") from None
-        if len(f) != b.n or any(not 1 <= x <= b.n for x in f):
-            raise InputError(f"{path}:{lineno}: expected {b.n} images in 1..{b.n}")
-        if not b.is_endomorphism(f):
-            raise InputError(
-                f"{path}:{lineno}: {list(f)} is not an endomorphism of the biquandle"
-            )
-        out.append(f)
-    if not out:
-        raise InputError(f"{path}: no endomorphisms found")
-    return out
+    try:
+        return parse_endos(_read(args.endos), b, source=args.endos)
+    except ValueError as err:
+        raise InputError(str(err)) from None
+
+
+def _inputs(args, maps: bool = True) -> tuple[Biquandle, WeightTensor, list]:
+    """The biquandle, the tensor and, if ``maps``, the endomorphism set."""
+    b = _biquandle(args.biquandle)
+    w = _tensor(args.tensor, b)
+    return b, w, _endos(args, b) if maps else []
 
 
 def _knot(args) -> tuple[str, GaussDiagram]:
@@ -247,26 +232,21 @@ def cmd_weights_check(args) -> int:
     return EXIT_OK
 
 
+# every --type reads the quiver; phi_weight reads only its vertices, so
+# weight-poly needs no maps
 _PHI = {
+    "weight-poly": phi_weight,
     "indeg": phi_indegree,
     "twovar": phi_twovar,
     "qloop": phi_quotient_loop,
 }
 
 
-def _invariant_poly(kind, b, w, d, endos):
-    if kind == "weight-poly":
-        return weight_polynomial(b, w, d)
-    q = build_quiver(b, w, d, endos)
-    return _PHI[kind](q)
-
-
 def cmd_invariant(args) -> int:
-    b = _biquandle(args.biquandle)
-    w = _tensor(args.tensor, b)
-    endos = _endos(args, b) if args.type != "weight-poly" else None
+    phi = _PHI[args.type]
+    b, w, endos = _inputs(args, maps=phi is not phi_weight)
     name, d = _knot(args)
-    poly = _invariant_poly(args.type, b, w, d, endos)
+    poly = phi(build_quiver(b, w, d, endos))
     if args.format == "json":
         print(
             json.dumps(
@@ -284,9 +264,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    b = _biquandle(args.biquandle)
-    w = _tensor(args.tensor, b)
-    endos = _endos(args, b)
+    b, w, endos = _inputs(args)
     name, d = _knot(args)
     q = build_quiver(b, w, d, endos)
     obj = quotient_quiver(q) if args.quotient else q
@@ -312,15 +290,14 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_table(args) -> int:
-    b = _biquandle(args.biquandle)
-    w = _tensor(args.tensor, b)
-    endos = _endos(args, b) if args.type != "weight-poly" else None
+    phi = _PHI[args.type]
+    b, w, endos = _inputs(args, maps=phi is not phi_weight)
     table = _table_arg(args)
     rows = []
     for entry in table:
         d = entry.diagram
         variants = orientation_variants(d) if args.all_orientations else [d]
-        renders = [str(_invariant_poly(args.type, b, w, v, endos)) for v in variants]
+        renders = [str(phi(build_quiver(b, w, v, endos))) for v in variants]
         rows.append((entry.name, renders))
     if args.format == "json":
         print(
@@ -452,6 +429,12 @@ def build_parser() -> _Parser:
     def add_format(p, choices, default):
         p.add_argument("--format", choices=choices, default=default)
 
+    def add_inputs(p):
+        p.add_argument("--biquandle", required=True)
+        p.add_argument("--tensor", required=True)
+        p.add_argument("--endos")
+        p.add_argument("--full-endos", action="store_true")
+
     def add_knot(p):
         p.add_argument(
             "--knot",
@@ -491,39 +474,22 @@ def build_parser() -> _Parser:
     pc.set_defaults(func=cmd_weights_check)
 
     p = sub.add_parser("invariant", help="one polynomial invariant of one knot")
-    p.add_argument(
-        "--type",
-        choices=["weight-poly", "indeg", "twovar", "qloop"],
-        required=True,
-    )
-    p.add_argument("--biquandle", required=True)
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--endos")
-    p.add_argument("--full-endos", action="store_true")
+    p.add_argument("--type", choices=_PHI, required=True)
+    add_inputs(p)
     add_knot(p)
     add_format(p, ["text", "json"], "text")
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("quiver", help="weighted coloring quiver as DOT")
-    p.add_argument("--biquandle", required=True)
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--endos")
-    p.add_argument("--full-endos", action="store_true")
+    add_inputs(p)
     p.add_argument("--quotient", action="store_true")
     add_knot(p)
     add_format(p, ["dot", "json"], "dot")
     p.set_defaults(func=cmd_quiver)
 
     p = sub.add_parser("table", help="invariant of every knot in a table")
-    p.add_argument(
-        "--type",
-        choices=["weight-poly", "indeg", "twovar", "qloop"],
-        required=True,
-    )
-    p.add_argument("--biquandle", required=True)
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--endos")
-    p.add_argument("--full-endos", action="store_true")
+    p.add_argument("--type", choices=_PHI, required=True)
+    add_inputs(p)
     p.add_argument("--knots", help="knot table TSV (default: bundled)")
     p.add_argument(
         "--all-orientations",

@@ -17,12 +17,14 @@ nonempty monomial), e.g. ``2u^8``, ``9st``, ``4 + 4x^2``, ``10 + x^3``.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .arrowweight import WeightTensor, weight_multiset
 from .biquandle import Biquandle
 from .gausscode import GaussDiagram
-from .quiver import Quiver, quotient_quiver
+from .quiver import Quiver
 
 __all__ = [
     "ExpPoly",
@@ -72,44 +74,34 @@ class ExpPoly:
         ]
 
 
+def _histogram(variables: tuple[str, ...], keys: Iterable[tuple[int, ...]]) -> ExpPoly:
+    """The polynomial with one unit term per exponent tuple in ``keys``."""
+    return ExpPoly.from_dict(variables, Counter(keys))
+
+
 def weight_polynomial(
     b: Biquandle, w: WeightTensor, d: GaussDiagram
 ) -> ExpPoly:
     """Histogram of weight sums over all colorings, in the variable u."""
-    terms: dict[tuple[int, ...], int] = {}
-    for s in weight_multiset(b, w, d):
-        terms[(s,)] = terms.get((s,), 0) + 1
-    return ExpPoly.from_dict(("u",), terms)
+    return _histogram(("u",), ((s,) for s in weight_multiset(b, w, d)))
 
 
 def phi_weight(q: Quiver) -> ExpPoly:
-    terms: dict[tuple[int, ...], int] = {}
-    for w in q.weights:
-        terms[(w,)] = terms.get((w,), 0) + 1
-    return ExpPoly.from_dict(("u",), terms)
+    return _histogram(("u",), ((w,) for w in q.weights))
 
 
 def phi_indegree(q: Quiver) -> ExpPoly:
-    terms: dict[tuple[int, ...], int] = {}
-    for w, deg in zip(q.weights, q.indegrees()):
-        key = (w, deg)
-        terms[key] = terms.get(key, 0) + 1
-    return ExpPoly.from_dict(("u", "w"), terms)
+    return _histogram(("u", "w"), zip(q.weights, q.indegrees()))
 
 
 def phi_twovar(q: Quiver) -> ExpPoly:
-    terms: dict[tuple[int, ...], int] = {}
-    for src, dst, _ in q.edges:
-        key = (q.weights[src], q.weights[dst])
-        terms[key] = terms.get(key, 0) + 1
-    return ExpPoly.from_dict(("s", "t"), terms)
+    wt = q.weights
+    return _histogram(("s", "t"), ((wt[src], wt[dst]) for src, dst, _ in q.edges))
 
 
 def phi_quotient_loop(q: Quiver) -> ExpPoly:
-    quot = quotient_quiver(q)
-    terms: dict[tuple[int, ...], int] = {}
-    for src, dst, mult in quot.edges:
-        if src == dst:
-            key = (quot.weights[src],)
-            terms[key] = terms.get(key, 0) + mult
-    return ExpPoly.from_dict(("x",), terms)
+    """Loops of the weight quotient are the edges between equal weights."""
+    wt = q.weights
+    return _histogram(
+        ("x",), ((wt[src],) for src, dst, _ in q.edges if wt[src] == wt[dst])
+    )

@@ -84,23 +84,23 @@ def build_quiver(
     """The coloring quiver of ``d`` weighted by ``w``, under the set ``endos``.
 
     ``endos`` defaults to every endomorphism of ``b``; each must map
-    colorings to colorings, which holds for any biquandle endomorphism.
+    colorings to colorings, which holds for any biquandle endomorphism, and
+    none may repeat, since the maps form a set.
     """
-    if endos is None:
-        endos = b.endomorphisms()
+    endos = b.endomorphisms() if endos is None else [tuple(f) for f in endos]
     colorings = enumerate_colorings(b, d)
     index = {c: i for i, c in enumerate(colorings)}
     weights = tuple(sigma_D(w, d, c) for c in colorings)
     edges = []
     for k, f in enumerate(endos):
+        if f in endos[:k]:
+            raise ValueError(f"map {f} is listed twice")
         for c in colorings:
             image = tuple(f[x - 1] for x in c)
             if image not in index:
                 raise ValueError(f"map {f} does not preserve colorings")
             edges.append((index[c], index[image], k))
-    return Quiver(
-        tuple(colorings), weights, tuple(edges), tuple(map(tuple, endos)), w.m
-    )
+    return Quiver(tuple(colorings), weights, tuple(edges), tuple(endos), w.m)
 
 
 def quotient_quiver(q: Quiver) -> QuotientQuiver:

@@ -41,6 +41,16 @@ def asymmetric_tensor() -> WeightTensor:
     return WeightTensor(2, 2, tuple(entries))
 
 
+def random_z16_tensor() -> WeightTensor:
+    """A seeded random two-element tensor over Z_16; not a valid weight."""
+    rng = random.Random(0)
+    return WeightTensor(2, 16, tuple(rng.randrange(16) for _ in range(16)))
+
+
+def no_constraints(b, m: int) -> ConstraintSystem:
+    return ConstraintSystem(b.n, m, [])
+
+
 class TestTensor:
     def test_slot_is_row_major(self):
         assert WeightTensor.slot(2, 1, 1, 1, 1) == 0
@@ -134,6 +144,12 @@ class TestConstraints:
         for values in solve_constraints(system):
             assert system.holds_for(WeightTensor(flip2.n, 2, values))
 
+    def test_violated_rejects_a_tensor_of_another_shape(self, flip2, w8):
+        system = generate_constraints(flip2, 16)
+        for w in (w8, WeightTensor(2, 8, (0,) * 16)):
+            with pytest.raises(ValueError, match="^tensor shape does not match the system$"):
+                system.violated(w)
+
     def test_solutions_closed_under_addition(self, flip2):
         sols = solve_constraints(generate_constraints(flip2, 2))
         found = list(sols)
@@ -192,6 +208,31 @@ class TestValidity:
     def test_negative_trials_named(self, flip2, w16):
         with pytest.raises(ValueError, match="^trials must be a non-negative integer, got -1$"):
             is_valid_weight(flip2, w16, trials=-1)
+
+    def test_failed_trial_names_the_basepoint_error(self, monkeypatch, flip2):
+        # without constraint rows, only the randomized trials can reject
+        monkeypatch.setattr(arrowweight, "generate_constraints", no_constraints)
+        report = is_valid_weight(flip2, asymmetric_tensor())
+        assert not report
+        assert report.violated_rows == ()
+        trial = report.failed_trial
+        assert set(trial) == {"trial", "seed", "diagram", "move", "coloring", "error"}
+        assert trial["error"] == "weight sum depends on the basepoint (rotation 3)"
+        d = parse_gauss_code(trial["diagram"])
+        assert tuple(trial["coloring"]) in enumerate_colorings(flip2, d)
+
+    def test_failed_trial_names_before_and_after(self, monkeypatch, flip2):
+        monkeypatch.setattr(arrowweight, "generate_constraints", no_constraints)
+        report = is_valid_weight(flip2, random_z16_tensor(), seed=1)
+        assert not report
+        assert report.violated_rows == ()
+        trial = report.failed_trial
+        assert set(trial) == {"trial", "seed", "diagram", "move", "coloring", "before", "after"}
+        assert trial["seed"] == 1
+        assert (trial["before"], trial["after"]) == (0, 12)
+        d = parse_gauss_code(trial["diagram"])
+        assert sigma_D(random_z16_tensor(), d, tuple(trial["coloring"])) == 0
+        assert report.to_json()["failed_trial"] == trial
 
     def test_report_to_json(self, flip2):
         report = is_valid_weight(flip2, asymmetric_tensor())

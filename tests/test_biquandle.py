@@ -8,6 +8,7 @@ from arrowquiver.biquandle import (
     Violation,
     load,
     loads,
+    parse_endos,
     validate_tables,
 )
 from arrowquiver.knotdata import bundled_path
@@ -49,6 +50,20 @@ class TestValidation:
         # Columns stay bijective but under(2,2)=1 != over(2,2)=2.
         vs = validate_tables(((1, 2), (2, 1)), ((1, 1), (2, 2)))
         assert any(v.axiom == "B1" and v.witness == (2,) for v in vs)
+
+    def test_s_map_not_bijective(self):
+        # columns are bijections and B1 holds, but S(1,2) == S(2,1) == (2,2)
+        flip = ((1, 2), (2, 1))
+        vs = validate_tables(flip, flip)
+        assert [(v.axiom, v.witness) for v in vs] == [("B2", ())]
+        assert "S(x,y) = (over(y,x), under(x,y)) is not a bijection" in vs[0].message
+
+    def test_yang_baxter_violation(self):
+        under = ((1, 1, 1), (2, 2, 2), (3, 3, 3))
+        over = ((1, 3, 2), (2, 2, 1), (3, 1, 3))
+        vs = validate_tables(under, over)
+        assert {v.axiom for v in vs} == {"B3"}
+        assert str(vs[0]).startswith("B3 fails at (2, 1, 2): Yang-Baxter fails: ")
 
     def test_misprinted_table_reports_bad_column(self):
         path = bundled_path("biquandle_cyc3_misprint.txt")
@@ -161,3 +176,31 @@ class TestLoading:
 
     def test_load_matches_fixture(self, flip2):
         assert load(bundled_path("biquandle_flip2.txt")) == flip2
+
+
+class TestParseEndos:
+    def test_bundled_files_match_search(self, cyc3, quad4, shift4):
+        for b, name in ((cyc3, "cyc3"), (quad4, "quad4"), (shift4, "shift4")):
+            text = bundled_path(f"endos_{name}.txt").read_text(encoding="utf-8")
+            assert parse_endos(text, b) == b.endomorphisms()
+
+    def test_commas_comments_and_blanks(self, cyc3):
+        text = "# rotations\n1,2,3  # identity\n\n3 1 2\n"
+        assert parse_endos(text, cyc3) == [(1, 2, 3), (3, 1, 2)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 x\n", "e.txt:1: not an image vector"),
+            ("\n1 2\n", "e.txt:2: expected 3 images in 1..3"),
+            ("1 2 4\n", "e.txt:1: expected 3 images in 1..3"),
+            ("1 1 2\n", "e.txt:1: [1, 1, 2] is not an endomorphism of the biquandle"),
+            ("1 2 3\n1 2 3\n", "e.txt:2: [1, 2, 3] repeats line 1"),
+            ("2 3 1\n# again\n2,3,1\n", "e.txt:3: [2, 3, 1] repeats line 1"),
+            ("# nothing\n", "e.txt: no endomorphisms found"),
+        ],
+    )
+    def test_bad_input_names_the_line(self, cyc3, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_endos(text, cyc3, source="e.txt")
+        assert str(exc.value) == message

@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from arrowquiver import arrowweight
+from arrowquiver.arrowweight import is_valid_weight
 from arrowquiver.cli import main
 from arrowquiver.knotdata import bundled_path
+
+from test_arrowweight import asymmetric_tensor, no_constraints, random_z16_tensor
 
 FLIP2 = str(bundled_path("biquandle_flip2.txt"))
 CYC3 = str(bundled_path("biquandle_cyc3.txt"))
@@ -150,6 +154,32 @@ class TestWeights:
         assert lines[0] == "seed 0"
         assert lines[1] == "invalid"
         assert lines[2].startswith("violated constraint rows: ")
+
+    @pytest.mark.parametrize(
+        "tensor, seed, detail",
+        [
+            (asymmetric_tensor, 0, "error"),
+            (random_z16_tensor, 1, "after"),
+        ],
+    )
+    def test_check_reports_the_failed_trial(
+        self, capsys, monkeypatch, tmp_path, flip2, tensor, seed, detail
+    ):
+        monkeypatch.setattr(arrowweight, "generate_constraints", no_constraints)
+        w = tensor()
+        path = tmp_path / "w.txt"
+        path.write_text(w.dumps())
+        trial = is_valid_weight(flip2, w, seed=seed).failed_trial
+        assert detail in trial
+        argv = ["weights", "check", "--biquandle", FLIP2, "--tensor", str(path)]
+        code, out, _ = run(capsys, *argv, "--seed", str(seed))
+        assert code == 0
+        assert out == f"seed {seed}\ninvalid\nfailed trial: {trial}\n"
+        code, out, _ = run(capsys, *argv, "--seed", str(seed), "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "seed": seed, "valid": False, "violated_rows": [], "failed_trial": trial
+        }
 
     def test_check_json(self, capsys):
         _, out, _ = run(
@@ -340,6 +370,14 @@ class TestErrors:
         assert "invalid biquandle:" in err
         assert "B2 fails at (3,): under column y=3 is (3, 1, 3)" in err
 
+    def test_yang_baxter_failure_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("3\n1 1 1\n2 2 2\n3 3 3\n\n1 3 2\n2 2 1\n3 1 3\n")
+        code, out, err = run(capsys, "color", "--biquandle", str(path), "--knot", "2.1")
+        assert code == 2
+        assert out == ""
+        assert "invalid biquandle:\n  B3 fails at (2, 1, 2): Yang-Baxter fails: " in err
+
     def test_unknown_knot_exits_2(self, capsys):
         code, _, err = run(
             capsys, "color", "--biquandle", FLIP2, "--knot", "9.99"
@@ -461,6 +499,7 @@ class TestErrors:
             ("1 x\n", ":1: not an image vector"),
             ("1 2\n", ":1: expected 3 images in 1..3"),
             ("# no maps here\n\n", ": no endomorphisms found"),
+            ("1 2 3\n1 2 3\n", ":2: [1, 2, 3] repeats line 1"),
         ],
     )
     def test_bad_endos_file_exits_2(self, capsys, tmp_path, text, witness):

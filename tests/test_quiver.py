@@ -35,6 +35,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="does not preserve colorings"):
             build_quiver(flip2, w16, VIRTUAL_HOPF, endos=[(1, 1)])
 
+    def test_rejects_repeated_map(self, cyc3, w8):
+        assert len(build_quiver(cyc3, w8, VIRTUAL_HOPF, endos=[(1, 2, 3)]).edges) == 3
+        with pytest.raises(ValueError, match=r"^map \(1, 2, 3\) is listed twice$"):
+            build_quiver(cyc3, w8, VIRTUAL_HOPF, endos=[(1, 2, 3), (2, 3, 1), [1, 2, 3]])
+
     def test_to_dot(self, flip2, w16):
         q = build_quiver(flip2, w16, VIRTUAL_HOPF)
         assert q.to_dot() == (
@@ -93,6 +98,13 @@ class TestIsomorphism:
         q2 = build_quiver(flip2, zero, VIRTUAL_HOPF)
         assert not quiver_isomorphic(q1, q2)
         assert quiver_isomorphic(q1, q2, ignore_weights=True)
+
+    def test_moduli_distinguish_unless_weights_ignored(self, flip2):
+        q16 = build_quiver(flip2, WeightTensor(2, 16, (0,) * 16), VIRTUAL_HOPF)
+        q8 = build_quiver(flip2, WeightTensor(2, 8, (0,) * 16), VIRTUAL_HOPF)
+        assert q16.weights == q8.weights
+        assert not quiver_isomorphic(q16, q8)
+        assert quiver_isomorphic(q16, q8, ignore_weights=True)
 
     def test_endos_matched_by_position(self, flip2, w16):
         q1 = build_quiver(flip2, w16, VIRTUAL_HOPF, endos=[(1, 2), (2, 1)])

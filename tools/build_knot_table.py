@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from arrowquiver.arrowweight import WeightTensor  # noqa: E402
+from arrowquiver.biquandle import parse_endos  # noqa: E402
 from arrowquiver.biquandle import load as load_biquandle  # noqa: E402
 from arrowquiver.gausscode import (  # noqa: E402
     GaussDiagram,
@@ -63,15 +64,6 @@ def read_rows(name: str) -> dict[str, str]:
     for line in (ROWS / name).read_text(encoding="utf-8").splitlines():
         knot, render = line.split("\t")
         out[knot] = render
-    return out
-
-
-def load_endos(path: Path) -> list[tuple[int, ...]]:
-    out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(tuple(int(tok) for tok in line.split()))
     return out
 
 
@@ -137,9 +129,14 @@ def main() -> int:
     w3 = WeightTensor.load(DATA / "weight_cyc3_z3.txt")
     w4 = WeightTensor.load(DATA / "weight_shift4_z4.txt")
     w6 = WeightTensor.load(DATA / "weight_quad4_z6.txt")
-    endos3 = load_endos(DATA / "endos_cyc3.txt")
-    endos4 = load_endos(DATA / "endos_shift4.txt")
-    endos_q = load_endos(DATA / "endos_quad4.txt")
+    endos3, endos4, endos_q = (
+        parse_endos((DATA / name).read_text(encoding="utf-8"), b, source=name)
+        for b, name in (
+            (cyc3, "endos_cyc3.txt"),
+            (shift4, "endos_shift4.txt"),
+            (quad4, "endos_quad4.txt"),
+        )
+    )
 
     def triple(d: GaussDiagram) -> tuple[str, str, str]:
         return (
