@@ -38,13 +38,14 @@ from .gausscode import (
     Endpoint,
     GaussDiagram,
     Move,
+    R1Delete,
     R1Insert,
     R2Insert,
     R3Slide,
     enumerate_moves,
     parse_gauss_code,
 )
-from .homset import LABEL_SLOTS, enumerate_colorings, transport_colorings
+from .homset import LABEL_SLOTS, _transport, enumerate_colorings
 
 __all__ = [
     "WeightTensor",
@@ -308,6 +309,12 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     biquandle (:func:`_integer_rows`) and only reduced mod m here; the
     first row to reduce to a given row mod m is always the first occurrence
     of its integer row, so the order is that of the rows as generated.
+
+    R1 moves give no rows and are not carried out.  A kink's two passages
+    are adjacent, so its chord interleaves no other; transport keeps every
+    other color and the order of the other passages, so every intersecting
+    pair keeps its labels and its order, and the weight sum is unchanged.
+    Every R1 row is zero, and zero rows are dropped anyway.
     """
     return ConstraintSystem(b.n, m, _integer_rows(b))
 
@@ -328,7 +335,7 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
         colorings = enumerate_colorings(b, d)
         bases = [sigma_coefficients(d, c, n) for c in colorings]
         for move in moves:
-            d2, images = transport_colorings(b, d, move, colorings)
+            d2, images = _transport(b, d, move, colorings)
             for base, c2 in zip(bases, images):
                 add(_difference_row(base, sigma_coefficients(d2, c2, n)))
 
@@ -341,7 +348,9 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
                 add(row)
 
     for d in _small_hosts():
-        move_rows(d, enumerate_moves(d))
+        move_rows(
+            d, [mv for mv in enumerate_moves(d) if not isinstance(mv, (R1Insert, R1Delete))]
+        )
         rotation_rows(d)
     for spectators in (0, 1):
         for d in _r3_template_hosts(spectators):
@@ -601,7 +610,7 @@ def is_valid_weight(
             if move is None:
                 break
             colorings = enumerate_colorings(b, d)
-            d2, images = transport_colorings(b, d, move, colorings)
+            d2, images = _transport(b, d, move, colorings)
             for c, c2 in zip(colorings, images):
                 try:
                     before = sigma_D(w, d, c, check_rotations=True)

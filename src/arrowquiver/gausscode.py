@@ -160,7 +160,9 @@ class CompiledDiagram:
     crossing, at positions 0-3: ``(u_in, u_out, o_in, o_out)``, the
     semiarcs entering and leaving its under passage and its over passage.
     Two slots of one chord are the same semiarc when its passages are
-    adjacent (a kink).
+    adjacent (a kink).  Coloring search reads each chord's crossing relation
+    from the table of its ``kind``: its sign and kink shape (bit 0 set when
+    u_in and o_out are one semiarc, bit 1 when u_out and o_in are).
     """
 
     chords: range  # the chord labels 1..n
@@ -168,9 +170,12 @@ class CompiledDiagram:
     over: tuple[int, ...]  # passage index of each chord's O endpoint
     sign: tuple[int, ...]
     slots: tuple[tuple[int, int, int, int], ...]
-    # per semiarc, the (chord index, position) of the slots it fills; the
-    # lone semiarc of the empty diagram fills none
+    kind: tuple[tuple[int, int], ...]  # (sign, kink shape) of each chord
+    # per semiarc, the (chord index, position) of the slots it fills, and
+    # the chord indices among them, each once; the lone semiarc of the empty
+    # diagram fills none
     touching: tuple[tuple[tuple[int, int], ...], ...]
+    touches: tuple[tuple[int, ...], ...]
     # the chord index pairs (p, q), p < q, whose endpoints interleave
     pairs: tuple[tuple[int, int], ...]
 
@@ -187,6 +192,9 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
     slots = tuple(
         ((u - 1) % two_n, u, (o - 1) % two_n, o) for u, o in zip(under, over)
     )
+    kind = tuple(
+        (c, (s0 == s3) | (s1 == s2) << 1) for c, (s0, s1, s2, s3) in zip(sign, slots)
+    )
     # semiarc i leaves passage i and enters passage i + 1
     touching = tuple(
         (
@@ -195,6 +203,7 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
         )
         for e, f in zip(endpoints, endpoints[1:] + endpoints[:1])
     )
+    touches = tuple((a,) if a == b else (a, b) for (a, _), (b, _) in touching)
     spans = [sorted(ends) for ends in zip(under, over)]
     pairs = tuple(
         (p, q)
@@ -207,7 +216,9 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
         tuple(over),
         tuple(sign),
         slots,
+        kind,
         touching or ((),),
+        touches or ((),),
         pairs,
     )
 

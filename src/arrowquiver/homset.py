@@ -21,11 +21,15 @@ functions of these labels.
 Search: one solver finds every coloring that extends a partial one.  It
 reads the diagram compiled to flat tables
 (:attr:`~arrowquiver.gausscode.GaussDiagram.compiled`: the four semiarc
-slots around each chord) and, per biquandle, the crossing relation
+slots around each chord, the relation table each chord reads and the
+chords each semiarc touches) and, per biquandle, the crossing relation
 tabulated by which slots are known.  It propagates, then branches: when
 the solutions of a crossing's equations that agree with its known colors
 all give an uncolored slot the same value, the slot gets that value, and a
-crossing with no such solution prunes the branch.
+crossing with no such solution prunes the branch.  These forced values are
+tabulated too, per sign, kink shape and set of known colors, so a crossing
+is propagated with one table lookup; and a crossing waits in the queue at
+most once, since it is queued again only after it has been taken out.
 By axiom B2 the colors of (u_in, o_out), (o_in, u_out), (u_in, o_in) or
 (u_out, o_out) each fix a crossing, so propagation usually runs around the
 whole knot.  When nothing is forced, the uncolored semiarc whose crossings
@@ -41,7 +45,9 @@ joins must agree, and the same solver extends the kept colors to the
 moved diagram (a deletion leaves nothing to extend, so the solver only
 checks the crossing equations).  :class:`TransportError` is raised if a
 coloring was not valid or the move does not match.
-:func:`transport_coloring` is the one-coloring case.
+:func:`transport_coloring` is the one-coloring case.  Callers holding the
+list :func:`enumerate_colorings` returned skip the input check through
+:func:`_transport`.
 """
 
 from __future__ import annotations
@@ -103,30 +109,58 @@ class _Relation:
     marks the slots that coincide at a kink: bit 0 for u_in == o_out, bit 1
     for u_out == o_in; the table of a shape keeps only tuples that agree on
     the coinciding slots.
+
+    ``forced[sign, shape]`` has the same keys and maps each to the
+    (position, value) pairs of its unknown slots on which every valid tuple
+    extending it agrees: what propagation assigns.  A slot that a kink joins
+    to an earlier one (o_out at shape bit 0, o_in at bit 1) is left out, so
+    the pairs of one key color distinct semiarcs.
     """
 
     def __init__(self, b: Biquandle):
         self.radix = r = b.n + 1
+        self.everything = sum(1 << v for v in b.elements)  # the mask of all values
         pairs = list(product(b.elements, repeat=2))
         pos = [(a, b.under_of(a, t), b.over_of(t, a), t) for a, t in pairs]
         neg = [(b.under_of(a, t), a, t, b.over_of(t, a)) for a, t in pairs]
         self.values: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
+        self.forced: dict[tuple[int, int], dict[int, tuple[tuple[int, int], ...]]] = {}
         for sign, tuples in ((1, pos), (-1, neg)):
             for shape in range(4):
-                masks: dict[int, list[int]] = {}
+                # per set of known slots (bit k for slot k), the slots a key
+                # may force: the unknown ones, less o_out or o_in where a kink
+                # joins it to u_in or u_out
+                joined = (shape & 1) << 3 | (shape & 2) << 1
+                forcible = [
+                    [k for k in range(4) if not (known | joined) >> k & 1]
+                    for known in range(16)
+                ]
+                masks: dict[int, tuple[int, ...]] = {}
+                candidates: dict[int, list[int]] = {}
                 for t in tuples:
                     if (shape & 1 and t[0] != t[3]) or (shape & 2 and t[1] != t[2]):
                         continue
-                    keys = [0]  # the keys of t's 16 partial tuples
+                    bits = tuple(1 << v for v in t)
+                    keys = [0]  # the keys of t's 16 partial tuples, by known slots
                     for k in range(4):
                         keys += [key + t[k] * r**k for key in keys]
-                    for key in keys:
-                        m = masks.setdefault(key, [0, 0, 0, 0])
-                        for k in range(4):
-                            m[k] |= 1 << t[k]
-                self.values[sign, shape] = {
-                    key: tuple(m) for key, m in masks.items()
-                }
+                    for known, key in enumerate(keys):
+                        m = masks.get(key)
+                        if m is None:
+                            masks[key] = bits
+                            candidates[key] = forcible[known]
+                        else:
+                            masks[key] = tuple([x | y for x, y in zip(m, bits)])
+                self.values[sign, shape] = masks
+                self.forced[sign, shape] = forced = {}
+                for key, m in masks.items():
+                    forced[key] = tuple(
+                        [
+                            (k, m[k].bit_length() - 1)
+                            for k in candidates[key]
+                            if not m[k] & (m[k] - 1)
+                        ]
+                    )
 
 
 @lru_cache(maxsize=64)
@@ -199,27 +233,37 @@ def _extensions(
     rel = _relation(b)
     r = rel.radix
     r2, r3 = r * r, r * r * r
-    everything = sum(1 << v for v in b.elements)
-    # per chord: its slots and the table of its sign and shape
-    chords = [
-        (s0, s1, s2, s3, rel.values[sign, (s0 == s3) | (s1 == s2) << 1])
-        for (s0, s1, s2, s3), sign in zip(cd.slots, cd.sign)
-    ]
-    touching = cd.touching
+    everything = rel.everything
+    slots, touching, touches = cd.slots, cd.touching, cd.touches
+    # per chord: the tables of its sign and kink shape
+    values = [rel.values[kind] for kind in cd.kind]
+    forced = [rel.forced[kind] for kind in cd.kind]
     val = list(start)
+    queued = [True] * len(slots)  # exactly the chords in the queue
     found: list[tuple[int, ...]] = []
 
     def propagate(queue: list[int], trail: list[int]) -> bool:
         while queue:
-            s0, s1, s2, s3, values = chords[queue.pop()]
-            masks = values.get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
-            if masks is None:
+            ch = queue.pop()
+            sl = slots[ch]
+            s0, s1, s2, s3 = sl
+            pairs = forced[ch].get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
+            if pairs is None:
+                for c in queue:
+                    queued[c] = False
+                queued[ch] = False
+                queue.clear()
                 return False
-            for s, m in zip((s0, s1, s2, s3), masks):
-                if not val[s] and not m & (m - 1):
-                    val[s] = m.bit_length() - 1
-                    trail.append(s)
-                    queue += [ch for ch, _ in touching[s]]
+            for k, v in pairs:
+                s = sl[k]
+                val[s] = v
+                trail.append(s)
+                for c in touches[s]:
+                    if not queued[c]:
+                        queued[c] = True
+                        queue.append(c)
+            # unqueued only now: the values it forced leave it nothing more
+            queued[ch] = False
         return True
 
     def search(queue: list[int]) -> None:
@@ -231,8 +275,8 @@ def _extensions(
                     continue
                 allowed = everything
                 for ch, k in touching[s]:
-                    s0, s1, s2, s3, values = chords[ch]
-                    allowed &= values[
+                    s0, s1, s2, s3 = slots[ch]
+                    allowed &= values[ch][
                         val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]
                     ][k]
                 count = allowed.bit_count()
@@ -247,12 +291,14 @@ def _extensions(
                     low = best_values & -best_values
                     best_values ^= low
                     val[best] = low.bit_length() - 1
-                    search([ch for ch, _ in touching[best]])
+                    for c in touches[best]:
+                        queued[c] = True
+                    search(list(touches[best]))
                 val[best] = 0
         for s in trail:
             val[s] = 0
 
-    search(list(range(len(chords))))
+    search(list(range(len(slots))))
     return found
 
 
@@ -360,6 +406,14 @@ def transport_colorings(
     colorings = list(colorings)
     if not all(is_coloring(b, d, c) for c in colorings):
         raise TransportError("not a coloring of the input diagram")
+    return _transport(b, d, move, colorings)
+
+
+def _transport(
+    b: Biquandle, d: GaussDiagram, move: Move, colorings: list[tuple[int, ...]]
+) -> tuple[GaussDiagram, list[tuple[int, ...]]]:
+    """:func:`transport_colorings` of colorings known to be colorings of
+    ``d``, such as those :func:`enumerate_colorings` returned."""
     d2 = apply_move(d, move)
     sources = _semiarc_sources(len(d.endpoints), move)
     assert len(sources) == d2.num_semiarcs

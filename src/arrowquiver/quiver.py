@@ -175,19 +175,33 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver, ignore_weights: bool = False) -> b
             todo.extend((s[a], s[b]) for s in succ)
         return True
 
-    def search(v: int) -> bool:
-        v = next((u for u in range(v, n) if partner[u] == -1), n)
-        if v == n:
-            return True
-        for w in range(n, 2 * n):
-            if partner[w] != -1 or colors[w] != colors[v]:
-                continue
-            trail: list[int] = []
-            if pair(v, w, trail) and search(v + 1):
-                return True
-            for a in trail:
-                partner[partner[a]] = -1
-                partner[a] = -1
-        return False
+    def unpair(trail: list[int]) -> None:
+        for a in trail:
+            partner[partner[a]] = -1
+            partner[a] = -1
 
-    return search(0)
+    # an explicit stack of branch points, so the depth is not bounded by the
+    # recursion limit: (vertex, its next candidate partner, trail of the
+    # pairing tried)
+    stack: list[tuple[int, int, list[int]]] = []
+    v, w = 0, n
+    while v < n:
+        w = next(
+            (x for x in range(w, 2 * n) if partner[x] == -1 and colors[x] == colors[v]),
+            2 * n,
+        )
+        if w == 2 * n:
+            if not stack:
+                return False
+            v, w, trail = stack.pop()
+            unpair(trail)
+            continue
+        trail = []
+        if pair(v, w, trail):
+            stack.append((v, w + 1, trail))
+            v = next((u for u in range(v + 1, n) if partner[u] == -1), n)
+            w = n
+        else:
+            unpair(trail)
+            w += 1
+    return True

@@ -3,19 +3,10 @@ from pathlib import Path
 import pytest
 
 from arrowquiver.arrowweight import WeightTensor
-from arrowquiver.biquandle import load as load_biquandle
+from arrowquiver.biquandle import load as load_biquandle, parse_endos
 from arrowquiver.knotdata import bundled_path, bundled_table
 
 TESTS = Path(__file__).parent
-
-
-def _load_endos(name: str) -> list[tuple[int, ...]]:
-    out = []
-    for line in Path(bundled_path(name)).read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(tuple(int(tok) for tok in line.split()))
-    return out
 
 
 @pytest.fixture(scope="session")
@@ -63,19 +54,24 @@ def w4():
     return WeightTensor.load(bundled_path("weight_shift4_z4.txt"))
 
 
-@pytest.fixture(scope="session")
-def endos_cyc3():
-    return _load_endos("endos_cyc3.txt")
+def _read_endos(name: str, b) -> list[tuple[int, ...]]:
+    path = bundled_path(name)
+    return parse_endos(Path(path).read_text(encoding="utf-8"), b, str(path))
 
 
 @pytest.fixture(scope="session")
-def endos_quad4():
-    return _load_endos("endos_quad4.txt")
+def endos_cyc3(cyc3):
+    return _read_endos("endos_cyc3.txt", cyc3)
 
 
 @pytest.fixture(scope="session")
-def endos_shift4():
-    return _load_endos("endos_shift4.txt")
+def endos_quad4(quad4):
+    return _read_endos("endos_quad4.txt", quad4)
+
+
+@pytest.fixture(scope="session")
+def endos_shift4(shift4):
+    return _read_endos("endos_shift4.txt", shift4)
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,15 @@ from arrowquiver.arrowweight import (
     solve_constraints,
     weight_multiset,
 )
-from arrowquiver.gausscode import R3Slide, apply_move, enumerate_moves, parse_gauss_code
+from arrowquiver.gausscode import (
+    R1Delete,
+    R1Insert,
+    R2Insert,
+    R3Slide,
+    apply_move,
+    enumerate_moves,
+    parse_gauss_code,
+)
 from arrowquiver.homset import arrow_label, enumerate_colorings, transport_coloring
 
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
@@ -371,6 +379,40 @@ class TestConstraintRowsOracle:
             monkeypatch.setattr(module, "apply_move", refuse)
         monkeypatch.setattr(homset, "_solve_middles", refuse)
         assert generate_constraints(cyc3, 3).rows == expected
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_r1_moves_give_zero_rows(self, request, name):
+        """The lemma behind skipping R1 moves: a kink's chord interleaves no
+        chord and transport keeps every other color, so sigma is unchanged."""
+        b = request.getfixturevalue(name)
+        n = b.n
+        checked = 0
+        for d in _small_hosts():
+            for move in enumerate_moves(d):
+                if not isinstance(move, (R1Insert, R1Delete)):
+                    continue
+                d2 = apply_move(d, move)
+                for c in enumerate_colorings(b, d):
+                    after = sigma_coefficients(d2, transport_coloring(b, d, move, c), n)
+                    row = _difference_row(sigma_coefficients(d, c, n), after)
+                    assert _nonzero(row) == {}, (str(d), move, c)
+                    checked += 1
+        assert checked > 100
+
+    def test_integer_rows_carry_no_r1_move(self, monkeypatch, cyc3):
+        expected = _integer_rows(cyc3)
+        kinds = set()
+        transport = arrowweight._transport
+
+        def recorded(b, d, move, colorings):
+            kinds.add(type(move))
+            return transport(b, d, move, colorings)
+
+        monkeypatch.setattr(arrowweight, "_transport", recorded)
+        _integer_rows.cache_clear()
+        assert _integer_rows(cyc3) == expected
+        assert R2Insert in kinds and R3Slide in kinds
+        assert not kinds & {R1Insert, R1Delete}
 
 
 class TestModulusLimit:

@@ -169,6 +169,59 @@ class TestEnumeration:
         assert counting_invariant(trivial, TREFOIL) == n
 
 
+def _dihedral6() -> Biquandle:
+    """The dihedral quandle R_6 as a biquandle: under(x, y) = 2y - x mod 6,
+    over(x, y) = x."""
+    under = tuple(tuple((2 * y - x) % 6 or 6 for y in range(1, 7)) for x in range(1, 7))
+    over = tuple((x,) * 6 for x in range(1, 7))
+    return Biquandle(under, over)
+
+
+def _valid_tuples(b, sign: int, shape: int) -> list[tuple[int, ...]]:
+    """Every (u_in, u_out, o_in, o_out) in X^4 that satisfies the crossing
+    equations of the sign and agrees on the slots a kink of the shape joins."""
+    out = []
+    for u_in, u_out, o_in, o_out in product(b.elements, repeat=4):
+        if sign > 0:
+            ok = b.under[u_in - 1][o_out - 1] == u_out and b.over[o_out - 1][u_in - 1] == o_in
+        else:
+            ok = b.under[u_out - 1][o_in - 1] == u_in and b.over[o_in - 1][u_out - 1] == o_out
+        if ok and not (shape & 1 and u_in != o_out) and not (shape & 2 and u_out != o_in):
+            out.append((u_in, u_out, o_in, o_out))
+    return out
+
+
+class TestRelationTables:
+    @pytest.mark.parametrize("name", ["flip2", "cyc3", "quad4", "shift4", "dihedral6"])
+    def test_forced_values_match_brute_force(self, request, name):
+        b = _dihedral6() if name == "dihedral6" else request.getfixturevalue(name)
+        rel = homset._relation(b)
+        r = b.n + 1
+        assert len(rel.forced) == 8
+        for (sign, shape), table in rel.forced.items():
+            valid = _valid_tuples(b, sign, shape)
+            # a kink's o_out (shape bit 0) or o_in (bit 1) is the same
+            # semiarc as its u_in or u_out, which carries the forced value
+            joined = {k for k, bit in ((3, 1), (2, 2)) if shape & bit}
+            expected = {}
+            for partial in product(range(r), repeat=4):
+                key = sum(v * r**k for k, v in enumerate(partial))
+                extending = [
+                    t for t in valid if all(v in (0, t[k]) for k, v in enumerate(partial))
+                ]
+                if not extending:
+                    continue
+                expected[key] = tuple(
+                    (k, extending[0][k])
+                    for k in range(4)
+                    if not partial[k]
+                    and k not in joined
+                    and all(t[k] == extending[0][k] for t in extending)
+                )
+            assert table == expected, (sign, shape)
+            assert table.keys() == rel.values[sign, shape].keys()
+
+
 class TestPredicates:
     def test_is_coloring_checks_length(self, flip2):
         assert not is_coloring(flip2, VIRTUAL_HOPF, (1, 2))

@@ -228,3 +228,12 @@ class TestIsomorphismOracle:
         assert quiver_isomorphic(_quiver(maps, weights), q2)
         assert not quiver_isomorphic(_quiver(maps, [0] * 64), q2)
         assert quiver_isomorphic(_quiver(maps, [0] * 64), q2, ignore_weights=True)
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_identity_map_beyond_the_recursion_limit(self, n):
+        # every vertex is a loop of one weight, so the search branches once
+        # per vertex: as deep as the quiver is large
+        maps, weights = [list(range(n))], [0] * n
+        q = _quiver(maps, weights)
+        assert quiver_isomorphic(q, q)
+        assert quiver_isomorphic(q, _quiver(*_shuffled(maps, weights, random.Random(n))))
