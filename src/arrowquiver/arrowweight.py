@@ -49,7 +49,6 @@ from .homset import LABEL_SLOTS, _transport, enumerate_colorings
 
 __all__ = [
     "WeightTensor",
-    "sigma_terms",
     "sigma_D",
     "weight_multiset",
     "ConstraintSystem",
@@ -86,9 +85,6 @@ class WeightTensor:
         a, b = first
         c, d = second
         return self.entries[self.slot(self.n, a, b, c, d)]
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
 
     def dumps(self) -> str:
         n = self.n
@@ -166,15 +162,6 @@ def sigma_coefficients(
     for sign, slot, *_ in _pair_terms(d, coloring, n):
         coeffs[slot] = coeffs.get(slot, 0) + sign
     return coeffs
-
-
-def sigma_terms(
-    w: WeightTensor, d: GaussDiagram, coloring: tuple[int, ...]
-) -> list[tuple[tuple[int, int], int]]:
-    """The ((p, q), term) contributions of each intersecting chord pair."""
-    terms = _pair_terms(d, coloring, w.n)
-    pairs = [(p + 1, q + 1) for p, q in d.compiled.pairs]
-    return [(pq, t[0] * w.entries[t[1]] % w.m) for pq, t in zip(pairs, terms)]
 
 
 def sigma_D(
@@ -286,9 +273,6 @@ class ConstraintSystem:
             i for i, row in enumerate(self.rows) if sum(c * e[s] for s, c in row.items()) % m
         )
 
-    def holds_for(self, w: WeightTensor) -> bool:
-        return not self.violated(w)
-
 
 def _difference_row(before: dict[int, int], after: dict[int, int]) -> dict[int, int]:
     row = dict(before)
@@ -315,8 +299,42 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     other color and the order of the other passages, so every intersecting
     pair keeps its labels and its order, and the weight sum is unchanged.
     Every R1 row is zero, and zero rows are dropped anyway.
+
+    R2 inserts are carried only where they can add a row.  The new chords
+    a and b carry one arrow label L and opposite signs, and both their
+    U passages and their O passages are adjacent.  Let x and y be the
+    colors of the old semiarcs at the over and the under gap.  With two
+    gaps, every old chord interleaves both new chords or neither, with its
+    under passage on the same side of both, so its two terms cancel; an
+    antiparallel pair is nested, so the row is zero, and a parallel pair
+    interleaves, so the row is +1 at W[L, L], where L is fixed by the sign
+    and (x, y) through a's equations (axiom B2 makes the solution unique).
+    With one gap the four new passages form one block that no old chord
+    interleaves: antiparallel, the row is zero; parallel, it is minus the
+    term of (a, b), whose colors x alone fixes.  So antiparallel inserts
+    are skipped, and a parallel insert carries only the colorings whose
+    key (one gap or two, sign, x, y) no earlier insert has carried; a
+    repeated key only repeats a row.  The empty host comes first and
+    covers every one-gap key.  Only later duplicates are dropped, so the
+    rows and their order are unchanged.
     """
     return ConstraintSystem(b.n, m, _integer_rows(b))
+
+
+def _rowless(move: Move) -> bool:
+    """Whether every row of ``move`` is zero: R1 and antiparallel R2 moves."""
+    return isinstance(move, (R1Insert, R1Delete)) or (
+        isinstance(move, R2Insert) and move.antiparallel
+    )
+
+
+def _r2_key(move: R2Insert, coloring: tuple[int, ...]) -> tuple[bool, int, int, int]:
+    """What the row of a parallel R2 insert depends on: whether its gaps
+    coincide, its sign, and the colors of the old semiarcs at its gaps.
+    A block inserted at gap g lies inside semiarc g - 1, cyclically; on the
+    empty diagram that is semiarc 0, the only one."""
+    x, y = coloring[move.gap_over - 1], coloring[move.gap_under - 1]
+    return move.gap_over == move.gap_under, move.sign, x, y
 
 
 @lru_cache(maxsize=16)
@@ -331,13 +349,26 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
         if key:
             unique[key] = None
 
+    r2_keys: set[tuple[bool, int, int, int]] = set()  # carried so far
+
     def move_rows(d: GaussDiagram, moves) -> None:
         colorings = enumerate_colorings(b, d)
         bases = [sigma_coefficients(d, c, n) for c in colorings]
         for move in moves:
-            d2, images = _transport(b, d, move, colorings)
-            for base, c2 in zip(bases, images):
-                add(_difference_row(base, sigma_coefficients(d2, c2, n)))
+            carried = range(len(colorings))
+            if isinstance(move, R2Insert):
+                # a later coloring with a known key only repeats an earlier row
+                carried = []
+                for i, c in enumerate(colorings):
+                    key = _r2_key(move, c)
+                    if key not in r2_keys:
+                        r2_keys.add(key)
+                        carried.append(i)
+                if not carried:
+                    continue
+            d2, images = _transport(b, d, move, [colorings[i] for i in carried])
+            for i, c2 in zip(carried, images):
+                add(_difference_row(bases[i], sigma_coefficients(d2, c2, n)))
 
     def rotation_rows(d: GaussDiagram) -> None:
         two_n = len(d.endpoints)
@@ -348,9 +379,7 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
                 add(row)
 
     for d in _small_hosts():
-        move_rows(
-            d, [mv for mv in enumerate_moves(d) if not isinstance(mv, (R1Insert, R1Delete))]
-        )
+        move_rows(d, [mv for mv in enumerate_moves(d) if not _rowless(mv)])
         rotation_rows(d)
     for spectators in (0, 1):
         for d in _r3_template_hosts(spectators):

@@ -1,6 +1,8 @@
 """Arrow weight tensors, weight sums, and the validity machinery."""
 
+import hashlib
 import random
+from functools import lru_cache
 from itertools import combinations, islice, product
 from math import gcd
 
@@ -24,10 +26,10 @@ from arrowquiver.arrowweight import (
     search_weights,
     sigma_coefficients,
     sigma_D,
-    sigma_terms,
     solve_constraints,
     weight_multiset,
 )
+from arrowquiver.biquandle import Biquandle, validate_tables
 from arrowquiver.gausscode import (
     R1Delete,
     R1Insert,
@@ -84,8 +86,8 @@ class TestTensor:
             WeightTensor(1, m, (0,))
 
     def test_is_zero(self, w16):
-        assert WeightTensor(1, 4, (0,)).is_zero()
-        assert not w16.is_zero()
+        assert not any(WeightTensor(1, 4, (0,)).entries)
+        assert any(w16.entries)
 
     def test_dumps_loads_roundtrip(self, w16, w8, w6):
         for w in (w16, w8, w6):
@@ -105,7 +107,11 @@ class TestTensor:
 
 class TestWeightSums:
     def test_virtual_hopf_terms(self, w16):
-        assert sigma_terms(w16, VIRTUAL_HOPF, (1, 2, 1, 2)) == [((1, 2), 8)]
+        terms = _pair_terms(VIRTUAL_HOPF, (1, 2, 1, 2), w16.n)
+        pairs = [(p + 1, q + 1) for p, q in VIRTUAL_HOPF.compiled.pairs]
+        assert [(pq, t[0] * w16.entries[t[1]] % w16.m) for pq, t in zip(pairs, terms)] == [
+            ((1, 2), 8)
+        ]
 
     def test_virtual_hopf_sigma(self, w16):
         assert sigma_D(w16, VIRTUAL_HOPF, (1, 2, 1, 2)) == 8
@@ -150,7 +156,7 @@ class TestConstraints:
     def test_solutions_satisfy_system(self, flip2):
         system = generate_constraints(flip2, 2)
         for values in solve_constraints(system):
-            assert system.holds_for(WeightTensor(flip2.n, 2, values))
+            assert not system.violated(WeightTensor(flip2.n, 2, values))
 
     def test_violated_rejects_a_tensor_of_another_shape(self, flip2, w8):
         system = generate_constraints(flip2, 16)
@@ -184,7 +190,7 @@ class TestSearch:
     def test_nontrivial_drops_vanishing_tensors(self, flip2):
         found = list(search_weights(flip2, 2, nontrivial=True))
         assert len(found) == 4
-        assert not any(w.is_zero() for w in found)
+        assert all(any(w.entries) for w in found)
 
     def test_modulus_one_leaves_only_zero(self, flip2):
         found = list(search_weights(flip2, 1))
@@ -355,6 +361,33 @@ def _per_coloring_rows(b) -> list[dict[int, int]]:
     return rows
 
 
+def _r2_key(d, move, c) -> tuple:
+    """(gaps coincide, sign, color at gap_over, color at gap_under): the color
+    at gap g is that of old semiarc g - 1 mod 2n, or of semiarc 0 on the
+    empty diagram."""
+    two_n = len(d.endpoints)
+    x, y = (c[(g - 1) % two_n] if two_n else c[0] for g in (move.gap_over, move.gap_under))
+    return move.gap_over == move.gap_under, move.sign, x, y
+
+
+@lru_cache(maxsize=4)
+def _r2_insert_rows(b) -> list[tuple]:
+    """(host, move, coloring, moved diagram, image, row) for every R2 insert
+    on every small host and every coloring, the row built the long way."""
+    n = b.n
+    out = []
+    for d in _small_hosts():
+        for move in enumerate_moves(d):
+            if not isinstance(move, R2Insert):
+                continue
+            d2 = apply_move(d, move)
+            for c in enumerate_colorings(b, d):
+                c2 = transport_coloring(b, d, move, c)
+                row = _difference_row(sigma_coefficients(d, c, n), sigma_coefficients(d2, c2, n))
+                out.append((d, move, c, d2, c2, _nonzero(row)))
+    return out
+
+
 class TestConstraintRowsOracle:
     """Rows built once per biquandle against rows built per coloring."""
 
@@ -367,6 +400,35 @@ class TestConstraintRowsOracle:
         for m in self.MODULI[name]:
             expected = ConstraintSystem(b.n, m, rows).rows
             assert generate_constraints(b, m).rows == expected, m
+
+    @pytest.mark.parametrize("coefficients", [(2, 2, 1, 0), (1, 1, 2, 0)], ids=["R3", "affine"])
+    def test_rows_match_per_coloring_generator_off_the_bundle(self, coefficients):
+        """Two biquandles on Z_3 that no fixture uses: under(x, y) = a x + b y
+        and over(x, y) = c x + d y.  (2, 2, 1, 0) is the dihedral quandle R_3,
+        under(x, y) = 2y - x; (1, 1, 2, 0) is not a quandle."""
+        a, b_, c, d = coefficients
+        under = tuple(tuple((a * x + b_ * y) % 3 or 3 for y in (1, 2, 3)) for x in (1, 2, 3))
+        over = tuple(tuple((c * x + d * y) % 3 or 3 for y in (1, 2, 3)) for x in (1, 2, 3))
+        assert validate_tables(under, over) == []
+        b = Biquandle(under, over)
+        rows = _per_coloring_rows(b)
+        for m in (3, 4):
+            assert generate_constraints(b, m).rows == ConstraintSystem(b.n, m, rows).rows, m
+
+    # SHA-256 of each biquandle's integer rows, in order, one "slot:coefficient"
+    # line per row, recorded before R2 inserts were skipped
+    ROW_DIGESTS = {
+        "flip2": (117, "9db9af5d318c4b2d23df923ff8e583481d331affa670f4f140467f9257de5d5a"),
+        "cyc3": (447, "bff13f8620fa3413f1d25422146bd2afa7515e911e6172a4019d39afe764c3d4"),
+        "quad4": (587, "a10dd98a86835c69dbd6d576f53f7518a8294fa9bbc4c12fc51584cff07b5ada"),
+        "shift4": (612, "86608b1202eb6b6d60d85e79378c66d057cb24b96d0ece230980a456a2d3d26d"),
+    }
+
+    @pytest.mark.parametrize("name", ROW_DIGESTS)
+    def test_integer_rows_match_the_recorded_digest(self, request, name):
+        rows = _integer_rows(request.getfixturevalue(name))
+        text = "\n".join(" ".join(f"{s}:{c}" for s, c in sorted(r.items())) for r in rows)
+        assert (len(rows), hashlib.sha256(text.encode()).hexdigest()) == self.ROW_DIGESTS[name]
 
     def test_new_modulus_reuses_the_integer_rows(self, monkeypatch, cyc3):
         def refuse(*args):
@@ -413,6 +475,72 @@ class TestConstraintRowsOracle:
         assert _integer_rows(cyc3) == expected
         assert R2Insert in kinds and R3Slide in kinds
         assert not kinds & {R1Insert, R1Delete}
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_antiparallel_r2_inserts_give_zero_rows(self, request, name):
+        """The new chords are nested, and every old chord interleaves both or
+        neither with its under passage on the same side of both, so all
+        their terms cancel."""
+        b = request.getfixturevalue(name)
+        anti = [row for _, move, *_, row in _r2_insert_rows(b) if move.antiparallel]
+        assert len(anti) > 100
+        assert all(r == {} for r in anti)
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_parallel_r2_inserts_give_one_entry_rows(self, request, name):
+        """Only the term of the new pair is left: +1 at (label(a), label(b)),
+        and on two gaps the two labels are one label L."""
+        b = request.getfixturevalue(name)
+        two_gap = 0
+        for d, move, c, d2, c2, row in _r2_insert_rows(b):
+            if move.antiparallel:
+                continue
+            la, lb = arrow_label(d2, c2, d.n + 1), arrow_label(d2, c2, d.n + 2)
+            assert row == {WeightTensor.slot(b.n, *la, *lb): 1}, (str(d), move, c)
+            if move.gap_over != move.gap_under:
+                assert la == lb, (str(d), move, c)
+                two_gap += 1
+        assert two_gap > 100
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_parallel_r2_row_depends_only_on_the_key(self, request, name):
+        b = request.getfixturevalue(name)
+        by_key: dict[tuple, dict[int, int]] = {}
+        checked = 0
+        for d, move, c, _, _, row in _r2_insert_rows(b):
+            if not move.antiparallel:
+                assert by_key.setdefault(_r2_key(d, move, c), row) == row, (str(d), move, c)
+                checked += 1
+        # one gap: x == y, and the empty host gives every (sign, x)
+        assert {k for k in by_key if k[0]} == {
+            (True, s, x, x) for s in (1, -1) for x in b.elements
+        }
+        assert checked > len(by_key)
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_integer_rows_carry_each_parallel_r2_key_once(self, monkeypatch, request, name):
+        b = request.getfixturevalue(name)
+        expected = _integer_rows(b)
+        antiparallel, keys = [], []
+        transport = arrowweight._transport
+
+        def recorded(b, d, move, colorings):
+            if isinstance(move, R2Insert):
+                if move.antiparallel:
+                    antiparallel.append(move)
+                keys.extend(_r2_key(d, move, c) for c in colorings)
+            return transport(b, d, move, colorings)
+
+        monkeypatch.setattr(arrowweight, "_transport", recorded)
+        _integer_rows.cache_clear()
+        assert _integer_rows(b) == expected
+        assert not antiparallel
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {
+            _r2_key(d, move, c)
+            for d, move, c, *_ in _r2_insert_rows(b)
+            if not move.antiparallel
+        }
 
 
 class TestModulusLimit:
