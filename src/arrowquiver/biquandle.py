@@ -91,23 +91,12 @@ class Biquandle:
         return self.over[x - 1][y - 1]
 
     @cached_property
-    def _under_inv(self) -> tuple[tuple[int, ...], ...]:
-        # _under_inv[y-1][v-1] = the x with under(x, y) == v
-        inv = [[0] * self.n for _ in range(self.n)]
-        for x, y in product(self.elements, repeat=2):
-            inv[y - 1][self.under[x - 1][y - 1] - 1] = x
-        return tuple(tuple(row) for row in inv)
-
-    @cached_property
     def _over_inv(self) -> tuple[tuple[int, ...], ...]:
+        # _over_inv[y-1][v-1] = the x with over(x, y) == v
         inv = [[0] * self.n for _ in range(self.n)]
         for x, y in product(self.elements, repeat=2):
             inv[y - 1][self.over[x - 1][y - 1] - 1] = x
         return tuple(tuple(row) for row in inv)
-
-    def under_inv(self, v: int, y: int) -> int:
-        """The unique x with under(x, y) == v."""
-        return self._under_inv[y - 1][v - 1]
 
     def over_inv(self, v: int, y: int) -> int:
         """The unique x with over(x, y) == v."""

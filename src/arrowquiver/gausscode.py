@@ -135,9 +135,6 @@ class GaussDiagram:
             )
         )
 
-    def writhe(self) -> int:
-        return sum(e.sign for e in self.endpoints) // 2
-
     def _relabeled(self) -> "GaussDiagram":
         """Renumber chords 1..n in order of first appearance."""
         return GaussDiagram(_relabel(self.endpoints))

@@ -34,6 +34,14 @@ By axiom B2 the colors of (u_in, o_out), (o_in, u_out), (u_in, o_in) or
 (u_out, o_out) each fix a crossing, so propagation usually runs around the
 whole knot.  When nothing is forced, the uncolored semiarc whose crossings
 allow the fewest values is tried with each of them in ascending order.
+:func:`enumerate_colorings` runs the solver once per orbit of the
+biquandle's automorphism group on its elements, with semiarc 0 colored by
+the orbit's least element r: an automorphism f sends the colorings with r
+there one-to-one onto those with f(r), so the rest of the orbit is read off
+as images.  The orbits, and one automorphism carrying r to each other
+element of its orbit, come from a backtracking search over injective maps
+that closes each partial map under both operations; they are built on a
+biquandle's first enumeration and cached with its relation tables.
 
 Transport: performing a Reidemeister move on a colored diagram leaves the
 colors of all semiarcs outside the move disk unchanged and determines the
@@ -168,6 +176,105 @@ def _relation(b: Biquandle) -> _Relation:
     return _Relation(b)
 
 
+# images the automorphism search of one biquandle may try in all, so that a
+# large biquandle never costs a search over all n! bijections; past it, the
+# elements not yet placed become representatives of their own
+_AUTOMORPHISM_BUDGET = 1 << 16
+
+
+@lru_cache(maxsize=64)
+def _orbits(b: Biquandle) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """The orbits of Aut(b) on its elements, as (r, carriers) pairs.
+
+    ``r`` is the least element of its orbit.  ``carriers`` holds, for every
+    other element a of the orbit in ascending order, one automorphism g
+    with g(r) == a, as the tuple (0, g(1), ..., g(n)), so that g[v] is the
+    image of v.  Each element is tried against the representatives found
+    so far and becomes one itself when no automorphism carries any of them
+    to it.  Should the search exhaust its budget, an element is kept as
+    its own representative: an orbit may then be split in several, which
+    costs the coloring search speed, never correctness.
+    """
+    budget = [_AUTOMORPHISM_BUDGET]
+    orbits: list[tuple[int, list[tuple[int, ...]]]] = []
+    for a in b.elements:
+        for r, carriers in orbits:
+            g = _automorphism(b, r, a, budget)
+            if g is not None:
+                carriers.append(g)
+                break
+        else:
+            orbits.append((a, []))
+    return tuple((r, tuple(carriers)) for r, carriers in orbits)
+
+
+def _automorphism(
+    b: Biquandle, r: int, a: int, budget: list[int]
+) -> tuple[int, ...] | None:
+    """The first automorphism g of ``b`` with g(r) == a that a backtracking
+    search over injective maps meets, as :func:`_orbits` stores it, or None.
+
+    Setting one image closes the assigned set under both operations: for
+    assigned x and y, g(x op y) must be g(x) op g(y).  The search branches
+    on the least unassigned element, trying the unused images in ascending
+    order.  Each image tried spends one unit of ``budget[0]``; None is
+    also the answer once it is spent.
+    """
+    n = b.n
+    tables = (b.under, b.over)
+    g = [0] * (n + 1)  # 0 where unassigned
+    used = [False] * (n + 1)
+    domain: list[int] = []  # the assigned elements, in order of assignment
+
+    def assign(x: int, v: int) -> bool:
+        queue = [(x, v)]
+        while queue:
+            x, v = queue.pop()
+            if g[x]:
+                if g[x] != v:
+                    return False
+                continue
+            if used[v]:
+                return False
+            g[x], used[v] = v, True
+            domain.append(x)
+            for y in domain:
+                for t in tables:
+                    queue.append((t[x - 1][y - 1], t[v - 1][g[y] - 1]))
+                    queue.append((t[y - 1][x - 1], t[g[y] - 1][v - 1]))
+        return True
+
+    def undo(size: int) -> None:
+        while len(domain) > size:
+            x = domain.pop()
+            used[g[x]] = False
+            g[x] = 0
+
+    if not assign(r, a):
+        return None
+    # branch points: [element, least image still to try, domain size before]
+    stack: list[list[int]] = []
+    while True:
+        x = next((y for y in range(1, n + 1) if not g[y]), 0)
+        if not x:
+            return tuple(g)
+        stack.append([x, 1, len(domain)])
+        while True:
+            if not stack or budget[0] <= 0:
+                return None
+            top = stack[-1]
+            x, v, size = top
+            undo(size)
+            v = next((w for w in range(v, n + 1) if not used[w]), 0)
+            if not v:
+                stack.pop()
+                continue
+            top[1] = v + 1
+            budget[0] -= 1
+            if assign(x, v):
+                break
+
+
 def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> bool:
     """Whether ``coloring`` satisfies every crossing equation of ``d``."""
     if len(coloring) != d.num_semiarcs:
@@ -210,7 +317,14 @@ def enumerate_colorings(
 ) -> list[tuple[int, ...]]:
     """All colorings of ``d`` by ``b``, sorted lexicographically.
 
-    The search propagates, then branches.  A crossing whose known semiarc
+    An automorphism f of ``b`` carries each coloring c to the coloring
+    f∘c, so the colorings with color f(r) on semiarc 0 are the images of
+    those with color r there.  The search therefore runs once per
+    representative r of an orbit of Aut(b) on the elements, with semiarc 0
+    colored r, and the colorings for every other root color a of the orbit
+    are the images under one automorphism carrying r to a.
+
+    Each search propagates, then branches.  A crossing whose known semiarc
     colors leave one value for another of its semiarcs colors it; no
     solution of its equations prunes the branch.  When nothing more is
     forced, the uncolored semiarc with the fewest values its crossings
@@ -221,7 +335,15 @@ def enumerate_colorings(
 
 @lru_cache(maxsize=1 << 15)
 def _colorings(b: Biquandle, d: GaussDiagram) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(_extensions(b, d, [0] * d.num_semiarcs)))
+    found: list[tuple[int, ...]] = []
+    start = [0] * d.num_semiarcs
+    for r, carriers in _orbits(b):
+        start[0] = r
+        rooted = _extensions(b, d, start)
+        found += rooted
+        for g in carriers:
+            found += [tuple(map(g.__getitem__, c)) for c in rooted]
+    return tuple(sorted(found))
 
 
 def _extensions(

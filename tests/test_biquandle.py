@@ -104,7 +104,8 @@ class TestOperations:
         for b in (flip2, cyc3, quad4, shift4):
             for x in b.elements:
                 for y in b.elements:
-                    assert b.under_inv(b.under_of(x, y), y) == x
+                    v = b.under_of(x, y)
+                    assert [w for w in b.elements if b.under_of(w, y) == v] == [x]
                     assert b.over_inv(b.over_of(x, y), y) == x
 
     def test_gate_bijective(self, quad4):

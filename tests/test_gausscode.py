@@ -30,6 +30,11 @@ TREFOIL = "O1+U2+O3+U1+O2+U3+"
 R3_HOST = "U1+U2+O1+U3+O2+O3+"
 
 
+def _writhe(d) -> int:
+    """The sum of the crossing signs."""
+    return sum(d.sign_of(c) for c in range(1, d.n + 1))
+
+
 class TestParsing:
     def test_round_trip(self):
         for code in ("", "O1+U1+", TREFOIL, "O1+O2+U1+U2+"):
@@ -69,7 +74,7 @@ class TestDiagram:
         d = parse_gauss_code(TREFOIL)
         assert d.n == 3
         assert d.num_semiarcs == 6
-        assert d.writhe() == 3
+        assert _writhe(d) == 3
         assert d.index_of(2, "U") == 1
         assert d.sign_of(3) == 1
 
@@ -97,7 +102,7 @@ class TestDiagram:
         assert str(d.mirrored()) == "U1-O2+O1-U2+"
         assert d.reversed().reversed() == d
         assert d.mirrored().mirrored() == d
-        assert d.mirrored().writhe() == -d.writhe()
+        assert _writhe(d.mirrored()) == -_writhe(d)
 
     def test_canonical_code_ignores_rotation_and_labels(self):
         d = parse_gauss_code(TREFOIL)

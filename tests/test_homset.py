@@ -1,13 +1,13 @@
 """Colorings of Gauss diagrams and their transport through moves."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from arrowquiver import homset
-from arrowquiver.biquandle import Biquandle
+from arrowquiver.biquandle import Biquandle, validate_tables
 from arrowquiver.arrowweight import (
     _r3_template_hosts,
     _random_diagram_of_size,
@@ -40,6 +40,8 @@ from arrowquiver.homset import (
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
 TREFOIL = parse_gauss_code("O1+U2+O3+U1+O2+U3+")
 R3_HOST = parse_gauss_code("U1+U2+O1+U3+O2+O3+")
+# the bundled biquandles and three on six elements (``SIX_ELEMENTS``)
+ORBIT_CASES = ["flip2", "cyc3", "quad4", "shift4", "dihedral6", "dihedral6_swapped", "sigma6"]
 
 
 def _random_diagrams(count: int, seed: int = 20260815) -> list[GaussDiagram]:
@@ -158,6 +160,21 @@ class TestEnumeration:
                 expected = _brute_force_colorings(b, d)
                 assert tuple(enumerate_colorings(b, d)) == expected, str(d)
 
+    @pytest.mark.parametrize("name", ORBIT_CASES)
+    def test_brute_force_oracle_up_to_three_chords(self, request, name):
+        # 6^6 assignments at 3 chords; 6^8 would be too many
+        b = _biquandle(request, name)
+        rng = random.Random(20260815)
+        diagrams = _small_hosts() + [TREFOIL, R3_HOST]
+        diagrams += [_random_diagram_of_size(rng, 3) for _ in range(20)]
+        carriers = [g for _, gs in homset._orbits(b) for g in gs]
+        for d in diagrams:
+            colorings = enumerate_colorings(b, d)
+            assert tuple(colorings) == _brute_force_colorings(b, d), str(d)
+            found = set(colorings)
+            for g in carriers:
+                assert {tuple(g[v] for v in c) for c in colorings} == found
+
     def test_relation_tables_grow_with_n_squared(self):
         # the trivial biquandle, under(x, y) = over(x, y) = x, on 32 elements
         n = 32
@@ -175,6 +192,25 @@ def _dihedral6() -> Biquandle:
     under = tuple(tuple((2 * y - x) % 6 or 6 for y in range(1, 7)) for x in range(1, 7))
     over = tuple((x,) * 6 for x in range(1, 7))
     return Biquandle(under, over)
+
+
+def _dihedral6_swapped() -> Biquandle:
+    """R_6 with the roles of the operations exchanged: under(x, y) = x,
+    over(x, y) = 2y - x mod 6.  Every permutation respects its under
+    operation, so only the over operation rules out most of them."""
+    b = _dihedral6()
+    assert validate_tables(b.over, b.under) == []
+    return Biquandle(b.over, b.under)
+
+
+def _sigma6() -> Biquandle:
+    """The constant-action biquandle of the permutation (1)(2 3)(4 5 6):
+    under(x, y) = over(x, y) = sigma(x).  Its automorphisms are the
+    permutations commuting with sigma, whose orbits are its cycles."""
+    sigma = (1, 3, 2, 5, 6, 4)
+    rows = tuple((sigma[x - 1],) * 6 for x in range(1, 7))
+    assert validate_tables(rows, rows) == []
+    return Biquandle(rows, rows)
 
 
 def _valid_tuples(b, sign: int, shape: int) -> list[tuple[int, ...]]:
@@ -220,6 +256,122 @@ class TestRelationTables:
                 )
             assert table == expected, (sign, shape)
             assert table.keys() == rel.values[sign, shape].keys()
+
+
+def _every_automorphism(b) -> list[tuple[int, ...]]:
+    """Every permutation of the elements that respects both operations."""
+    return [p for p in permutations(b.elements) if b.is_endomorphism(p)]
+
+
+SIX_ELEMENTS = {
+    "dihedral6": _dihedral6,
+    "dihedral6_swapped": _dihedral6_swapped,
+    "sigma6": _sigma6,
+}
+
+
+def _biquandle(request, name: str) -> Biquandle:
+    return SIX_ELEMENTS[name]() if name in SIX_ELEMENTS else request.getfixturevalue(name)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("name", ORBIT_CASES)
+    def test_carriers_are_automorphisms(self, request, name):
+        b = _biquandle(request, name)
+        for r, carriers in homset._orbits(b):
+            targets = [g[r] for g in carriers]
+            assert targets == sorted(targets) and r < min(targets, default=b.n + 1)
+            for g in carriers:
+                assert g[0] == 0 and sorted(g[1:]) == list(b.elements)
+                assert b.is_endomorphism(g[1:])
+
+    @pytest.mark.parametrize("name", ORBIT_CASES)
+    def test_orbits_match_all_permutations(self, request, name):
+        b = _biquandle(request, name)
+        autos = _every_automorphism(b)
+        expected = {frozenset(f[x - 1] for f in autos) for x in b.elements}
+        found = [{r, *(g[r] for g in carriers)} for r, carriers in homset._orbits(b)]
+        # no two representatives share an orbit, and each is its least element
+        assert {frozenset(o) for o in found} == expected
+        assert len(found) == len(expected)
+        assert [r for r, _ in homset._orbits(b)] == sorted(min(o) for o in expected)
+
+    def test_orbit_counts(self, flip2, cyc3, quad4, shift4):
+        counts = [len(homset._orbits(b)) for b in (flip2, cyc3, quad4, shift4)]
+        assert counts == [1, 1, 2, 1]
+        assert [r for r, _ in homset._orbits(quad4)] == [1, 2]
+        assert [r for r, _ in homset._orbits(_sigma6())] == [1, 2, 4]
+
+    @pytest.mark.parametrize("name, searches", [("cyc3", 1), ("quad4", 2), ("sigma6", 3)])
+    def test_one_search_per_representative(self, request, monkeypatch, name, searches):
+        b = _biquandle(request, name)
+        expected = _brute_force_colorings(b, TREFOIL)
+        calls = []
+        solve = homset._extensions
+
+        def counted(bq, d, start):
+            calls.append(start[0])
+            return solve(bq, d, start)
+
+        monkeypatch.setattr(homset, "_extensions", counted)
+        for d in (TREFOIL, parse_gauss_code(""), VIRTUAL_HOPF):
+            calls.clear()
+            homset._colorings.cache_clear()
+            enumerate_colorings(b, d)
+            assert calls == [r for r, _ in homset._orbits(b)]
+            assert len(calls) == searches
+        assert tuple(enumerate_colorings(b, TREFOIL)) == expected
+
+    def test_search_matches_brute_force_on_random_tables(self):
+        # the search reads only the two tables, so any tables test it; these
+        # are filled along the orbits of a random permutation on pairs, so
+        # that many have automorphisms besides the identity
+        rng = random.Random(1)
+        nontrivial = 0
+        for _ in range(1000):
+            n = rng.choice((3, 4))
+            p = [0, *rng.sample(range(1, n + 1), n)]
+            tables = []
+            for _ in range(2):
+                t = [[0] * n for _ in range(n)]
+                for x, y in product(range(1, n + 1), repeat=2):
+                    v = rng.randint(1, n)
+                    while not t[x - 1][y - 1]:
+                        t[x - 1][y - 1] = v
+                        x, y, v = p[x], p[y], p[v]
+                tables.append(tuple(map(tuple, t)))
+            b = Biquandle(*tables)
+            autos = _every_automorphism(b)
+            for r, a in product(b.elements, repeat=2):
+                g = homset._automorphism(b, r, a, [1 << 16])
+                exists = any(f[r - 1] == a for f in autos)
+                assert (g is not None) == exists, (tables, r, a)
+                if g is not None:
+                    assert g[r] == a and g[1:] in autos
+                nontrivial += exists and r != a
+        assert nontrivial > 1000, nontrivial
+
+    def test_trivial_biquandle_is_transitive(self):
+        n = 32
+        rows = tuple((x,) * n for x in range(1, n + 1))
+        ((r, carriers),) = homset._orbits(Biquandle(rows, rows))
+        assert r == 1 and [g[1] for g in carriers] == list(range(2, n + 1))
+
+    def test_spent_budget_costs_no_colorings(self, monkeypatch):
+        # R_6's automorphisms all need a branch after the root, so with no
+        # budget every element is its own representative
+        b = _dihedral6()
+        diagrams = [TREFOIL, R3_HOST, VIRTUAL_HOPF]
+        expected = [enumerate_colorings(b, d) for d in diagrams]
+        monkeypatch.setattr(homset, "_AUTOMORPHISM_BUDGET", 0)
+        homset._orbits.cache_clear()
+        homset._colorings.cache_clear()
+        try:
+            assert [r for r, _ in homset._orbits(b)] == list(b.elements)
+            assert [enumerate_colorings(b, d) for d in diagrams] == expected
+        finally:
+            homset._orbits.cache_clear()
+            homset._colorings.cache_clear()
 
 
 class TestPredicates:
