@@ -24,10 +24,18 @@ The gate formulation of B3 is the one that actually expresses invariance of
 colorings under the slide move for the coloring convention used in this
 package; it is equivalent to the usual exchange identities after the
 appropriate change of variables.
+
+Maps X -> X that respect both operations come from one search,
+:meth:`Biquandle._maps`.  It closes each partial map under both operations
+and branches on the least unassigned element, so it yields maps in
+lexicographic order.  :meth:`Biquandle.endomorphisms` lists all it yields;
+the coloring search (:mod:`arrowquiver.homset`) asks it for the first
+bijective map with one image fixed, to find the orbits of Aut(X).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -125,34 +133,83 @@ class Biquandle:
         return True
 
     def endomorphisms(self) -> list[tuple[int, ...]]:
-        """All set maps X -> X respecting both operations, sorted."""
+        """All set maps X -> X respecting both operations, sorted: what
+        :meth:`_maps` yields with no image fixed and non-bijective maps
+        allowed."""
+        return [g[1:] for g in self._maps((), injective=False)]
+
+    def _maps(
+        self,
+        fixed: tuple[tuple[int, int], ...],
+        injective: bool,
+        budget: list[int] | None = None,
+    ) -> Iterator[tuple[int, ...]]:
+        """Every map g respecting both operations with g(x) == v for each
+        (x, v) in ``fixed``, bijective ones only when ``injective`` is set,
+        as tuples (0, g(1), ..., g(n)) in lexicographic order.
+
+        Setting one image closes the assigned set under both operations:
+        for assigned x and y, g(x op y) must be g(x) op g(y).  The search
+        branches on the least unassigned element, trying its images in
+        ascending order (only the unused ones when ``injective``), and keeps
+        its branch points on an explicit stack.  Each image tried spends one
+        unit of ``budget[0]``, if given, and the search stops once it is
+        spent.
+        """
         n = self.n
-        found: list[tuple[int, ...]] = []
+        tables = (self.under, self.over)
+        g = [0] * (n + 1)  # 0 where unassigned
+        used = [0] * (n + 1)  # per value, how many elements map to it
+        domain: list[int] = []  # the assigned elements, in order of assignment
 
-        def extend(f: list[int]) -> None:
-            k = len(f)
-            if k == n:
-                found.append(tuple(f))
-                return
-            for v in self.elements:
-                f.append(v)
-                ok = True
-                # check every pair whose images are already determined
-                for x, y in product(range(1, k + 2), repeat=2):
-                    u = self.under_of(x, y)
-                    o = self.over_of(x, y)
-                    if u <= k + 1 and f[u - 1] != self.under_of(f[x - 1], f[y - 1]):
-                        ok = False
-                        break
-                    if o <= k + 1 and f[o - 1] != self.over_of(f[x - 1], f[y - 1]):
-                        ok = False
-                        break
-                if ok:
-                    extend(f)
-                f.pop()
+        def assign(x: int, v: int) -> bool:
+            queue = [(x, v)]
+            while queue:
+                x, v = queue.pop()
+                if g[x]:
+                    if g[x] != v:
+                        return False
+                    continue
+                if injective and used[v]:
+                    return False
+                g[x] = v
+                used[v] += 1
+                domain.append(x)
+                for y in domain:
+                    for t in tables:
+                        queue.append((t[x - 1][y - 1], t[v - 1][g[y] - 1]))
+                        queue.append((t[y - 1][x - 1], t[g[y] - 1][v - 1]))
+            return True
 
-        extend([])
-        return sorted(found)
+        if not all(assign(x, v) for x, v in fixed):
+            return
+        # branch points: [element, least image still to try, domain size before]
+        stack: list[list[int]] = []
+        while True:
+            x = next((y for y in range(1, n + 1) if not g[y]), 0)
+            if x:
+                stack.append([x, 1, len(domain)])
+            else:
+                yield tuple(g)
+            while True:
+                if not stack or budget is not None and budget[0] <= 0:
+                    return
+                top = stack[-1]
+                x, v, size = top
+                while len(domain) > size:
+                    y = domain.pop()
+                    used[g[y]] -= 1
+                    g[y] = 0
+                if injective:
+                    v = next((w for w in range(v, n + 1) if not used[w]), n + 1)
+                if v > n:
+                    stack.pop()
+                    continue
+                top[1] = v + 1
+                if budget is not None:
+                    budget[0] -= 1
+                if assign(x, v):
+                    break
 
 
 def validate_tables(

@@ -39,8 +39,9 @@ biquandle's automorphism group on its elements, with semiarc 0 colored by
 the orbit's least element r: an automorphism f sends the colorings with r
 there one-to-one onto those with f(r), so the rest of the orbit is read off
 as images.  The orbits, and one automorphism carrying r to each other
-element of its orbit, come from a backtracking search over injective maps
-that closes each partial map under both operations; they are built on a
+element of its orbit, come from the map search that also lists the
+endomorphisms (:meth:`~arrowquiver.biquandle.Biquandle._maps`), asked for
+the first bijective map with one image fixed; they are built on a
 biquandle's first enumeration and cached with its relation tables.
 
 Transport: performing a Reidemeister move on a colored diagram leaves the
@@ -80,7 +81,6 @@ __all__ = [
     "enumerate_colorings",
     "counting_invariant",
     "is_coloring",
-    "chord_status",
     "chord_colors",
     "arrow_label",
     "transport_coloring",
@@ -191,7 +191,9 @@ def _orbits(b: Biquandle) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     with g(r) == a, as the tuple (0, g(1), ..., g(n)), so that g[v] is the
     image of v.  Each element is tried against the representatives found
     so far and becomes one itself when no automorphism carries any of them
-    to it.  Should the search exhaust its budget, an element is kept as
+    to it; :func:`_automorphism` asks the one map search of
+    :mod:`arrowquiver.biquandle` for each such automorphism, and all these
+    searches share one budget.  Should it be spent, an element is kept as
     its own representative: an orbit may then be split in several, which
     costs the coloring search speed, never correctness.
     """
@@ -211,68 +213,11 @@ def _orbits(b: Biquandle) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 def _automorphism(
     b: Biquandle, r: int, a: int, budget: list[int]
 ) -> tuple[int, ...] | None:
-    """The first automorphism g of ``b`` with g(r) == a that a backtracking
-    search over injective maps meets, as :func:`_orbits` stores it, or None.
-
-    Setting one image closes the assigned set under both operations: for
-    assigned x and y, g(x op y) must be g(x) op g(y).  The search branches
-    on the least unassigned element, trying the unused images in ascending
-    order.  Each image tried spends one unit of ``budget[0]``; None is
-    also the answer once it is spent.
-    """
-    n = b.n
-    tables = (b.under, b.over)
-    g = [0] * (n + 1)  # 0 where unassigned
-    used = [False] * (n + 1)
-    domain: list[int] = []  # the assigned elements, in order of assignment
-
-    def assign(x: int, v: int) -> bool:
-        queue = [(x, v)]
-        while queue:
-            x, v = queue.pop()
-            if g[x]:
-                if g[x] != v:
-                    return False
-                continue
-            if used[v]:
-                return False
-            g[x], used[v] = v, True
-            domain.append(x)
-            for y in domain:
-                for t in tables:
-                    queue.append((t[x - 1][y - 1], t[v - 1][g[y] - 1]))
-                    queue.append((t[y - 1][x - 1], t[g[y] - 1][v - 1]))
-        return True
-
-    def undo(size: int) -> None:
-        while len(domain) > size:
-            x = domain.pop()
-            used[g[x]] = False
-            g[x] = 0
-
-    if not assign(r, a):
-        return None
-    # branch points: [element, least image still to try, domain size before]
-    stack: list[list[int]] = []
-    while True:
-        x = next((y for y in range(1, n + 1) if not g[y]), 0)
-        if not x:
-            return tuple(g)
-        stack.append([x, 1, len(domain)])
-        while True:
-            if not stack or budget[0] <= 0:
-                return None
-            top = stack[-1]
-            x, v, size = top
-            undo(size)
-            v = next((w for w in range(v, n + 1) if not used[w]), 0)
-            if not v:
-                stack.pop()
-                continue
-            top[1] = v + 1
-            budget[0] -= 1
-            if assign(x, v):
-                break
+    """The first automorphism g of ``b`` with g(r) == a that the map search
+    :meth:`~arrowquiver.biquandle.Biquandle._maps` meets, as :func:`_orbits`
+    stores it.  None when there is none, or once ``budget[0]``, the images
+    the search may still try, is spent."""
+    return next(b._maps(((r, a),), injective=True, budget=budget), None)
 
 
 def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> bool:
@@ -289,27 +234,6 @@ def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> boo
         in values[sign, 0]
         for (s0, s1, s2, s3), sign in zip(cd.slots, cd.sign)
     )
-
-
-def chord_status(
-    b: Biquandle,
-    d: GaussDiagram,
-    partial: tuple[int | None, ...],
-    chord: int,
-) -> str:
-    """Evaluate one chord's crossing equations on a partial coloring.
-
-    Returns ``"satisfied"`` or ``"violated"`` when all four semiarc colors
-    around the chord are assigned, ``"undetermined"`` otherwise.
-    """
-    colors = chord_colors(d, partial, chord)  # type: ignore[arg-type]
-    if None in colors:
-        return "undetermined"
-    ok = all(c in b.elements for c in colors) and (
-        sum(c * (b.n + 1) ** k for k, c in enumerate(colors))
-        in _relation(b).values[d.compiled.sign[chord - 1], 0]
-    )
-    return "satisfied" if ok else "violated"
 
 
 def enumerate_colorings(

@@ -29,7 +29,6 @@ from arrowquiver.homset import (
     TransportError,
     arrow_label,
     chord_colors,
-    chord_status,
     counting_invariant,
     enumerate_colorings,
     is_coloring,
@@ -263,6 +262,30 @@ def _every_automorphism(b) -> list[tuple[int, ...]]:
     return [p for p in permutations(b.elements) if b.is_endomorphism(p)]
 
 
+def _random_tables(rng, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Two seeded random n x n operation tables, each filled along the
+    orbits of one random permutation p on pairs (the entry at (p(x), p(y))
+    is p of the entry at (x, y)), so that p often respects both and many
+    have automorphisms besides the identity; most are not biquandles."""
+    p = [0, *rng.sample(range(1, n + 1), n)]
+    tables = []
+    for _ in range(2):
+        t = [[0] * n for _ in range(n)]
+        for x, y in product(range(1, n + 1), repeat=2):
+            v = rng.randint(1, n)
+            while not t[x - 1][y - 1]:
+                t[x - 1][y - 1] = v
+                x, y, v = p[x], p[y], p[v]
+        tables.append(tuple(map(tuple, t)))
+    return tuple(tables)
+
+
+def _every_endomorphism(b) -> list[tuple[int, ...]]:
+    """Every map of the elements to themselves that respects both
+    operations, in lexicographic order."""
+    return [f for f in product(b.elements, repeat=b.n) if b.is_endomorphism(f)]
+
+
 SIX_ELEMENTS = {
     "dihedral6": _dihedral6,
     "dihedral6_swapped": _dihedral6_swapped,
@@ -329,17 +352,7 @@ class TestOrbits:
         rng = random.Random(1)
         nontrivial = 0
         for _ in range(1000):
-            n = rng.choice((3, 4))
-            p = [0, *rng.sample(range(1, n + 1), n)]
-            tables = []
-            for _ in range(2):
-                t = [[0] * n for _ in range(n)]
-                for x, y in product(range(1, n + 1), repeat=2):
-                    v = rng.randint(1, n)
-                    while not t[x - 1][y - 1]:
-                        t[x - 1][y - 1] = v
-                        x, y, v = p[x], p[y], p[v]
-                tables.append(tuple(map(tuple, t)))
+            tables = _random_tables(rng, rng.choice((3, 4)))
             b = Biquandle(*tables)
             autos = _every_automorphism(b)
             for r, a in product(b.elements, repeat=2):
@@ -374,6 +387,33 @@ class TestOrbits:
             homset._colorings.cache_clear()
 
 
+class TestEndomorphisms:
+    # Biquandle.endomorphisms and the automorphism search of TestOrbits are
+    # one map search; these check its non-injective side against brute force
+
+    def test_search_matches_brute_force_on_random_tables(self):
+        # the search reads only the two tables, so any tables test it
+        rng = random.Random(2)
+        non_injective = 0
+        for _ in range(500):
+            b = Biquandle(*_random_tables(rng, rng.choice((2, 3, 4))))
+            found = b.endomorphisms()
+            assert found == _every_endomorphism(b), (b.under, b.over)
+            non_injective += sum(len(set(f)) < b.n for f in found)
+        assert non_injective > 120, non_injective
+
+    @pytest.mark.parametrize("name", SIX_ELEMENTS)
+    def test_search_matches_brute_force(self, name):
+        b = SIX_ELEMENTS[name]()
+        assert b.endomorphisms() == _every_endomorphism(b)
+
+    def test_trivial_biquandle_on_five_elements(self):
+        rows = tuple((x,) * 5 for x in range(1, 6))
+        b = Biquandle(rows, rows)
+        assert b.endomorphisms() == _every_endomorphism(b)
+        assert len(b.endomorphisms()) == 5**5
+
+
 class TestPredicates:
     def test_is_coloring_checks_length(self, flip2):
         assert not is_coloring(flip2, VIRTUAL_HOPF, (1, 2))
@@ -389,11 +429,6 @@ class TestPredicates:
         c = (1, 2, 1, 2)
         assert chord_colors(VIRTUAL_HOPF, c, 1) == (2, 1, 2, 1)
         assert chord_colors(VIRTUAL_HOPF, c, 2) == (1, 2, 1, 2)
-
-    def test_chord_status(self, flip2):
-        assert chord_status(flip2, VIRTUAL_HOPF, (1, None, 1, 2), 1) == "undetermined"
-        assert chord_status(flip2, VIRTUAL_HOPF, (1, 2, 1, 2), 1) == "satisfied"
-        assert chord_status(flip2, VIRTUAL_HOPF, (1, 2, 2, 2), 1) == "violated"
 
     def test_arrow_label_positive(self):
         # Positive chords label by (under color in, over color out).
