@@ -110,10 +110,11 @@ def _endos(args, b: Biquandle) -> list[tuple[int, ...]]:
 
 
 def _inputs(args, maps: bool = True) -> tuple[Biquandle, WeightTensor, list]:
-    """The biquandle, the tensor and, if ``maps``, the endomorphism set."""
+    """The biquandle, the tensor and the endomorphism set: needed only if
+    ``maps``, but read and checked whenever ``--endos`` names a file."""
     b = _biquandle(args.biquandle)
     w = _tensor(args.tensor, b)
-    return b, w, _endos(args, b) if maps else []
+    return b, w, _endos(args, b) if maps or args.endos is not None else []
 
 
 def _knot(args) -> tuple[str, GaussDiagram]:
@@ -233,7 +234,7 @@ def cmd_weights_check(args) -> int:
 
 
 # every --type reads the quiver; phi_weight reads only its vertices, so
-# weight-poly needs no maps
+# weight-poly needs no maps, though it checks those it is given
 _PHI = {
     "weight-poly": phi_weight,
     "indeg": phi_indegree,

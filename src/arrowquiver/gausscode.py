@@ -18,8 +18,23 @@ cyclically; arrow weight sums run over exactly these pairs.
 
 Reidemeister moves are represented explicitly as :class:`R1Insert`,
 :class:`R1Delete`, :class:`R2Insert`, :class:`R2Delete` and :class:`R3Slide`
-instances so that a coloring of the old diagram can be transported through
-the move (see :mod:`arrowquiver.homset`).
+instances, and one rule places their passages.  An insertion puts each
+block of new passages into a gap: gap g means "immediately before passage
+g", in 0..2n (gap 0 and gap 2n are one place on the circle, kept distinct
+only so that round trips restore the exact word), and the new chords are
+labeled n+1 (and n+2 for R2).  A deletion removes blocks of two
+cyclically adjacent passages, keeps the order of the others and renumbers
+their chords 1..n in that order.  An R3 slide swaps the two passages of
+each of its three blocks in place.
+
+The same rule gives the old semiarc each new one continues, which carries
+colorings through the move (:mod:`arrowquiver.homset`).  A semiarc between
+two passages of one inserted or swapped block is inside the move disk and
+continues none; a block inserted at gap g cuts old semiarc g - 1 in two
+pieces that both continue it; every other semiarc continues the old one it
+starts with.  A deletion joins the old semiarcs at the two ends of each
+run of removed passages, or all those outside its blocks when it removes
+every passage.
 """
 
 from __future__ import annotations
@@ -221,12 +236,16 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
 
 
 def _relabel(endpoints) -> tuple[Endpoint, ...]:
-    """Renumber chords 1..n in order of first appearance."""
+    """Renumber chords 1..n in order of first appearance, keeping each
+    endpoint whose label stays."""
     order: dict[int, int] = {}
     for e in endpoints:
         if e.chord not in order:
             order[e.chord] = len(order) + 1
-    return tuple(Endpoint(order[e.chord], e.passage, e.sign) for e in endpoints)
+    return tuple(
+        e if order[e.chord] == e.chord else Endpoint(order[e.chord], e.passage, e.sign)
+        for e in endpoints
+    )
 
 
 def parse_gauss_code(text: str) -> GaussDiagram:
@@ -249,13 +268,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Reidemeister moves
-#
-# Insertion positions are gaps between passages: gap g means "immediately
-# before endpoint index g" in 0..2n (gap 0 == gap 2n on the circle, kept
-# distinct only so that round trips restore the exact word).  New chords are
-# labeled n+1 (and n+2 for R2); deletions renumber the survivors back to 1..n
-# preserving relative order.
+# Reidemeister moves, placed by the rule of the module docstring
 
 
 @dataclass(frozen=True)
@@ -337,22 +350,65 @@ class R3Slide:
 
 Move = R1Insert | R1Delete | R2Insert | R2Delete | R3Slide
 
+# a moved diagram with its semiarc map, as :func:`_moved` returns it
+Moved = tuple[GaussDiagram, list[int | None], list[tuple[int, int]]]
 
-def _insert_blocks(
-    d: GaussDiagram, blocks: dict[int, list[Endpoint]]
-) -> GaussDiagram:
+
+def _insert_blocks(d: GaussDiagram, blocks: dict[int, list[Endpoint]]) -> Moved:
+    ends = d.endpoints
     out: list[Endpoint] = []
-    for g in range(len(d.endpoints) + 1):
-        if g in blocks:
-            out.extend(blocks[g])
-        if g < len(d.endpoints):
-            out.append(d.endpoints[g])
-    return GaussDiagram(tuple(out))
+    keep: list[int | None] = []
+    last = 0
+    for g, block in sorted(blocks.items()):
+        out += ends[last:g]
+        out += block
+        keep += range(last, g)
+        # the block's last passage starts the rest of old semiarc g - 1
+        keep += [None] * (len(block) - 1)
+        keep.append((g - 1) % d.num_semiarcs)
+        last = g
+    out += ends[last:]
+    keep += range(last, len(ends))
+    return GaussDiagram(tuple(out)), keep, []
 
 
-def _delete_indices(d: GaussDiagram, indices: set[int]) -> GaussDiagram:
-    kept = [e for i, e in enumerate(d.endpoints) if i not in indices]
-    return GaussDiagram(_relabel(kept))
+def _delete_blocks(d: GaussDiagram, starts: tuple[int, ...]) -> Moved:
+    ends = d.endpoints
+    two_n = len(ends)
+    if min(starts) < 0:
+        raise ValueError(f"deleted block at negative index {min(starts)}")
+    out: list[Endpoint] = []
+    keep: list[int | None] = []
+    lo = 0
+    for g in sorted({*starts, *[(s + 1) % two_n for s in starts]}):
+        out += ends[lo:g]
+        keep += range(lo, g)
+        lo = g + 1
+    out += ends[lo:]
+    keep += range(lo, two_n)
+    if not out:
+        # one closed semiarc is left: every old one outside the disk joins it
+        outside = [i for i in range(two_n) if i not in starts]
+        return GaussDiagram(()), outside[:1], [(outside[0], i) for i in outside[1:]]
+    # a run of removed passages, one block or two adjacent ones, joins the
+    # old semiarc entering it to the one leaving it; it starts at the block
+    # that no other block ends just before
+    joins = [
+        ((s - 1) % two_n, (s + 3 if (s + 2) % two_n in starts else s + 1) % two_n)
+        for s in starts
+        if (s - 2) % two_n not in starts
+    ]
+    return GaussDiagram(_relabel(out)), keep, joins
+
+
+def _swap_blocks(d: GaussDiagram, sites: tuple[int, ...]) -> Moved:
+    ends = list(d.endpoints)
+    keep: list[int | None] = list(range(len(ends)))
+    for s in sites:
+        t = _adjacent(d, s)
+        ends[s], ends[t] = ends[t], ends[s]
+        keep[s] = None
+    return GaussDiagram(tuple(ends)), keep, []
 
 
 def _adjacent(d: GaussDiagram, i: int) -> int:
@@ -364,6 +420,14 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
 
     Raises ValueError when the move does not match the diagram.
     """
+    return _moved(d, move)[0]
+
+
+def _moved(d: GaussDiagram, move: Move) -> Moved:
+    """:func:`apply_move` with the semiarc map of the move (see the module
+    docstring): per semiarc of the moved diagram, the old semiarc whose
+    color it keeps, or None inside the move disk, and the pairs of old
+    semiarcs that a deletion joins into one."""
     two_n = len(d.endpoints)
     if isinstance(move, R1Insert):
         if not 0 <= move.gap <= two_n:
@@ -380,9 +444,11 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         a, b = d.endpoints[i], d.endpoints[j]
         if a.chord != b.chord or i == j:
             raise ValueError("R1 deletion needs adjacent passages of one chord")
-        return _delete_indices(d, {i, j})
+        return _delete_blocks(d, (i,))
 
     if isinstance(move, R2Insert):
+        if not (0 <= move.gap_over <= two_n and 0 <= move.gap_under <= two_n):
+            raise ValueError("R2 gap out of range")
         a, b = d.n + 1, d.n + 2
         sa, sb = move.sign, -move.sign
         over = [Endpoint(a, "O", sa), Endpoint(b, "O", sb)]
@@ -409,34 +475,23 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
             raise ValueError("R2 deletion chords mismatch")
         if oa.sign != -ob.sign:
             raise ValueError("R2 deletion needs opposite signs")
-        return _delete_indices(d, {i, i2, j, j2})
+        return _delete_blocks(d, (i, j))
 
     if isinstance(move, R3Slide):
-        sa, sb, sc = move.sites
-        idx = []
-        for s in (sa, sb, sc):
-            idx.extend([s, _adjacent(d, s)])
+        idx = [i for s in move.sites for i in (s, _adjacent(d, s))]
         if len(set(idx)) != 6:
             raise ValueError("R3 sites overlap")
         x, y, z = move.chords
         eps = move.eps
-        want_l = [
-            ("U", x), ("U", y), ("O", x), ("U", z), ("O", y), ("O", z),
-        ]
-        want_r = [
-            ("U", y), ("U", x), ("U", z), ("O", x), ("O", z), ("O", y),
-        ]
+        want_l = [("U", x), ("U", y), ("O", x), ("U", z), ("O", y), ("O", z)]
+        want_r = [("U", y), ("U", x), ("U", z), ("O", x), ("O", z), ("O", y)]
         want = want_l if move.form == "L" else want_r
         got = [(d.endpoints[i].passage, d.endpoints[i].chord) for i in idx]
         if got != want:
             raise ValueError("R3 sites do not match the stated form")
         if any(d.endpoints[i].sign != eps for i in idx):
             raise ValueError("R3 needs a common sign on all three chords")
-        ends = list(d.endpoints)
-        for s in (sa, sb, sc):
-            t = _adjacent(d, s)
-            ends[s], ends[t] = ends[t], ends[s]
-        return GaussDiagram(tuple(ends))
+        return _swap_blocks(d, move.sites)
 
     raise TypeError(f"unknown move {move!r}")
 

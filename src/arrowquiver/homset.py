@@ -47,13 +47,14 @@ biquandle's first enumeration and cached with its relation tables.
 Transport: performing a Reidemeister move on a colored diagram leaves the
 colors of all semiarcs outside the move disk unchanged and determines the
 colors inside uniquely.  :func:`transport_colorings` carries any number of
-colorings of one diagram through one move: it builds the moved diagram and
-the map from its semiarcs to the old ones that continue into them once.
-Every move then takes one path per coloring: the old semiarcs a deletion
-joins must agree, and the same solver extends the kept colors to the
-moved diagram (a deletion leaves nothing to extend, so the solver only
-checks the crossing equations).  :class:`TransportError` is raised if a
-coloring was not valid or the move does not match.
+colorings of one diagram through one move.  The move engine of
+:mod:`arrowquiver.gausscode` places the passages and reports, once, the
+semiarc map: per new semiarc, the old semiarc whose color it keeps (none
+inside the move disk), and the pairs of old semiarcs a deletion joins.
+Every move then takes one path per coloring: joined semiarcs must agree,
+and the same solver extends the kept colors to the moved diagram (after a
+deletion it only checks the crossing equations).  :class:`TransportError`
+is raised if a coloring was not valid or the move does not match.
 :func:`transport_coloring` is the one-coloring case.  Callers holding the
 list :func:`enumerate_colorings` returned skip the input check through
 :func:`_transport`.
@@ -66,16 +67,7 @@ from functools import lru_cache
 from itertools import product
 
 from .biquandle import Biquandle
-from .gausscode import (
-    GaussDiagram,
-    Move,
-    R1Delete,
-    R1Insert,
-    R2Delete,
-    R2Insert,
-    R3Slide,
-    apply_move,
-)
+from .gausscode import GaussDiagram, Move, _moved
 
 __all__ = [
     "enumerate_colorings",
@@ -374,54 +366,6 @@ def arrow_label(
 # transport
 
 
-def _semiarc_sources(two_n: int, move: Move) -> list[tuple[int, ...]]:
-    """Per semiarc after ``move`` on a diagram of ``two_n`` passages, the
-    old semiarcs that continue into it, whose colors it must keep.
-
-    A kept or cut semiarc continues one old semiarc.  A deletion joins the
-    two ends of each gap it closes, or every surviving piece when it
-    empties the diagram; these must agree.  A semiarc inside an inserted
-    block or a slide site continues none and is left to the solver.  This
-    mirrors the placement rule of the move engine: a block inserted at gap
-    g comes just before old passage g, and a deletion keeps the order of
-    the other passages.
-    """
-    if isinstance(move, R3Slide):
-        sites = set(move.sites)
-        return [() if i in sites else (i,) for i in range(two_n)]
-    if isinstance(move, (R1Delete, R2Delete)):
-        # each deleted block's first semiarc lies inside the move disk
-        inside = (
-            {move.start}
-            if isinstance(move, R1Delete)
-            else {move.over_start, move.under_start}
-        )
-        kept = [i for i in range(two_n) if not {i, (i - 1) % two_n} & inside]
-        if not kept:
-            return [tuple(i for i in range(two_n) if i not in inside)]
-        return [
-            (a,) if z == a + 1 else (a, (z - 1) % two_n)
-            for a, z in zip(kept, kept[1:] + [kept[0] + two_n])
-        ]
-    if isinstance(move, R1Insert):
-        blocks = {move.gap: 2}
-    elif isinstance(move, R2Insert):
-        if move.gap_over == move.gap_under:
-            blocks = {move.gap_over: 4}
-        else:
-            blocks = {move.gap_over: 2, move.gap_under: 2}
-    else:
-        raise TypeError(f"unknown move {move!r}")
-    sources: list[tuple[int, ...]] = []
-    for g in range(two_n + 1):
-        if g in blocks:
-            # the block's last endpoint starts the rest of old semiarc g - 1
-            sources += [()] * (blocks[g] - 1) + [((g - 1) % two_n if two_n else 0,)]
-        if g < two_n:
-            sources.append((g,))
-    return sources
-
-
 def _solve_middles(
     b: Biquandle, d2: GaussDiagram, partial: list[int | None]
 ) -> tuple[int, ...]:
@@ -440,14 +384,14 @@ def transport_colorings(
     """Carry colorings of ``d`` through ``move`` together.
 
     Returns ``apply_move(d, move)`` and the image of each coloring, in
-    order; semiarcs away from the move keep their colors.  The moved
-    diagram, and which old semiarcs each of its semiarcs continues, are
-    built once per call.  Each coloring is then carried on its own, the
-    same way for every move: the old semiarcs joined into one must agree,
-    and the solver extends the kept colors to the unique coloring of the
-    moved diagram.  Raises :class:`TransportError` when a coloring is
-    invalid, its joined semiarcs disagree, or it has no unique extension
-    (each signals a non-move).
+    order; semiarcs away from the move keep their colors.  The move engine
+    gives the moved diagram and its semiarc map once per call.  Each
+    coloring is then carried on its own, the same way for every move: the
+    old semiarcs a deletion joins must agree, and the solver extends the
+    kept colors to the unique coloring of the moved diagram.
+    Raises :class:`TransportError` when a coloring is invalid, its joined
+    semiarcs disagree, or it has no unique extension (each signals a
+    non-move).
     """
     colorings = list(colorings)
     if not all(is_coloring(b, d, c) for c in colorings):
@@ -460,16 +404,13 @@ def _transport(
 ) -> tuple[GaussDiagram, list[tuple[int, ...]]]:
     """:func:`transport_colorings` of colorings known to be colorings of
     ``d``, such as those :func:`enumerate_colorings` returned."""
-    d2 = apply_move(d, move)
-    sources = _semiarc_sources(len(d.endpoints), move)
-    assert len(sources) == d2.num_semiarcs
-    joined = [g for g in sources if len(g) > 1]
+    d2, keep, joins = _moved(d, move)
     images = []
     for c in colorings:
-        if any(c[i] != c[g[0]] for g in joined for i in g):
+        if any(c[i] != c[j] for i, j in joins):
             raise TransportError("move disk boundary colors disagree")
         images.append(
-            _solve_middles(b, d2, [c[g[0]] if g else None for g in sources])
+            _solve_middles(b, d2, [None if i is None else c[i] for i in keep])
         )
     return d2, images
 

@@ -92,9 +92,11 @@ def build_quiver(
     index = {c: i for i, c in enumerate(colorings)}
     weights = tuple(sigma_D(w, d, c) for c in colorings)
     edges = []
+    seen = set()
     for k, f in enumerate(endos):
-        if f in endos[:k]:
+        if f in seen:
             raise ValueError(f"map {f} is listed twice")
+        seen.add(f)
         for c in colorings:
             image = tuple(f[x - 1] for x in c)
             if image not in index:

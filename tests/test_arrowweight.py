@@ -438,7 +438,7 @@ class TestConstraintRowsOracle:
         _integer_rows(cyc3)
         generate_constraints.cache_clear()
         for module in (gausscode, homset):
-            monkeypatch.setattr(module, "apply_move", refuse)
+            monkeypatch.setattr(module, "_moved", refuse)
         monkeypatch.setattr(homset, "_solve_middles", refuse)
         assert generate_constraints(cyc3, 3).rows == expected
 

@@ -527,6 +527,33 @@ class TestErrors:
         assert out == ""
         assert f"No such file or directory: '{missing}'" in err
 
+    @pytest.mark.parametrize(
+        "command", [["invariant", "--knot", "2.1"], ["table"]]
+    )
+    def test_weight_poly_checks_the_endos_it_is_given(self, capsys, tmp_path, command):
+        bad = tmp_path / "endos.txt"
+        bad.write_text("9 9 9\n")
+        missing = tmp_path / "none.txt"
+        for endos, witness in (
+            (bad, f"{bad}:1: expected 3 images in 1..3"),
+            (missing, f"No such file or directory: '{missing}'"),
+        ):
+            code, out, err = run(
+                capsys,
+                *command, "--type", "weight-poly",
+                "--biquandle", CYC3, "--tensor", W8, "--endos", str(endos),
+            )
+            assert code == 2
+            assert out == ""
+            assert witness in err
+        code, out, _ = run(
+            capsys,
+            *command, "--type", "weight-poly",
+            "--biquandle", CYC3, "--tensor", W8, "--endos", ENDOS_CYC3,
+        )
+        assert code == 0
+        assert out.split("\n")[0].endswith("3u^4")
+
     def test_missing_tensor_file_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "none.txt"
         code, out, err = run(

@@ -140,6 +140,10 @@ class TestR1:
         d = parse_gauss_code("O1+U2+O2+U1+")
         assert str(apply_move(d, R1Delete(3))) == "U1+O1+"
 
+    def test_delete_at_negative_index(self):
+        with pytest.raises(ValueError, match="negative index -1"):
+            apply_move(parse_gauss_code("O1+U2+O2+U1+"), R1Delete(-1))
+
     def test_delete_requires_kink(self):
         d = parse_gauss_code("O1+U2+O2+U1+")
         with pytest.raises(ValueError, match="R1 deletion needs adjacent"):
@@ -158,6 +162,11 @@ class TestR2:
         d = parse_gauss_code("")
         assert str(apply_move(d, R2Insert(0, 0, False, -1))) == "O1-O2+U1-U2+"
         assert str(apply_move(d, R2Insert(0, 0, True, -1))) == "O1-O2+U2+U1-"
+
+    @pytest.mark.parametrize("gaps", [(0, 3), (-1, 0), (3, 3)])
+    def test_insert_gap_out_of_range(self, gaps):
+        with pytest.raises(ValueError, match="R2 gap out of range"):
+            apply_move(parse_gauss_code("O1+U1+"), R2Insert(*gaps, False, 1))
 
     def test_delete(self):
         d = parse_gauss_code("O2+O3-O1+U1+U2+U3-")

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from arrowquiver.arrowweight import WeightTensor
+from arrowquiver.biquandle import Biquandle
 from arrowquiver.gausscode import parse_gauss_code
 from arrowquiver.quiver import Quiver, build_quiver, quiver_isomorphic, quotient_quiver
 
@@ -39,6 +40,19 @@ class TestBuild:
         assert len(build_quiver(cyc3, w8, VIRTUAL_HOPF, endos=[(1, 2, 3)]).edges) == 3
         with pytest.raises(ValueError, match=r"^map \(1, 2, 3\) is listed twice$"):
             build_quiver(cyc3, w8, VIRTUAL_HOPF, endos=[(1, 2, 3), (2, 3, 1), [1, 2, 3]])
+
+    def test_every_map_of_a_trivial_biquandle(self):
+        # all 6^6 maps of the trivial 6-element biquandle are endomorphisms,
+        # too many for a repeat check that rescans the earlier maps
+        rows = tuple((x,) * 6 for x in range(1, 7))
+        b = Biquandle(rows, rows)
+        w = WeightTensor(6, 2, (0,) * 6**4)
+        unknot = parse_gauss_code("")
+        endos = b.endomorphisms()
+        assert len(endos) == 6**6
+        assert len(build_quiver(b, w, unknot, endos).edges) == 6 * 6**6
+        with pytest.raises(ValueError, match=r"^map \(1, 1, 1, 1, 1, 1\) is listed twice$"):
+            build_quiver(b, w, unknot, endos + [endos[0]])
 
     def test_to_dot(self, flip2, w16):
         q = build_quiver(flip2, w16, VIRTUAL_HOPF)

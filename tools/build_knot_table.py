@@ -39,7 +39,7 @@ from arrowquiver.gausscode import (  # noqa: E402
     GaussDiagram,
     R1Delete,
     R2Delete,
-    enumerate_moves,
+    _deletions,
     parse_gauss_code,
 )
 from arrowquiver.invariants import (  # noqa: E402
@@ -93,9 +93,9 @@ def raw_codes(n: int):
 
 
 def reducible(d: GaussDiagram) -> bool:
-    return any(
-        isinstance(mv, (R1Delete, R2Delete)) for mv in enumerate_moves(d)
-    )
+    """Whether an R1 or R2 deletion applies to ``d``, which has at least
+    one chord, as the deletion matcher of ``enumerate_moves`` finds them."""
+    return any(isinstance(mv, (R1Delete, R2Delete)) for mv in _deletions(d.endpoints))
 
 
 def variant_codes(d: GaussDiagram) -> list[str]:
