@@ -42,6 +42,7 @@ from .gausscode import (
     R1Insert,
     R2Insert,
     R3Slide,
+    _deletions,
     enumerate_moves,
     parse_gauss_code,
 )
@@ -201,7 +202,11 @@ def _r3_template_hosts(spectators: int) -> list[GaussDiagram]:
 
     The three slide blocks are placed around the circle in both cyclic
     arrangements, for both common signs; each spectator chord drops its two
-    passages into the inter-block gaps in every distinct way.
+    passages into the inter-block gaps in every distinct way, each once: O
+    in gap g1 and U in gap g2 for every (g1, g2), then [U O] in each gap
+    (U in g1 and O in g2 != g1 is the word of O in g2 and U in g1).  So
+    one spectator of either sign gives 12 words on each of the 4 bare
+    hosts, 96 hosts in all, and in 48 of them it is a kink.
     """
     hosts: list[GaussDiagram] = []
     for eps in (1, -1):
@@ -214,13 +219,14 @@ def _r3_template_hosts(spectators: int) -> list[GaussDiagram]:
                 placements.append([[], [], []])
             else:
                 for s_sign in (1, -1):
-                    ends = [Endpoint(4, "O", s_sign), Endpoint(4, "U", s_sign)]
-                    for e1, e2 in (tuple(ends), tuple(reversed(ends))):
-                        for g1, g2 in product(range(3), repeat=2):
-                            gaps: list[list[Endpoint]] = [[], [], []]
-                            gaps[g1].append(e1)
-                            gaps[g2].append(e2)
-                            placements.append(gaps)
+                    o, u = Endpoint(4, "O", s_sign), Endpoint(4, "U", s_sign)
+                    drops = [((o, g1), (u, g2)) for g1, g2 in product(range(3), repeat=2)]
+                    drops += [((u, g), (o, g)) for g in range(3)]
+                    for (e1, g1), (e2, g2) in drops:
+                        gaps: list[list[Endpoint]] = [[], [], []]
+                        gaps[g1].append(e1)
+                        gaps[g2].append(e2)
+                        placements.append(gaps)
             for gaps in placements:
                 word: list[Endpoint] = []
                 for block, gap in zip(blocks, gaps):
@@ -317,6 +323,18 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     repeated key only repeats a row.  The empty host comes first and
     covers every one-gap key.  Only later duplicates are dropped, so the
     rows and their order are unchanged.
+
+    Slide hosts whose spectator chord is a kink are skipped.  Deleting the
+    kink is an R1 move onto the bare slide host of the same sign and
+    arrangement, which comes earlier, and by the R1 lemma it keeps every
+    other color and every intersecting pair with its labels and its order.
+    The kink takes no part in a slide, whose chords all interleave, so each
+    slide row of the kinked host is a slide row of the bare host.  Moving
+    the basepoint across the kink swaps no labels, so each rotation row is
+    a rotation row of the bare host or zero.  The skip drops only repeated
+    rows, so the rows and their order are unchanged.  The one-chord small
+    hosts are kinks too, but they are not skipped: their R2 inserts give
+    rows.
     """
     return ConstraintSystem(b.n, m, _integer_rows(b))
 
@@ -383,7 +401,9 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
         rotation_rows(d)
     for spectators in (0, 1):
         for d in _r3_template_hosts(spectators):
-            move_rows(d, [mv for mv in enumerate_moves(d) if isinstance(mv, R3Slide)])
+            if spectators and d.compiled.kind[3][1]:  # chord 4 is a kink
+                continue
+            move_rows(d, [mv for mv in _deletions(d.endpoints) if isinstance(mv, R3Slide)])
             rotation_rows(d)
     return [dict(key) for key in unique]
 

@@ -375,8 +375,6 @@ def _insert_blocks(d: GaussDiagram, blocks: dict[int, list[Endpoint]]) -> Moved:
 def _delete_blocks(d: GaussDiagram, starts: tuple[int, ...]) -> Moved:
     ends = d.endpoints
     two_n = len(ends)
-    if min(starts) < 0:
-        raise ValueError(f"deleted block at negative index {min(starts)}")
     out: list[Endpoint] = []
     keep: list[int | None] = []
     lo = 0
@@ -415,6 +413,16 @@ def _adjacent(d: GaussDiagram, i: int) -> int:
     return (i + 1) % len(d.endpoints)
 
 
+def _check_starts(d: GaussDiagram, starts: tuple[int, ...]) -> None:
+    """Every block of a deletion or slide starts at a passage of ``d``."""
+    two_n = len(d.endpoints)
+    for s in starts:
+        if s < 0:
+            raise ValueError(f"block at negative index {s}")
+        if s >= two_n:
+            raise ValueError(f"block at index {s}, but the diagram has {two_n} passages")
+
+
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """The diagram after performing ``move`` on ``d``.
 
@@ -440,6 +448,7 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
 
     if isinstance(move, R1Delete):
         i = move.start
+        _check_starts(d, (i,))
         j = _adjacent(d, i)
         a, b = d.endpoints[i], d.endpoints[j]
         if a.chord != b.chord or i == j:
@@ -461,6 +470,7 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
 
     if isinstance(move, R2Delete):
         i, j = move.over_start, move.under_start
+        _check_starts(d, (i, j))
         i2, j2 = _adjacent(d, i), _adjacent(d, j)
         if len({i, i2, j, j2}) != 4:
             raise ValueError("R2 blocks overlap")
@@ -478,6 +488,7 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
         return _delete_blocks(d, (i, j))
 
     if isinstance(move, R3Slide):
+        _check_starts(d, move.sites)
         idx = [i for s in move.sites for i in (s, _adjacent(d, s))]
         if len(set(idx)) != 6:
             raise ValueError("R3 sites overlap")
@@ -503,7 +514,8 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
     to basepoint rotation and chord renumbering (deletions renumber the
     remaining chords, and blocks that straddled the basepoint are restored
     in a single gap), so round trips compare equal under
-    :meth:`GaussDiagram.canonical_code`.
+    :meth:`GaussDiagram.canonical_code`.  Raises ValueError when a block
+    of a deletion or slide does not start at a passage of ``d``.
     """
     two_n = len(d.endpoints)
     if isinstance(move, R1Insert):
@@ -511,6 +523,7 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
 
     if isinstance(move, R1Delete):
         i = move.start
+        _check_starts(d, (i,))
         j = _adjacent(d, i)
         head = d.endpoints[i]
         gap = i if j > i else two_n - 2
@@ -525,6 +538,7 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
 
     if isinstance(move, R2Delete):
         i, j = move.over_start, move.under_start
+        _check_starts(d, (i, j))
         removed = {i, _adjacent(d, i), j, _adjacent(d, j)}
         gap_over = i - sum(r < i for r in removed)
         gap_under = j - sum(r < j for r in removed)
@@ -532,6 +546,7 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
         return R2Insert(gap_over, gap_under, move.antiparallel, sign)
 
     if isinstance(move, R3Slide):
+        _check_starts(d, move.sites)
         form = "R" if move.form == "L" else "L"
         return R3Slide(move.sites, form, move.chords, move.eps)
 

@@ -31,6 +31,8 @@ from arrowquiver.arrowweight import (
 )
 from arrowquiver.biquandle import Biquandle, validate_tables
 from arrowquiver.gausscode import (
+    Endpoint,
+    GaussDiagram,
     R1Delete,
     R1Insert,
     R2Insert,
@@ -39,7 +41,12 @@ from arrowquiver.gausscode import (
     enumerate_moves,
     parse_gauss_code,
 )
-from arrowquiver.homset import arrow_label, enumerate_colorings, transport_coloring
+from arrowquiver.homset import (
+    arrow_label,
+    enumerate_colorings,
+    transport_coloring,
+    transport_colorings,
+)
 
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
 
@@ -541,6 +548,103 @@ class TestConstraintRowsOracle:
             for d, move, c, *_ in _r2_insert_rows(b)
             if not move.antiparallel
         }
+
+
+def _affine_z3(a, b, c, d) -> Biquandle:
+    """The biquandle on Z_3 with under(x, y) = a x + b y, over(x, y) = c x + d y."""
+    under = tuple(tuple((a * x + b * y) % 3 or 3 for y in (1, 2, 3)) for x in (1, 2, 3))
+    over = tuple(tuple((c * x + d * y) % 3 or 3 for y in (1, 2, 3)) for x in (1, 2, 3))
+    return Biquandle(under, over)
+
+
+def _is_kink(d, chord: int) -> bool:
+    """Whether the two passages of ``chord`` are cyclically adjacent."""
+    apart = abs(d.index_of(chord, "U") - d.index_of(chord, "O"))
+    return apart in (1, len(d.endpoints) - 1)
+
+
+def _slide_host_rows(b, d) -> set[tuple]:
+    """The distinct nonzero slide and rotation rows of one slide host, each
+    slide carried by the public transport."""
+    n = b.n
+    colorings = enumerate_colorings(b, d)
+    rows = []
+    for move in enumerate_moves(d):
+        if isinstance(move, R3Slide):
+            d2, images = transport_colorings(b, d, move, colorings)
+            for c, c2 in zip(colorings, images):
+                after = sigma_coefficients(d2, c2, n)
+                rows.append(_difference_row(sigma_coefficients(d, c, n), after))
+    for c in colorings:
+        rows.extend(_rotation_rows(_pair_terms(d, c, n), len(d.endpoints)))
+    return {tuple(sorted(_nonzero(r).items())) for r in rows} - {()}
+
+
+class TestKinkedSpectatorHosts:
+    """Slide hosts whose spectator chord is a kink add no constraint row."""
+
+    BIQUANDLES = ["flip2", "cyc3", "quad4", "shift4", "R3", "affine"]
+
+    def test_spectator_hosts_are_distinct_and_in_first_occurrence_order(self):
+        hosts = _r3_template_hosts(1)
+        assert len(hosts) == 96 and len(set(hosts)) == 96
+        assert len(_r3_template_hosts(0)) == 4
+        assert sum(_is_kink(d, 4) for d in hosts) == 48
+        # every placement of the spectator's passages (e1, e2) into gaps
+        # (g1, g2), repeats included, in the order the words first occur
+        words = []
+        for bare in _r3_template_hosts(0):
+            blocks = [bare.endpoints[i : i + 2] for i in (0, 2, 4)]
+            for sign in (1, -1):
+                ends = (Endpoint(4, "O", sign), Endpoint(4, "U", sign))
+                for e1, e2 in (ends, ends[::-1]):
+                    for g1, g2 in product(range(3), repeat=2):
+                        gaps = [[], [], []]
+                        gaps[g1].append(e1)
+                        gaps[g2].append(e2)
+                        word = [e for blk, gap in zip(blocks, gaps) for e in (*blk, *gap)]
+                        words.append(GaussDiagram(tuple(word)))
+        assert len(words) == 144
+        assert hosts == list(dict.fromkeys(words))
+
+    @pytest.mark.parametrize("name", BIQUANDLES)
+    def test_kinked_host_rows_are_rows_of_its_bare_host(self, request, name):
+        """The lemma behind the skip: deleting the kink (an R1 move) gives the
+        bare host of the same sign and arrangement, and every slide and
+        rotation row of the kinked host is a row of that bare host."""
+        if name == "R3":
+            b = _affine_z3(2, 2, 1, 0)
+        elif name == "affine":
+            b = _affine_z3(1, 1, 2, 0)
+        else:
+            b = request.getfixturevalue(name)
+        bare = {d: _slide_host_rows(b, d) for d in _r3_template_hosts(0)}
+        checked = 0
+        for d in _r3_template_hosts(1):
+            if not _is_kink(d, 4):
+                continue
+            start = min(d.index_of(4, "U"), d.index_of(4, "O"))
+            rows = _slide_host_rows(b, d)
+            assert rows <= bare[apply_move(d, R1Delete(start))], str(d)
+            checked += len(rows)
+        assert checked > 100
+
+    def test_integer_rows_carry_no_kinked_spectator_host(self, monkeypatch, cyc3):
+        expected = _integer_rows(cyc3)
+        carried = []
+        transport = arrowweight._transport
+
+        def recorded(b, d, move, colorings):
+            if d.n == 4:
+                carried.append(d)
+            return transport(b, d, move, colorings)
+
+        monkeypatch.setattr(arrowweight, "_transport", recorded)
+        _integer_rows.cache_clear()
+        assert _integer_rows(cyc3) == expected
+        interleaving = [d for d in _r3_template_hosts(1) if not _is_kink(d, 4)]
+        assert len(interleaving) == 48
+        assert list(dict.fromkeys(carried)) == interleaving
 
 
 class TestModulusLimit:

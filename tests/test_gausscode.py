@@ -216,6 +216,68 @@ class TestR3:
         assert R3Slide((0, 2, 4), "L", (1, 2, 3), 1) in slides
 
 
+class TestBlockStarts:
+    """A deletion or slide with a block outside the passages is a ValueError,
+    both to apply and to invert."""
+
+    @pytest.mark.parametrize(
+        "code, move",
+        [
+            ("", R1Delete(0)),
+            ("", R2Delete(0, 2, False)),
+            ("", R3Slide((0, 2, 4), "L", (1, 2, 3), 1)),
+            ("O1+U1+", R1Delete(5)),
+            ("O1+U1+", R2Delete(0, 9, False)),
+            ("O1+U1+", R2Delete(-1, 0, True)),
+            (R3_HOST, R3Slide((0, 2, 40), "L", (1, 2, 3), 1)),
+            # -2 names passage 4 from the end: a slide that used to apply
+            (R3_HOST, R3Slide((0, 2, -2), "L", (1, 2, 3), 1)),
+        ],
+    )
+    def test_out_of_range_start(self, code, move):
+        d = parse_gauss_code(code)
+        with pytest.raises(ValueError, match="index -?[0-9]+"):
+            apply_move(d, move)
+        with pytest.raises(ValueError, match="index -?[0-9]+"):
+            inverse_move(d, move)
+
+    def test_random_moves_raise_value_error_or_give_a_diagram(self):
+        rng = random.Random(20261019)
+        applied = raised = 0
+        for _ in range(4000):
+            d = _random_diagram_of_size(rng, rng.randint(0, 4))
+            n, two_n = d.n, len(d.endpoints)
+
+            def index():
+                return rng.randint(-2, two_n + 2)
+
+            sign, flag = rng.choice((1, -1)), rng.random() < 0.5
+            move = rng.choice(
+                [
+                    lambda: R1Insert(index(), flag, sign),
+                    lambda: R1Delete(index()),
+                    lambda: R2Insert(index(), index(), flag, sign),
+                    lambda: R2Delete(index(), index(), flag),
+                    lambda: R3Slide(
+                        (index(), index(), index()),
+                        rng.choice("LR"),
+                        tuple(rng.sample(range(1, n + 2), 3)) if n >= 2 else (1, 2, 3),
+                        sign,
+                    ),
+                ]
+            )()
+            try:
+                d2 = apply_move(d, move)
+            except ValueError:
+                raised += 1
+                continue
+            applied += 1
+            assert d2 == GaussDiagram(d2.endpoints), (str(d), move)
+            back = apply_move(d2, inverse_move(d, move))
+            assert back.canonical_code() == d.canonical_code(), (str(d), move)
+        assert applied > 500 and raised > 500
+
+
 class TestEnumeration:
     def test_unknot_moves(self):
         moves = enumerate_moves(parse_gauss_code(""))
