@@ -156,10 +156,12 @@ class GaussDiagram:
 
     def canonical_code(self) -> str:
         """A code equal for diagrams differing only by basepoint rotation
-        or chord renumbering: the least relabeled code over all rotations."""
-        two_n = len(self.endpoints)
+        or chord renumbering: the least relabeled code over all rotations,
+        read from the rotated words without building their diagrams."""
+        ends = self.endpoints
         return min(
-            str(self.rotated(k)._relabeled()) for k in range(max(1, two_n))
+            "".join(map(str, _relabel(ends[k:] + ends[:k])))
+            for k in range(max(1, len(ends)))
         )
 
 
@@ -496,7 +498,9 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
         eps = move.eps
         want_l = [("U", x), ("U", y), ("O", x), ("U", z), ("O", y), ("O", z)]
         want_r = [("U", y), ("U", x), ("U", z), ("O", x), ("O", z), ("O", y)]
-        want = want_l if move.form == "L" else want_r
+        want = {"L": want_l, "R": want_r}.get(move.form)
+        if want is None:
+            raise ValueError(f"R3 form must be 'L' or 'R', got {move.form!r}")
         got = [(d.endpoints[i].passage, d.endpoints[i].chord) for i in idx]
         if got != want:
             raise ValueError("R3 sites do not match the stated form")
@@ -547,7 +551,9 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
 
     if isinstance(move, R3Slide):
         _check_starts(d, move.sites)
-        form = "R" if move.form == "L" else "L"
+        form = {"L": "R", "R": "L"}.get(move.form)
+        if form is None:
+            raise ValueError(f"R3 form must be 'L' or 'R', got {move.form!r}")
         return R3Slide(move.sites, form, move.chords, move.eps)
 
     raise TypeError(f"unknown move {move!r}")

@@ -1,6 +1,7 @@
 """Signed Gauss codes, diagram operations, and Reidemeister moves."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -120,6 +121,47 @@ class TestDiagram:
     def test_endpoint_str(self):
         assert str(Endpoint(3, "U", -1)) == "U3-"
 
+    def test_canonical_code_matches_a_diagram_per_rotation(self):
+        """The code read from rotated words against the old definition,
+        which built and printed a relabeled diagram per rotation.  From 10
+        chords on, string order and not label order picks the least
+        rotation (``U10`` sorts before ``U9``), and one input shows it."""
+
+        def reference(d):
+            return min(
+                str(d.rotated(k)._relabeled())
+                for k in range(max(1, len(d.endpoints)))
+            )
+
+        def by_label(d):
+            ends = d.endpoints
+            words = [
+                gausscode._relabel(ends[k:] + ends[:k])
+                for k in range(max(1, len(ends)))
+            ]
+            least = min(words, key=lambda w: [(e.passage, e.chord, -e.sign) for e in w])
+            return "".join(map(str, least))
+
+        rng = random.Random(20261021)
+        # random rotations rarely agree long enough for a label of two
+        # digits to meet one of one digit; in this chain of kinks with two
+        # chord ends swapped, two rotations tie until one reads U10 where
+        # the other reads U9, and the string order takes U10
+        chain = parse_gauss_code(
+            "U1+O2+U2+O3+U3+O4+U4+O5+U5+O6+U6+O7+U7+O8+U8+O9+U9+O10+U11+O11+U10+"
+            "O12+U12+O1+"
+        )
+        randoms = [_random_diagram_of_size(rng, rng.randint(0, 14)) for _ in range(300)]
+        sizes = set()
+        string_order_decides = 0
+        for d in [chain] + randoms:
+            code = d.canonical_code()
+            assert code == reference(d), str(d)
+            sizes.add(d.n)
+            string_order_decides += code != by_label(d)
+        assert sizes == set(range(15))
+        assert string_order_decides > 0
+
 
 class TestR1:
     def test_insert_orders(self):
@@ -204,6 +246,10 @@ class TestR3:
         d = parse_gauss_code(R3_HOST)
         with pytest.raises(ValueError, match="R3 sites do not match"):
             apply_move(d, R3Slide((0, 2, 4), "R", (1, 2, 3), 1))
+        slid = parse_gauss_code("U2+U1+U3+O1+O3+O2+")
+        for call in (apply_move, inverse_move):
+            with pytest.raises(ValueError, match="R3 form must be 'L' or 'R'"):
+                call(slid, R3Slide((0, 2, 4), "X", (1, 2, 3), 1))
 
     def test_slide_rejects_mixed_signs(self):
         d = parse_gauss_code("U1+U2-O1+U3+O2-O3+")
@@ -411,6 +457,54 @@ def _wraps(d, move):
     if isinstance(move, R2Delete):
         return last in (move.over_start, move.under_start)
     return last in move.sites
+
+
+def _reductions(ends):
+    """How many R1 deletions, and parallel and antiparallel R2 deletions,
+    the deletion matcher finds in ``ends``."""
+    return Counter(
+        (type(mv).__name__, getattr(mv, "antiparallel", None))
+        for mv in gausscode._deletions(ends)
+        if isinstance(mv, (R1Delete, R2Delete))
+    )
+
+
+class TestReducibility:
+    """Whether a diagram has an R1 or R2 deletion is a property of its
+    rotation class: the knot-table tool tests it before canonicalizing."""
+
+    def test_same_on_every_rotation_and_renumbering(self):
+        rng = random.Random(20261020)
+        trefoil = parse_gauss_code(TREFOIL)
+        # a kink, then a parallel and an antiparallel R2 block, each
+        # straddling the basepoint
+        built = [apply_move(trefoil, R1Insert(0, True, 1)).rotated(1)] + [
+            apply_move(trefoil, R2Insert(0, 3, anti, -1)).rotated(1)
+            for anti in (False, True)
+        ]
+        for d in built:
+            assert any(
+                _wraps(d, mv)
+                for mv in gausscode._deletions(d.endpoints)
+                if isinstance(mv, (R1Delete, R2Delete))
+            ), str(d)
+        randoms = [_random_diagram_of_size(rng, rng.randint(1, 8)) for _ in range(300)]
+        seen = set()
+        for d in built + randoms:
+            found = _reductions(d.endpoints)
+            seen.add(bool(found))
+            for k in range(len(d.endpoints)):
+                rotated = d.rotated(k).endpoints
+                assert _reductions(rotated) == found, (str(d), k)
+                label = rng.sample(range(1, d.n + 1), d.n)
+                renumbered = GaussDiagram(
+                    tuple(
+                        Endpoint(label[e.chord - 1], e.passage, e.sign)
+                        for e in rotated
+                    )
+                )
+                assert _reductions(renumbered.endpoints) == found, (str(d), k, label)
+        assert seen == {False, True}
 
 
 class TestEnumerationOracle:

@@ -7,16 +7,21 @@ that the stored orientation reproduces all three expected values in
 ``rows_qloop_z4.tsv`` simultaneously.
 
 The construction enumerates every Gauss diagram with 2, 3 or 4 chords
-over all passage and sign assignments, keeps one representative per
-rotation class, discards any diagram a single kink or parallel-pair
-deletion can shrink, groups the survivors up to reversal and mirror
-image, computes the three invariant renderings of each orientation
-variant, and then assigns distinct groups to names whose expected value
-triples they match.  Three names are pinned tighter: 2.1 is the
-all-positive two-crossing code, and 3.1 and 3.3 must additionally
-reproduce the pinned four-element quotient loop polynomials 10 + x^3
-and 6 + 4x^3 over Z_6 while their coloring quivers agree when weights
-are ignored.
+over all passage and sign assignments and discards any diagram that a
+single kink deletion or R2 deletion (parallel or antiparallel) can
+shrink.  That test comes before canonicalization, because it gives one
+answer on every rotation and renumbering of a diagram (the deletion
+matcher reads cyclically adjacent passages and compares chords only for
+equality), so only survivors get a canonical code, and the first
+survivor of each rotation class represents it.  The representatives
+are grouped up to reversal and mirror image, keyed by the least
+canonical code of their orientation variants; each variant gets its
+three invariant renderings, and distinct groups are then assigned to the
+names whose expected value triples they match.  Three names are pinned
+tighter: 2.1 is the all-positive two-crossing code, and 3.1 and 3.3 must
+additionally reproduce the pinned four-element quotient loop polynomials
+10 + x^3 and 6 + 4x^3 over Z_6 while their coloring quivers agree when
+weights are ignored.
 
 Run from the repository root:
 
@@ -98,16 +103,13 @@ def reducible(d: GaussDiagram) -> bool:
     return any(isinstance(mv, (R1Delete, R2Delete)) for mv in _deletions(d.endpoints))
 
 
-def variant_codes(d: GaussDiagram) -> list[str]:
-    """The four orientation variants as code strings, deduplicated."""
-    seen = set()
-    out = []
+def variant_codes(d: GaussDiagram) -> dict[str, str]:
+    """The orientation variants up to rotation and renumbering: each one's
+    canonical code maps to its relabeled code, first variant first.  The
+    least key names the symmetry group of ``d``."""
+    out: dict[str, str] = {}
     for v in orientation_variants(d):
-        code = str(v._relabeled())
-        key = v.canonical_code()
-        if key not in seen:
-            seen.add(key)
-            out.append(code)
+        out.setdefault(v.canonical_code(), str(v._relabeled()))
     return out
 
 
@@ -154,9 +156,8 @@ def main() -> int:
         reps: dict[str, GaussDiagram] = {}
         for code in raw_codes(n):
             d = parse_gauss_code(code)
-            key = d.canonical_code()
-            if key not in reps and not reducible(d):
-                reps[key] = d
+            if not reducible(d):
+                reps.setdefault(d.canonical_code(), d)
         by_chords[n] = reps
         print(f"{n} chords: {len(reps)} irreducible rotation classes")
 
@@ -167,14 +168,12 @@ def main() -> int:
         grouped: dict[str, list[tuple[str, tuple[str, str, str]]]] = {}
         for d in reps.values():
             variants = variant_codes(d)
-            gkey = min(
-                parse_gauss_code(c).canonical_code() for c in variants
-            )
-            if gkey in grouped:
-                continue
-            grouped[gkey] = [
-                (code, triple(parse_gauss_code(code))) for code in variants
-            ]
+            gkey = min(variants)
+            if gkey not in grouped:
+                grouped[gkey] = [
+                    (code, triple(parse_gauss_code(code)))
+                    for code in variants.values()
+                ]
         groups[n] = grouped
         print(f"{n} chords: {len(grouped)} symmetry groups")
 
@@ -209,39 +208,31 @@ def main() -> int:
     # pinned entries first
     d21 = parse_gauss_code(PIN_21)
     assert triple(d21) == expect["2.1"], triple(d21)
-    g21 = min(parse_gauss_code(c).canonical_code() for c in variant_codes(d21))
     assigned["2.1"] = PIN_21
-    used.add(g21)
+    used.add(min(variant_codes(d21)))
 
     three = groups[3]
-    pair = None
-    for k1 in sorted(three):
-        for c1, t1 in three[k1]:
-            if t1 != expect["3.1"]:
-                continue
-            d1 = parse_gauss_code(c1)
-            if quad_qloop(d1) != PIN_31_QLOOP:
-                continue
-            q1 = build_quiver(quad4, w6, d1, endos_q)
-            for k2 in sorted(three):
-                if k2 == k1:
-                    continue
-                for c2, t2 in three[k2]:
-                    if t2 != expect["3.3"]:
-                        continue
-                    d2 = parse_gauss_code(c2)
-                    if quad_qloop(d2) != PIN_33_QLOOP:
-                        continue
-                    q2 = build_quiver(quad4, w6, d2, endos_q)
-                    if quiver_isomorphic(q1, q2, ignore_weights=True):
-                        pair = (k1, c1, k2, c2)
-                        break
-                if pair:
-                    break
-            if pair:
-                break
-        if pair:
-            break
+
+    def pinned(name: str, qloop: str):
+        """(group key, code, quad4 quiver) of each three-chord variant, in
+        group order, with the expected triple of ``name`` and quad4
+        quotient loop value ``qloop``."""
+        for k in sorted(three):
+            for c, t in three[k]:
+                if t == expect[name]:
+                    q = build_quiver(quad4, w6, parse_gauss_code(c), endos_q)
+                    if str(phi_quotient_loop(q)) == qloop:
+                        yield k, c, q
+
+    pair = next(
+        (
+            (k1, c1, k2, c2)
+            for k1, c1, q1 in pinned("3.1", PIN_31_QLOOP)
+            for k2, c2, q2 in pinned("3.3", PIN_33_QLOOP)
+            if k2 != k1 and quiver_isomorphic(q1, q2, ignore_weights=True)
+        ),
+        None,
+    )
     assert pair, "no 3.1/3.3 pair matches the pinned quotient loop values"
     k1, c1, k2, c2 = pair
     assigned["3.1"], assigned["3.3"] = c1, c2
@@ -283,10 +274,7 @@ def main() -> int:
     for entry in table:
         t = triple(entry.diagram)
         assert t == expect[entry.name], (entry.name, t, expect[entry.name])
-        gkey = min(
-            parse_gauss_code(c).canonical_code()
-            for c in variant_codes(entry.diagram)
-        )
+        gkey = min(variant_codes(entry.diagram))
         assert gkey not in seen_groups, f"{entry.name} repeats a diagram"
         seen_groups.add(gkey)
     assert str(table.get("2.1")) == PIN_21
