@@ -43,6 +43,7 @@ from .gausscode import (
     R2Insert,
     R3Slide,
     _deletions,
+    _insertions,
     enumerate_moves,
     parse_gauss_code,
 )
@@ -175,14 +176,26 @@ def sigma_D(
 
     With ``check_rotations`` the sum from every other basepoint must agree,
     which holds for every valid arrow weight; see :func:`_rotation_rows`.
+    The first rotation k at which it differs raises ValueError.
     """
     terms = _pair_terms(d, coloring, w.n)
+    e, m = w.entries, w.m
     if check_rotations:
-        rows = _rotation_rows(terms, len(d.endpoints))
-        for k, row in enumerate(rows, start=1):
-            if sum(c * w.entries[s] for s, c in row.items()) % w.m:
+        # row k - 1 of _rotation_rows, evaluated at w, is the sum of
+        # sign * (W[slot] - W[swapped]) over the pairs with u1 < k <= u2:
+        # a prefix sum of +x at u1 + 1 and -x at u2 + 1
+        two_n = len(d.endpoints)
+        steps = [0] * (two_n + 1)
+        for sign, slot, swapped, u1, u2 in terms:
+            x = sign * (e[slot] - e[swapped])
+            steps[u1 + 1] += x
+            steps[u2 + 1] -= x
+        value = 0
+        for k in range(1, two_n):
+            value += steps[k]
+            if value % m:
                 raise ValueError(f"weight sum depends on the basepoint (rotation {k})")
-    return sum(t[0] * w.entries[t[1]] for t in terms) % w.m
+    return sum(t[0] * e[t[1]] for t in terms) % m
 
 
 def weight_multiset(
@@ -335,6 +348,14 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     rows, so the rows and their order are unchanged.  The one-chord small
     hosts are kinks too, but they are not skipped: their R2 inserts give
     rows.
+
+    Rotation rows are added only where they can change.  Rotation row k
+    covers the pair terms with u1 < k <= u2, where u1 and u2 are
+    under-passage indices.  If passage k is an O passage, no term has u1
+    or u2 equal to k, so row k + 1 equals row k.  So only row 1 and the
+    rows k whose passage k - 1 is a U passage are added; each row skipped
+    repeats the row just before it, so the rows and their order are
+    unchanged.
     """
     return ConstraintSystem(b.n, m, _integer_rows(b))
 
@@ -392,9 +413,13 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
         two_n = len(d.endpoints)
         if two_n < 4:
             return
+        # row k + 1 repeats row k when passage k is an O passage, so only
+        # row 1 (index 0) and the rows after a U passage are added
+        changed = [0] + [k for k in range(1, two_n - 1) if d.endpoints[k].passage == "U"]
         for c in enumerate_colorings(b, d):
-            for row in _rotation_rows(_pair_terms(d, c, n), two_n):
-                add(row)
+            rows = _rotation_rows(_pair_terms(d, c, n), two_n)
+            for i in changed:
+                add(rows[i])
 
     for d in _small_hosts():
         move_rows(d, [mv for mv in enumerate_moves(d) if not _rowless(mv)])
@@ -452,6 +477,12 @@ class SolutionSet:
     (m/gcd times a pivot row) are folded back in, as in a Howell form, which
     keeps the per-column solution counts exact.  Entries are Python ints, so
     every positive modulus is exact.
+
+    The caller's rows are never changed.  Each one is copied, reduced mod m,
+    into the buckets, so every bucketed row is private to the elimination
+    and a row cleared by the pivot is reduced in place over the pivot's
+    entries.  A row that names a column outside 0..ncols - 1 raises
+    ValueError.
     """
 
     def __init__(self, ncols: int, m: int, rows: list[dict[int, int]]):
@@ -467,6 +498,9 @@ class SolutionSet:
                 buckets.setdefault(max(row), []).append(row)
 
         for row in rows:
+            bad = next((s for s in row if not 0 <= s < ncols), None)
+            if bad is not None:
+                raise ValueError(f"row names column {bad}, outside 0..{ncols - 1}")
             put({s: c % m for s, c in row.items() if c % m})
         for col in range(ncols - 1, -1, -1):
             live = buckets.pop(col, None)
@@ -481,16 +515,22 @@ class SolutionSet:
                 if b % g == 0:
                     # c * a == b (mod m); a // g is a unit mod m // g
                     c = b // g * pow(a // g, -1, m // g)
-                    put(_combine(1, other, -c, piv, m))
+                    for k, v in piv.items():
+                        x = (other.get(k, 0) - c * v) % m
+                        if x:
+                            other[k] = x
+                        else:
+                            other.pop(k, None)
+                    put(other)
                     continue
                 h, s, t = _xgcd(a, b)
                 put(_combine(b // h, piv, -(a // h), other, m))
                 piv = _combine(s, piv, t, other, m)
                 g = gcd(piv[col], m)
             ann = m // g
-            put({s: ann * c % m for s, c in piv.items() if ann * c % m})
+            if ann != m:
+                put({s: ann * c % m for s, c in piv.items() if ann * c % m})
             self.pivot[col] = piv
-        assert not buckets, "rows left over after full elimination"
 
     def count(self) -> int:
         total = 1
@@ -594,11 +634,19 @@ def _random_diagram_of_size(rng: random.Random, chords: int) -> GaussDiagram:
 
 def _random_move(rng: random.Random, d: GaussDiagram) -> Move | None:
     """One scramble step's move: ``rng.choice`` over ``enumerate_moves(d)``,
-    without the insertions once ``d`` has 6 chords, or None if no move is left."""
-    moves = enumerate_moves(d)
-    if d.n >= 6:
-        moves = [mv for mv in moves if not isinstance(mv, (R1Insert, R2Insert))]
-    return rng.choice(moves) if moves else None
+    without the insertions once ``d`` has 6 chords, or None if no move is left.
+
+    That list is the insertions (none from 6 chords up) followed by the
+    deletions, so one index is drawn with ``rng.randrange`` over its length
+    and read from the right part, without building the list.  ``choice(seq)``
+    and ``randrange(len(seq))`` both draw ``_randbelow(len(seq))``, so the move
+    and the state the RNG is left in are the same."""
+    ins = _insertions(len(d.endpoints)) if d.n < 6 else ()
+    dels = _deletions(d.endpoints) if d.endpoints else []
+    if not ins and not dels:
+        return None
+    i = rng.randrange(len(ins) + len(dels))
+    return ins[i] if i < len(ins) else dels[i - len(ins)]
 
 
 @dataclass(frozen=True)

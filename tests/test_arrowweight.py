@@ -1,5 +1,6 @@
 """Arrow weight tensors, weight sums, and the validity machinery."""
 
+import copy
 import hashlib
 import random
 from functools import lru_cache
@@ -19,6 +20,7 @@ from arrowquiver.arrowweight import (
     _pair_terms,
     _r3_template_hosts,
     _random_diagram_of_size,
+    _random_move,
     _rotation_rows,
     _small_hosts,
     generate_constraints,
@@ -262,6 +264,34 @@ class TestValidity:
         assert data["violated_rows"] == list(report.violated_rows)
         assert data["failed_trial"] is None
 
+    def test_random_move_draws_as_choice_over_the_listed_moves(self):
+        """The index draw against the list it stands for: the same move and
+        the same RNG state afterwards, with and without insertions."""
+
+        def listed(rng, d):
+            moves = enumerate_moves(d)
+            if d.n >= 6:
+                moves = [mv for mv in moves if not isinstance(mv, (R1Insert, R2Insert))]
+            return rng.choice(moves) if moves else None
+
+        rng = random.Random(20261019)
+        seen = {"insert": 0, "delete": 0, "none": 0, "large delete": 0}
+        for _ in range(2000):
+            d = _random_diagram_of_size(rng, rng.randint(0, 8))
+            mine, ref = random.Random(), random.Random()
+            mine.setstate(rng.getstate())
+            ref.setstate(rng.getstate())
+            move = _random_move(mine, d)
+            assert move == listed(ref, d), str(d)
+            assert mine.getstate() == ref.getstate(), str(d)
+            if move is None:
+                seen["none"] += 1
+            elif isinstance(move, (R1Insert, R2Insert)):
+                seen["insert"] += 1
+            else:
+                seen["large delete" if d.n >= 6 else "delete"] += 1
+        assert min(seen.values()) >= 5, seen
+
 
 def _nonzero(row: dict[int, int]) -> dict[int, int]:
     return {s: c for s, c in row.items() if c}
@@ -323,6 +353,40 @@ class TestEvaluatorOracles:
                     assert _nonzero(rows[k - 1]) == want, (str(d), c, k)
                     checked += 1
         assert checked > 1000
+
+    @pytest.mark.parametrize("name", ["flip2", "cyc3", "quad4", "shift4"])
+    def test_rotation_check_matches_rotation_rows(self, request, name):
+        """The prefix-sum check against each rotation row evaluated at w: the
+        same first failing rotation, or the same sum when none fails."""
+        b = request.getfixturevalue(name)
+        n = b.n
+        rng = random.Random(name)
+        outcomes = {"passed": 0, "first": 0, "later": 0}
+        for d in _oracle_diagrams():
+            m = rng.choice((2, 3, 4, 6))
+            density = rng.choice((0.02, 0.1, 1.0))
+            entries = tuple(
+                rng.randrange(m) if rng.random() < density else 0 for _ in range(n**4)
+            )
+            w = WeightTensor(n, m, entries)
+            for c in enumerate_colorings(b, d):
+                rows = _rotation_rows(_pair_terms(d, c, n), len(d.endpoints))
+                failing = [
+                    k
+                    for k, row in enumerate(rows, start=1)
+                    if sum(v * entries[s] for s, v in row.items()) % m
+                ]
+                if failing:
+                    with pytest.raises(ValueError) as err:
+                        sigma_D(w, d, c, check_rotations=True)
+                    want = f"weight sum depends on the basepoint (rotation {failing[0]})"
+                    assert str(err.value) == want, (str(d), c)
+                    outcomes["first" if failing[0] == 1 else "later"] += 1
+                else:
+                    total = sum(v * entries[s] for s, v in sigma_coefficients(d, c, n).items())
+                    assert sigma_D(w, d, c, check_rotations=True) == total % m
+                    outcomes["passed"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
 
     def test_rotation_error_names_the_first_failing_rotation(self, flip2):
         d = parse_gauss_code("U1+O2+O1+U3+U2+O3+")
@@ -448,6 +512,23 @@ class TestConstraintRowsOracle:
             monkeypatch.setattr(module, "_moved", refuse)
         monkeypatch.setattr(homset, "_solve_middles", refuse)
         assert generate_constraints(cyc3, 3).rows == expected
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_rotation_row_repeats_across_an_o_passage(self, request, name):
+        """The lemma behind adding fewer rotation rows: no pair term has an
+        under-passage at an O passage k, so rotation row k + 1 equals row k."""
+        b = request.getfixturevalue(name)
+        n = b.n
+        hosts = _small_hosts() + _r3_template_hosts(0) + _r3_template_hosts(1)
+        repeats = 0
+        for d in hosts:
+            for c in enumerate_colorings(b, d):
+                rows = _rotation_rows(_pair_terms(d, c, n), len(d.endpoints))
+                for k in range(1, len(d.endpoints) - 1):
+                    if d.endpoints[k].passage == "O":
+                        assert rows[k] == rows[k - 1], (str(d), c, k)
+                        repeats += 1
+        assert repeats > 500
 
     @pytest.mark.parametrize("name", MODULI)
     def test_r1_moves_give_zero_rows(self, request, name):
@@ -759,12 +840,13 @@ def _brute_force(ncols, m, rows):
 class TestSolverOracles:
     """The sparse Z_m elimination against brute force and the int64 solver."""
 
-    MODULI = (2, 4, 6, 8, 9, 10, 12, 30, 36)
+    # 1, 3, 5, 7, 16 and 27 come last, so the earlier moduli draw the same systems
+    MODULI = (2, 4, 6, 8, 9, 10, 12, 30, 36, 1, 3, 5, 7, 16, 27)
 
     def test_matches_brute_force(self):
         rng = random.Random(20261018)
         for m in self.MODULI:
-            divisors = [d for d in range(1, m) if m % d == 0]
+            divisors = [d for d in range(1, m) if m % d == 0] or [1]
             for _ in range(12):
                 ncols = rng.randint(1, 5)
                 while m**ncols > 50_000:
@@ -834,6 +916,25 @@ class TestSolverOracles:
         answers = [sols.contains(v) for v in probes]
         assert answers == [ref.contains(v) for v in probes]
         assert answers[0] and not all(answers)
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_leaves_the_callers_rows_unchanged(self, request, pair):
+        """Elimination reduces its own copies in place, never the rows it is
+        given (here the rows cached by generate_constraints)."""
+        name, _, m = self.PAIRS[pair]
+        b = request.getfixturevalue(name)
+        rows = generate_constraints(b, m).rows
+        before = copy.deepcopy(rows)
+        SolutionSet(b.n**4, m, rows)
+        assert rows == before
+
+    @pytest.mark.parametrize(
+        "rows, column",
+        [([{0: 1}, {2: 1, 0: 3}], 2), ([{-1: 1}], -1), ([{0: 1}, {1: 2, 5: 0}], 5)],
+    )
+    def test_a_column_outside_the_range_is_named(self, rows, column):
+        with pytest.raises(ValueError, match=rf"^row names column {column}, outside 0\.\.1$"):
+            SolutionSet(2, 4, rows)
 
     def test_contains_names_the_expected_length(self):
         sols = SolutionSet(4, 6, [{0: 1, 3: 5}])

@@ -41,6 +41,7 @@ from arrowquiver.arrowweight import WeightTensor  # noqa: E402
 from arrowquiver.biquandle import parse_endos  # noqa: E402
 from arrowquiver.biquandle import load as load_biquandle  # noqa: E402
 from arrowquiver.gausscode import (  # noqa: E402
+    Endpoint,
     GaussDiagram,
     R1Delete,
     R2Delete,
@@ -84,23 +85,25 @@ def matchings(points: list[int]) -> list[list[tuple[int, int]]]:
     return out
 
 
-def raw_codes(n: int):
-    """Every signed Gauss code with ``n`` chords, one string per choice."""
+def raw_words(n: int):
+    """Every signed Gauss word with ``n`` chords, one tuple of passages per
+    choice, in the order of the code strings they spell."""
     for pairing in matchings(list(range(2 * n))):
         for overs in product((0, 1), repeat=n):
-            for signs in product("+-", repeat=n):
-                spots: dict[int, str] = {}
+            for signs in product((1, -1), repeat=n):
+                spots: dict[int, Endpoint] = {}
                 for chord, (a, b) in enumerate(pairing, start=1):
                     o, u = (a, b) if overs[chord - 1] else (b, a)
-                    spots[o] = f"O{chord}{signs[chord - 1]}"
-                    spots[u] = f"U{chord}{signs[chord - 1]}"
-                yield "".join(spots[i] for i in range(2 * n))
+                    spots[o] = Endpoint(chord, "O", signs[chord - 1])
+                    spots[u] = Endpoint(chord, "U", signs[chord - 1])
+                yield tuple(spots[i] for i in range(2 * n))
 
 
-def reducible(d: GaussDiagram) -> bool:
-    """Whether an R1 or R2 deletion applies to ``d``, which has at least
-    one chord, as the deletion matcher of ``enumerate_moves`` finds them."""
-    return any(isinstance(mv, (R1Delete, R2Delete)) for mv in _deletions(d.endpoints))
+def reducible(word: tuple[Endpoint, ...]) -> bool:
+    """Whether an R1 or R2 deletion applies to the diagram of ``word``, which
+    has at least one chord, as the deletion matcher of ``enumerate_moves``
+    finds them."""
+    return any(isinstance(mv, (R1Delete, R2Delete)) for mv in _deletions(word))
 
 
 def variant_codes(d: GaussDiagram) -> dict[str, str]:
@@ -154,9 +157,9 @@ def main() -> int:
     by_chords: dict[int, dict[str, GaussDiagram]] = {}
     for n in (2, 3, 4):
         reps: dict[str, GaussDiagram] = {}
-        for code in raw_codes(n):
-            d = parse_gauss_code(code)
-            if not reducible(d):
+        for word in raw_words(n):
+            if not reducible(word):
+                d = GaussDiagram(word)
                 reps.setdefault(d.canonical_code(), d)
         by_chords[n] = reps
         print(f"{n} chords: {len(reps)} irreducible rotation classes")
