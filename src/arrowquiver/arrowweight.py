@@ -18,11 +18,18 @@ linear conditions on the entries of W, collected by
 :func:`generate_constraints` and solved over Z_m by :func:`solve_constraints`.
 The conditions are integer rows that do not depend on m: they are built and
 deduplicated once per biquandle, and each modulus reduces that one list.
+
+Weight sums are cached the way colorings are: :func:`_weight_sums` keeps,
+per (biquandle, tensor, diagram), the sums of the colorings
+:mod:`arrowquiver.homset` caches, in their order, so that
+:func:`weight_multiset` and :func:`~arrowquiver.quiver.build_quiver` sum
+one diagram once between them.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
@@ -47,7 +54,7 @@ from .gausscode import (
     enumerate_moves,
     parse_gauss_code,
 )
-from .homset import LABEL_SLOTS, _transport, enumerate_colorings
+from .homset import _COLORINGS_CACHED, LABEL_SLOTS, _colorings, _transport, enumerate_colorings
 
 __all__ = [
     "WeightTensor",
@@ -78,6 +85,13 @@ class WeightTensor:
             raise ValueError("wrong number of tensor entries")
         if any(not 0 <= e < self.m for e in self.entries):
             raise ValueError(f"entries must lie in 0..{self.m - 1}")
+
+    def __hash__(self) -> int:
+        # computed once: every lookup in the weight-sum cache hashes it
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.n, self.m, self.entries))
+        return h
 
     @staticmethod
     def slot(n: int, a: int, b: int, c: int, d: int) -> int:
@@ -148,9 +162,15 @@ def _pair_terms(d: GaussDiagram, coloring: tuple[int, ...], n: int) -> list[tupl
 def _rotation_rows(terms: list[tuple], two_n: int) -> list[dict[int, int]]:
     """Row k - 1 is sigma_D minus sigma_D from basepoint k, for 0 < k < 2n:
     moving the basepoint to k swaps the labels of the pairs with u1 < k <= u2."""
-    rows: list[dict[int, int]] = [{} for _ in range(1, two_n)]
+    return _rotation_rows_at(terms, range(two_n - 1))
+
+
+def _rotation_rows_at(terms: list[tuple], indices) -> list[dict[int, int]]:
+    """The rows of :func:`_rotation_rows` at the ascending ``indices``, in
+    their order: row i covers the pairs with u1 <= i < u2."""
+    rows: list[dict[int, int]] = [{} for _ in indices]
     for sign, slot, swapped, u1, u2 in terms:
-        for row in rows[u1:u2]:
+        for row in rows[bisect_left(indices, u1) : bisect_left(indices, u2)]:
             row[slot] = row.get(slot, 0) + sign
             row[swapped] = row.get(swapped, 0) - sign
     return rows
@@ -178,13 +198,17 @@ def sigma_D(
     which holds for every valid arrow weight; see :func:`_rotation_rows`.
     The first rotation k at which it differs raises ValueError.
     """
-    terms = _pair_terms(d, coloring, w.n)
+    return _sum_terms(w, _pair_terms(d, coloring, w.n), len(d.endpoints), check_rotations)
+
+
+def _sum_terms(w: WeightTensor, terms: list[tuple], two_n: int, check_rotations: bool) -> int:
+    """:func:`sigma_D` of the pair terms of a coloring of a diagram with
+    ``two_n`` passages."""
     e, m = w.entries, w.m
     if check_rotations:
         # row k - 1 of _rotation_rows, evaluated at w, is the sum of
         # sign * (W[slot] - W[swapped]) over the pairs with u1 < k <= u2:
         # a prefix sum of +x at u1 + 1 and -x at u2 + 1
-        two_n = len(d.endpoints)
         steps = [0] * (two_n + 1)
         for sign, slot, swapped, u1, u2 in terms:
             x = sign * (e[slot] - e[swapped])
@@ -203,7 +227,16 @@ def weight_multiset(
 ) -> tuple[int, ...]:
     """Sorted weight sums over all colorings: the multiset-valued invariant."""
     colorings = enumerate_colorings(b, d)
-    return tuple(sorted(sigma_D(w, d, c, check_rotations) for c in colorings))
+    if check_rotations:
+        return tuple(sorted(sigma_D(w, d, c, True) for c in colorings))
+    return tuple(sorted(_weight_sums(b, w, d)))
+
+
+@lru_cache(maxsize=_COLORINGS_CACHED)
+def _weight_sums(b: Biquandle, w: WeightTensor, d: GaussDiagram) -> tuple[int, ...]:
+    """The weight sum of each coloring of ``d`` by ``b``, in the order of
+    :func:`~arrowquiver.homset.enumerate_colorings`."""
+    return tuple(sigma_D(w, d, c) for c in _colorings(b, d))
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +447,11 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
         if two_n < 4:
             return
         # row k + 1 repeats row k when passage k is an O passage, so only
-        # row 1 (index 0) and the rows after a U passage are added
+        # row 1 (index 0) and the rows after a U passage are built and added
         changed = [0] + [k for k in range(1, two_n - 1) if d.endpoints[k].passage == "U"]
         for c in enumerate_colorings(b, d):
-            rows = _rotation_rows(_pair_terms(d, c, n), two_n)
-            for i in changed:
-                add(rows[i])
+            for row in _rotation_rows_at(_pair_terms(d, c, n), changed):
+                add(row)
 
     for d in _small_hosts():
         move_rows(d, [mv for mv in enumerate_moves(d) if not _rowless(mv)])
@@ -700,6 +732,16 @@ def is_valid_weight(
     if bad:
         return ValidityReport(False, violated_rows=bad)
     rng = random.Random(seed)
+    # each step's colorings of the moved diagram are the next step's
+    # colorings, so their pair terms are computed once
+    known: dict[tuple[GaussDiagram, tuple[int, ...]], list[tuple]] = {}
+
+    def weight_sum(d: GaussDiagram, c: tuple[int, ...], check_rotations: bool) -> int:
+        terms = known.get((d, c))
+        if terms is None:
+            terms = known[d, c] = _pair_terms(d, c, w.n)
+        return _sum_terms(w, terms, len(d.endpoints), check_rotations)
+
     for trial in range(trials):
         d = _random_diagram_of_size(rng, rng.randint(0, _TRIAL_MAX_CHORDS))
         for _ in range(rng.randint(1, 3)):
@@ -710,8 +752,8 @@ def is_valid_weight(
             d2, images = _transport(b, d, move, colorings)
             for c, c2 in zip(colorings, images):
                 try:
-                    before = sigma_D(w, d, c, check_rotations=True)
-                    after = sigma_D(w, d2, c2)
+                    before = weight_sum(d, c, True)
+                    after = weight_sum(d2, c2, False)
                     mismatch = before != after
                     detail = {"before": before, "after": after}
                 except ValueError as err:

@@ -84,6 +84,13 @@ class Biquandle:
     under: tuple[tuple[int, ...], ...]
     over: tuple[tuple[int, ...], ...]
 
+    def __hash__(self) -> int:
+        # computed once: every lookup in the coloring and weight-sum caches hashes it
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.under, self.over))
+        return h
+
     @property
     def n(self) -> int:
         return len(self.under)

@@ -35,6 +35,18 @@ pieces that both continue it; every other semiarc continues the old one it
 starts with.  A deletion joins the old semiarcs at the two ends of each
 run of removed passages, or all those outside its blocks when it removes
 every passage.
+
+Construction: ``GaussDiagram(...)`` checks its word, and so does
+:func:`parse_gauss_code`, which builds one; every diagram read from a user
+or a file goes through that check.  A diagram derived from a valid one is
+trusted instead: the move engine, once a move's own checks have passed, and
+the word transforms :meth:`~GaussDiagram.rotated`,
+:meth:`~GaussDiagram.reversed`, :meth:`~GaussDiagram.mirrored` and
+:meth:`~GaussDiagram._relabeled` build their results with
+:func:`_trusted`, which skips the check, since each of them maps a valid
+word to a valid word.  A diagram computes its hash once, from integers
+only, and keeps it beside :attr:`~GaussDiagram.compiled`; a pickled
+diagram carries only its word and is checked again when loaded.
 """
 
 from __future__ import annotations
@@ -114,6 +126,20 @@ class GaussDiagram:
         """Flat integer tables of this diagram, built on first use."""
         return _compile(self.endpoints)
 
+    def __hash__(self) -> int:
+        # computed once, from ints only, so that it does not depend on
+        # PYTHONHASHSEED
+        h = self.__dict__.get("_hash")
+        if h is None:
+            codes = [e.chord * 4 + (e.passage == "O") * 2 + (e.sign > 0) for e in self.endpoints]
+            h = self.__dict__["_hash"] = hash(tuple(codes))
+        return h
+
+    def __reduce__(self):
+        # the word alone, checked again on load: a hash or tables cached in
+        # another process (perhaps another platform) are never carried over
+        return GaussDiagram, (self.endpoints,)
+
     def index_of(self, chord: int, passage: str) -> int:
         c = self.compiled
         if passage in ("U", "O") and chord in c.chords:
@@ -135,15 +161,15 @@ class GaussDiagram:
         if not self.endpoints:
             return self
         k %= len(self.endpoints)
-        return GaussDiagram(self.endpoints[k:] + self.endpoints[:k])
+        return _trusted(self.endpoints[k:] + self.endpoints[:k])
 
     def reversed(self) -> "GaussDiagram":
         """Reverse the orientation of the knot (signs are unchanged)."""
-        return GaussDiagram(tuple(reversed(self.endpoints)))
+        return _trusted(tuple(reversed(self.endpoints)))
 
     def mirrored(self) -> "GaussDiagram":
         """Switch every crossing: O and U swap and all signs flip."""
-        return GaussDiagram(
+        return _trusted(
             tuple(
                 Endpoint(e.chord, "U" if e.passage == "O" else "O", -e.sign)
                 for e in self.endpoints
@@ -152,7 +178,7 @@ class GaussDiagram:
 
     def _relabeled(self) -> "GaussDiagram":
         """Renumber chords 1..n in order of first appearance."""
-        return GaussDiagram(_relabel(self.endpoints))
+        return _trusted(_relabel(self.endpoints))
 
     def canonical_code(self) -> str:
         """A code equal for diagrams differing only by basepoint rotation
@@ -163,6 +189,14 @@ class GaussDiagram:
             "".join(map(str, _relabel(ends[k:] + ends[:k])))
             for k in range(max(1, len(ends)))
         )
+
+
+def _trusted(endpoints: tuple[Endpoint, ...]) -> GaussDiagram:
+    """The diagram of a word known to be valid, built without the check of
+    ``GaussDiagram.__post_init__``."""
+    d = object.__new__(GaussDiagram)
+    d.__dict__["endpoints"] = endpoints
+    return d
 
 
 @dataclass(frozen=True)
@@ -362,6 +396,11 @@ def _insert_blocks(d: GaussDiagram, blocks: dict[int, list[Endpoint]]) -> Moved:
     keep: list[int | None] = []
     last = 0
     for g, block in sorted(blocks.items()):
+        # the one check a new passage needs: its chord and passages are
+        # fresh and complete, but the sign comes from the move
+        for e in block:
+            if e.sign not in (1, -1):
+                raise ValueError(f"malformed endpoint {e!r}")
         out += ends[last:g]
         out += block
         keep += range(last, g)
@@ -371,7 +410,7 @@ def _insert_blocks(d: GaussDiagram, blocks: dict[int, list[Endpoint]]) -> Moved:
         last = g
     out += ends[last:]
     keep += range(last, len(ends))
-    return GaussDiagram(tuple(out)), keep, []
+    return _trusted(tuple(out)), keep, []
 
 
 def _delete_blocks(d: GaussDiagram, starts: tuple[int, ...]) -> Moved:
@@ -389,7 +428,7 @@ def _delete_blocks(d: GaussDiagram, starts: tuple[int, ...]) -> Moved:
     if not out:
         # one closed semiarc is left: every old one outside the disk joins it
         outside = [i for i in range(two_n) if i not in starts]
-        return GaussDiagram(()), outside[:1], [(outside[0], i) for i in outside[1:]]
+        return _trusted(()), outside[:1], [(outside[0], i) for i in outside[1:]]
     # a run of removed passages, one block or two adjacent ones, joins the
     # old semiarc entering it to the one leaving it; it starts at the block
     # that no other block ends just before
@@ -398,7 +437,7 @@ def _delete_blocks(d: GaussDiagram, starts: tuple[int, ...]) -> Moved:
         for s in starts
         if (s - 2) % two_n not in starts
     ]
-    return GaussDiagram(_relabel(out)), keep, joins
+    return _trusted(_relabel(out)), keep, joins
 
 
 def _swap_blocks(d: GaussDiagram, sites: tuple[int, ...]) -> Moved:
@@ -408,7 +447,7 @@ def _swap_blocks(d: GaussDiagram, sites: tuple[int, ...]) -> Moved:
         t = _adjacent(d, s)
         ends[s], ends[t] = ends[t], ends[s]
         keep[s] = None
-    return GaussDiagram(tuple(ends)), keep, []
+    return _trusted(tuple(ends)), keep, []
 
 
 def _adjacent(d: GaussDiagram, i: int) -> int:

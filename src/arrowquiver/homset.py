@@ -213,19 +213,23 @@ def _automorphism(
 
 
 def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> bool:
-    """Whether ``coloring`` satisfies every crossing equation of ``d``."""
+    """Whether ``coloring`` satisfies every crossing equation of ``d``.
+
+    Every color must equal one of 1..n: a key built from any other value
+    could collide with a key of the relation table."""
     if len(coloring) != d.num_semiarcs:
         return False
-    elements = b.elements
-    if any(c not in elements for c in coloring):
+    elements = range(1, b.n + 1)
+    if not all(map(elements.__contains__, coloring)):
         return False
     values, r = _relation(b).values, b.n + 1
+    tables = {1: values[1, 0], -1: values[-1, 0]}
     cd = d.compiled
-    return all(
-        coloring[s0] + r * (coloring[s1] + r * (coloring[s2] + r * coloring[s3]))
-        in values[sign, 0]
-        for (s0, s1, s2, s3), sign in zip(cd.slots, cd.sign)
-    )
+    for (s0, s1, s2, s3), sign in zip(cd.slots, cd.sign):
+        key = coloring[s0] + r * (coloring[s1] + r * (coloring[s2] + r * coloring[s3]))
+        if key not in tables[sign]:
+            return False
+    return True
 
 
 def enumerate_colorings(
@@ -249,7 +253,11 @@ def enumerate_colorings(
     return list(_colorings(b, d))
 
 
-@lru_cache(maxsize=1 << 15)
+# diagrams whose colorings (and, in arrowweight, weight sums) are kept
+_COLORINGS_CACHED = 1 << 15
+
+
+@lru_cache(maxsize=_COLORINGS_CACHED)
 def _colorings(b: Biquandle, d: GaussDiagram) -> tuple[tuple[int, ...], ...]:
     found: list[tuple[int, ...]] = []
     start = [0] * d.num_semiarcs

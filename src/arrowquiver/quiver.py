@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrowweight import WeightTensor, sigma_D
+from .arrowweight import WeightTensor, _weight_sums
 from .biquandle import Biquandle
 from .gausscode import GaussDiagram
 from .homset import enumerate_colorings
@@ -90,7 +90,7 @@ def build_quiver(
     endos = b.endomorphisms() if endos is None else [tuple(f) for f in endos]
     colorings = enumerate_colorings(b, d)
     index = {c: i for i, c in enumerate(colorings)}
-    weights = tuple(sigma_D(w, d, c) for c in colorings)
+    weights = _weight_sums(b, w, d)
     edges = []
     seen = set()
     for k, f in enumerate(endos):

@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import random
+import re
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, product
 from math import gcd
@@ -49,6 +51,7 @@ from arrowquiver.homset import (
     transport_coloring,
     transport_colorings,
 )
+from arrowquiver.quiver import build_quiver
 
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
 
@@ -958,3 +961,160 @@ class TestTensorHeader:
     def test_bad_header_names_the_field(self, text, message):
         with pytest.raises(ValueError, match=message):
             WeightTensor.loads(text)
+
+
+class TestCachedWeightSums:
+    """Weight sums come from a cache keyed by (biquandle, tensor, diagram);
+    they must equal the sums read coloring by coloring."""
+
+    PAIRS = {
+        "flip2/16": ("flip2", "w16"),
+        "cyc3/8": ("cyc3", "w8"),
+        "cyc3/3": ("cyc3", "w3"),
+        "quad4/6": ("quad4", "w6"),
+        "shift4/4": ("shift4", "w4"),
+    }
+
+    @staticmethod
+    def _direct(b, w, d) -> list[int]:
+        return [sigma_D(w, d, c) for c in enumerate_colorings(b, d)]
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_quiver_weights_and_multiset_equal_direct_sums(self, request, pair):
+        name, tensor = self.PAIRS[pair]
+        b, w = request.getfixturevalue(name), request.getfixturevalue(tensor)
+        rng = random.Random(20261019)
+        # a second tensor of the same shape, and one equal to w but built anew
+        other = WeightTensor(b.n, w.m, tuple(rng.randrange(w.m) for _ in w.entries))
+        assert other != w
+        again = WeightTensor(w.n, w.m, tuple(w.entries))
+        assert again == w and again is not w
+        diagrams = [_random_diagram_of_size(rng, rng.randint(0, 5)) for _ in range(12)]
+        diagrams.append(apply_move(diagrams[-1], R1Insert(0, True, 1)))
+        for d in diagrams:
+            # interleaved, so a cache keyed without the tensor answers wrongly
+            for t in (w, other, again, other, w):
+                sums = self._direct(b, t, d)
+                assert list(build_quiver(b, t, d).weights) == sums, (pair, str(d))
+                assert weight_multiset(b, t, d) == tuple(sorted(sums)), (pair, str(d))
+
+    def test_rotation_checked_multiset_is_not_read_from_the_cache(self, flip2):
+        """With the sums of a basepoint-dependent tensor cached, the rotation
+        check still runs and raises."""
+        w = asymmetric_tensor()
+        raised = 0
+        for d in _oracle_diagrams()[:40]:
+            sums = weight_multiset(flip2, w, d)
+            try:
+                expected = sorted(sigma_D(w, d, c, True) for c in enumerate_colorings(flip2, d))
+            except ValueError as err:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                    weight_multiset(flip2, w, d, check_rotations=True)
+                raised += 1
+            else:
+                checked = weight_multiset(flip2, w, d, check_rotations=True)
+                assert checked == tuple(expected) == sums
+        assert raised
+
+
+def _old_trials(b, w, trials, seed) -> arrowweight.ValidityReport:
+    """The trial loop of ``is_valid_weight`` as it was before pair terms were
+    shared between steps: every weight sum through ``sigma_D``."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        d = _random_diagram_of_size(rng, rng.randint(0, arrowweight._TRIAL_MAX_CHORDS))
+        for _ in range(rng.randint(1, 3)):
+            move = _random_move(rng, d)
+            if move is None:
+                break
+            colorings = enumerate_colorings(b, d)
+            d2, images = transport_colorings(b, d, move, colorings)
+            for c, c2 in zip(colorings, images):
+                try:
+                    before = sigma_D(w, d, c, check_rotations=True)
+                    after = sigma_D(w, d2, c2)
+                    mismatch = before != after
+                    detail = {"before": before, "after": after}
+                except ValueError as err:
+                    mismatch = True
+                    detail = {"error": str(err)}
+                if mismatch:
+                    return arrowweight.ValidityReport(
+                        False,
+                        failed_trial={
+                            "trial": trial,
+                            "seed": seed,
+                            "diagram": str(d),
+                            "move": repr(move),
+                            "coloring": list(c),
+                            **detail,
+                        },
+                    )
+            d = d2
+    return arrowweight.ValidityReport(True)
+
+
+class TestValidityTrialsShareTerms:
+    MODULI = {"flip2": (16, 2), "cyc3": (8, 3), "quad4": (6,), "shift4": (4,)}
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_report_matches_the_old_trial_loop(self, monkeypatch, request, name):
+        """Without constraint rows every tensor reaches the trials: random
+        ones, ones with a single nonzero entry, symmetric ones (no basepoint
+        error, so sums are compared) and valid ones must be reported exactly
+        as the old loop reports them."""
+        b = request.getfixturevalue(name)
+        monkeypatch.setattr(arrowweight, "generate_constraints", no_constraints)
+        rng = random.Random(20261019)
+        kinds = Counter()
+        for m in self.MODULI[name]:
+            size = b.n**4
+            tensors = [WeightTensor(b.n, m, tuple(rng.randrange(m) for _ in range(size)))]
+            # one nonzero entry: often a basepoint error first
+            for slot in rng.sample(range(size), 6):
+                tensors.append(WeightTensor(b.n, m, tuple(int(s == slot) for s in range(size))))
+            n2 = b.n * b.n
+            upper = {(i, j): rng.randrange(m) for i in range(n2) for j in range(i, n2)}
+            tensors.append(
+                WeightTensor(
+                    b.n,
+                    m,
+                    tuple(upper[min(i, j), max(i, j)] for i in range(n2) for j in range(n2)),
+                )
+            )
+            tensors += list(islice(search_weights(b, m), 2))
+            for w in tensors:
+                for seed in (0, 1):
+                    report = is_valid_weight(b, w, trials=12, seed=seed)
+                    assert report == _old_trials(b, w, 12, seed), (name, m, w.entries, seed)
+                    trial = report.failed_trial or {}
+                    kinds["valid" if report else "error" if "error" in trial else "sums"] += 1
+        assert kinds["valid"] and kinds["error"] and kinds["sums"], kinds
+
+    def test_pair_terms_are_computed_once_per_diagram_and_coloring(self, monkeypatch, cyc3, w8):
+        calls = Counter()
+        real = arrowweight._pair_terms
+
+        def counted(d, c, n):
+            calls[d, c] += 1
+            return real(d, c, n)
+
+        generate_constraints(cyc3, w8.m)  # its rows read pair terms too
+        monkeypatch.setattr(arrowweight, "_pair_terms", counted)
+        assert is_valid_weight(cyc3, w8, trials=20)
+        assert calls and max(calls.values()) == 1
+
+
+class TestRotationRowsAt:
+    @pytest.mark.parametrize("name", ("flip2", "quad4"))
+    def test_rows_at_indices_are_those_rows_of_the_full_list(self, request, name):
+        b = request.getfixturevalue(name)
+        rng = random.Random(20261019)
+        for d in _oracle_diagrams():
+            two_n = len(d.endpoints)
+            for c in enumerate_colorings(b, d)[:4]:
+                terms = _pair_terms(d, c, b.n)
+                full = _rotation_rows(terms, two_n)
+                rows = range(two_n - 1)
+                indices = sorted(rng.sample(rows, rng.randint(0, len(rows))))
+                assert arrowweight._rotation_rows_at(terms, indices) == [full[i] for i in indices]

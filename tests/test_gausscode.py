@@ -1,7 +1,12 @@
 """Signed Gauss codes, diagram operations, and Reidemeister moves."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -569,3 +574,91 @@ class TestEnumerationOracle:
         assert enumerate_moves(d) == expected
         same_size = parse_gauss_code(TREFOIL)
         assert enumerate_moves(same_size) == _brute_force_moves(same_size)
+
+
+def _same_as_validated(d) -> None:
+    """``d`` equals, and hashes like, the diagram its word builds through
+    the checked constructor."""
+    checked = GaussDiagram(d.endpoints)
+    assert d == checked, str(d)
+    assert hash(d) == hash(checked), str(d)
+
+
+class TestTrustedConstruction:
+    """Moves and word transforms build their diagrams without the check of
+    ``GaussDiagram.__post_init__``; what they build must be what it allows."""
+
+    def test_every_listed_move_gives_a_checked_diagram(self):
+        rng = random.Random(20261019)
+        diagrams = [_random_diagram_of_size(rng, chords) for chords in range(7) for _ in range(2)]
+        # deletions and slides are rare on random words: add words that have them
+        diagrams += [apply_move(d, R2Insert(1, 2, False, 1)) for d in diagrams[2:8]]
+        diagrams += _r3_template_hosts(0) + _r3_template_hosts(1)[::8]
+        applied = Counter()
+        for d in diagrams:
+            for move in enumerate_moves(d):
+                _same_as_validated(apply_move(d, move))
+                applied[type(move).__name__] += 1
+        assert set(applied) == {"R1Insert", "R1Delete", "R2Insert", "R2Delete", "R3Slide"}, applied
+        assert min(applied.values()) >= 8, applied
+
+    def test_word_transforms_give_checked_diagrams(self):
+        rng = random.Random(20261020)
+        for chords in range(7):
+            for _ in range(5):
+                d = _random_diagram_of_size(rng, chords)
+                for k in range(-1, len(d.endpoints) + 2):
+                    _same_as_validated(d.rotated(k))
+                for derived in (d.reversed(), d.mirrored(), d._relabeled()):
+                    _same_as_validated(derived)
+                # a word whose labels _relabeled changes
+                _same_as_validated(d.rotated(1)._relabeled())
+
+    def test_insert_with_a_bad_sign_still_names_the_endpoint(self):
+        d = parse_gauss_code("O1+U1+")
+        message = r"^malformed endpoint Endpoint\(chord=2, passage='{}', sign={}\)$"
+        with pytest.raises(ValueError, match=message.format("O", 2)):
+            apply_move(d, R1Insert(0, False, 2))
+        # the first new passage in the word is named, as the checked
+        # constructor named it: here the U block at gap 0
+        with pytest.raises(ValueError, match=message.format("U", 0)):
+            apply_move(d, R2Insert(2, 0, False, 0))
+
+    def test_hash_is_cached_and_equal_for_equal_words(self):
+        d = apply_move(parse_gauss_code(TREFOIL), R1Insert(2, True, -1))
+        assert hash(d) == hash(d) == hash(parse_gauss_code(str(d)))
+        assert "_hash" in d.__dict__
+        assert {d: 1}[parse_gauss_code(str(d))] == 1
+
+    def test_pickled_diagram_hashes_alike_under_another_hash_seed(self, tmp_path):
+        """A pickle holds only the word, so a diagram loaded in a process
+        whose string hashes differ hashes like one built there."""
+        d = apply_move(parse_gauss_code(TREFOIL), R2Insert(1, 4, False, 1))
+        hash(d)
+        d.compiled
+        assert {"_hash", "compiled"} <= set(d.__dict__)
+        path = tmp_path / "moved.pickle"
+        path.write_bytes(pickle.dumps(d))
+        script = (
+            "import pickle, sys\n"
+            "from arrowquiver.gausscode import GaussDiagram\n"
+            "loaded = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "fresh = GaussDiagram(loaded.endpoints)\n"
+            "assert set(loaded.__dict__) == {'endpoints'}, loaded.__dict__\n"
+            "assert hash(loaded) == hash(fresh)\n"
+            "assert {fresh: 'found'}[loaded] == 'found'\n"
+            "print(hash(loaded), str(loaded))\n"
+        )
+        src = str(Path(gausscode.__file__).resolve().parents[1])
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        # the hash is read from integers only, so it is the same everywhere
+        assert outs[0] == outs[1] == f"{hash(d)} {d}\n"

@@ -425,6 +425,25 @@ class TestPredicates:
         assert is_coloring(flip2, VIRTUAL_HOPF, (1, 2, 1, 2))
         assert not is_coloring(flip2, VIRTUAL_HOPF, (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("bad", [1.5, 0, 3, -1, 2.5, "1", None, 10**30])
+    def test_is_coloring_rejects_a_color_outside_1_to_n(self, flip2, bad):
+        """Each color must equal one of 1..n; every semiarc position is tried."""
+        good = (1, 2, 1, 2)
+        assert is_coloring(flip2, VIRTUAL_HOPF, good)
+        for i in range(len(good)):
+            c = good[:i] + (bad,) + good[i + 1 :]
+            assert is_coloring(flip2, VIRTUAL_HOPF, c) is False, (bad, i)
+
+    def test_is_coloring_agrees_with_the_enumerated_colorings(self, cyc3, quad4):
+        rng = random.Random(20261019)
+        for b in (cyc3, quad4):
+            for d in _random_diagrams(6):
+                found = set(enumerate_colorings(b, d))
+                assert all(is_coloring(b, d, c) for c in found)
+                for _ in range(20):
+                    c = tuple(rng.choice(b.elements) for _ in range(d.num_semiarcs))
+                    assert is_coloring(b, d, c) == (c in found), (str(d), c)
+
     def test_chord_colors(self):
         c = (1, 2, 1, 2)
         assert chord_colors(VIRTUAL_HOPF, c, 1) == (2, 1, 2, 1)
