@@ -9,7 +9,12 @@ diagram contributes
 
 where the first slot belongs to the crossing whose under-passage comes
 first from the basepoint.  The total is the weight sum sigma_D of the
-coloring; every sum is read from one per-pair table (:func:`_pair_terms`).
+coloring.  Every sum reads one table per diagram, built once beside its
+compiled tables: per intersecting pair, its sign product, the four
+semiarcs whose colors give its tensor slot and its under-passage indices.
+:func:`_weight_sums` sums each coloring straight from it, and
+:func:`_pair_terms`, which serves :func:`sigma_D`, :func:`sigma_coefficients`,
+the rotation rows and the validity trials, lists one coloring's terms from it.
 Moving the basepoint to passage k swaps the labels of exactly the pairs
 it straddles, those with under-passages u1 < k <= u2.  For W to define a
 knot invariant the multiset of weight sums over all colorings must be
@@ -54,7 +59,7 @@ from .gausscode import (
     enumerate_moves,
     parse_gauss_code,
 )
-from .homset import _COLORINGS_CACHED, LABEL_SLOTS, _colorings, _transport, enumerate_colorings
+from .homset import _COLORINGS_CACHED, _colorings, _transport, enumerate_colorings
 
 __all__ = [
     "WeightTensor",
@@ -140,22 +145,17 @@ class WeightTensor:
 
 
 def _pair_terms(d: GaussDiagram, coloring: tuple[int, ...], n: int) -> list[tuple]:
-    """The weight-sum evaluator: per intersecting chord pair, in the order of
-    ``crossing_pairs``, the sign product, the tensor slot of (label(first),
-    label(second)), the slot with the labels swapped, and the under-passage
-    indices u1 < u2 of the pair (the first chord's is u1)."""
-    cd = d.compiled
-    labels = [
-        (coloring[s[i]] - 1) * n + coloring[s[j]] - 1
-        for s, (i, j) in zip(cd.slots, map(LABEL_SLOTS.get, cd.sign))
-    ]
+    """The terms of one coloring's weight sum, read from the diagram's pair
+    table: per interleaving chord pair, in the order of ``crossing_pairs``,
+    the sign product, the tensor slot of (label(first), label(second)), the
+    slot with the labels swapped, and the under-passage indices u1 < u2 of
+    the pair (the first chord's is u1)."""
+    n2 = n * n
     terms = []
-    for p, q in cd.pairs:
-        if cd.under[p] > cd.under[q]:
-            p, q = q, p
-        lp, lq = labels[p], labels[q]
-        sign = cd.sign[p] * cd.sign[q]
-        terms.append((sign, lp * n * n + lq, lq * n * n + lp, cd.under[p], cd.under[q]))
+    for sign, a, b, x, y, u1, u2 in d._pair_table:
+        lp = (coloring[a] - 1) * n + coloring[b] - 1
+        lq = (coloring[x] - 1) * n + coloring[y] - 1
+        terms.append((sign, lp * n2 + lq, lq * n2 + lp, u1, u2))
     return terms
 
 
@@ -235,8 +235,23 @@ def weight_multiset(
 @lru_cache(maxsize=_COLORINGS_CACHED)
 def _weight_sums(b: Biquandle, w: WeightTensor, d: GaussDiagram) -> tuple[int, ...]:
     """The weight sum of each coloring of ``d`` by ``b``, in the order of
-    :func:`~arrowquiver.homset.enumerate_colorings`."""
-    return tuple(sigma_D(w, d, c) for c in _colorings(b, d))
+    :func:`~arrowquiver.homset.enumerate_colorings`.  Each is read straight
+    from the diagram's pair table: the sum over its rows (sign, i, j, k, l,
+    u1, u2) of sign * W[c[i], c[j], c[k], c[l]], reduced mod m, where the
+    slot of those four colors (each from 1) is
+    c[i] n^3 + c[j] n^2 + c[k] n + c[l] - (n^3 + n^2 + n + 1)."""
+    e, m, n = w.entries, w.m, w.n
+    n2 = n * n
+    n3 = n2 * n
+    offset = n3 + n2 + n + 1
+    table = d._pair_table
+    sums = []
+    for c in _colorings(b, d):
+        total = 0
+        for sign, i, j, k, l, _, _ in table:
+            total += sign * e[c[i] * n3 + c[j] * n2 + c[k] * n + c[l] - offset]
+        sums.append(total % m)
+    return tuple(sums)
 
 
 # ---------------------------------------------------------------------------

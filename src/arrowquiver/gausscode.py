@@ -54,7 +54,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 __all__ = [
     "Endpoint",
@@ -84,6 +83,11 @@ class Endpoint:
 
     def __str__(self) -> str:
         return f"{self.passage}{self.chord}{'+' if self.sign > 0 else '-'}"
+
+
+# where a crossing's arrow label sits in its slots (u_in, u_out, o_in, o_out),
+# by sign: (u_in, o_out) at a positive crossing, (u_out, o_in) at a negative one
+LABEL_SLOTS = {1: (0, 3), -1: (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,27 @@ class GaussDiagram:
     def compiled(self) -> "CompiledDiagram":
         """Flat integer tables of this diagram, built on first use."""
         return _compile(self.endpoints)
+
+    @cached_property
+    def _pair_table(self) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
+        """What arrow weight sums read, built on first use: per interleaving
+        chord pair, in the order of :meth:`crossing_pairs`, the tuple
+        (sign product, a, b, x, y, u1, u2).  The first chord is the one whose
+        under passage comes first: u1 < u2 are the two under-passage indices,
+        and the colors of semiarcs (a, b) and (x, y) are the arrow labels of
+        the first and the second chord."""
+        cd = self.compiled
+        sign, under = cd.sign, cd.under
+        labels = []  # per chord, the two semiarcs of its arrow label
+        for sl, sg in zip(cd.slots, sign):
+            i, j = LABEL_SLOTS[sg]
+            labels.append((sl[i], sl[j]))
+        table = []
+        for p, q in cd.pairs:
+            if under[p] > under[q]:
+                p, q = q, p
+            table.append((sign[p] * sign[q], *labels[p], *labels[q], under[p], under[q]))
+        return tuple(table)
 
     def __hash__(self) -> int:
         # computed once, from ints only, so that it does not depend on
@@ -234,40 +259,56 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
     under = [0] * n
     over = [0] * n
     sign = [0] * n
+    # semiarc i leaves passage i and enters passage i + 1 (the last one
+    # enters passage 0), at the slot (chord index, position) of each: u_out 1
+    # or o_out 3 where it leaves, u_in 0 or o_in 2 where it enters
+    touching = []
+    touches = []
+    leaving = None  # the slot where the semiarc before passage i leaves
     for i, e in enumerate(endpoints):
-        (under if e.passage == "U" else over)[e.chord - 1] = i
-        sign[e.chord - 1] = e.sign
-    slots = tuple(
-        ((u - 1) % two_n, u, (o - 1) % two_n, o) for u, o in zip(under, over)
-    )
-    kind = tuple(
-        (c, (s0 == s3) | (s1 == s2) << 1) for c, (s0, s1, s2, s3) in zip(sign, slots)
-    )
-    # semiarc i leaves passage i and enters passage i + 1
-    touching = tuple(
-        (
-            (e.chord - 1, 1 if e.passage == "U" else 3),
-            (f.chord - 1, 0 if f.passage == "U" else 2),
-        )
-        for e, f in zip(endpoints, endpoints[1:] + endpoints[:1])
-    )
-    touches = tuple((a,) if a == b else (a, b) for (a, _), (b, _) in touching)
-    spans = [sorted(ends) for ends in zip(under, over)]
-    pairs = tuple(
-        (p, q)
-        for (p, (lo, hi)), (q, (a, b)) in combinations(enumerate(spans), 2)
-        if (lo < a < hi) != (lo < b < hi)
-    )
+        c = e.chord - 1
+        sign[c] = e.sign
+        if e.passage == "U":
+            under[c] = i
+            entering, leave = (c, 0), (c, 1)
+        else:
+            over[c] = i
+            entering, leave = (c, 2), (c, 3)
+        if i:
+            touching.append((leaving, entering))
+            touches.append((leaving[0],) if leaving[0] == c else (leaving[0], c))
+        else:
+            first = entering
+        leaving = leave
+    if two_n:
+        touching.append((leaving, first))
+        touches.append((c,) if c == first[0] else (c, first[0]))
+    slots = []
+    kind = []
+    for c in range(n):
+        u, o = under[c], over[c]
+        s0, s2 = (u - 1) % two_n, (o - 1) % two_n
+        slots.append((s0, u, s2, o))
+        kind.append((sign[c], (s0 == o) | (u == s2) << 1))
+    # chords p < q interleave when exactly one end of q lies inside p's span
+    lows = [min(u, o) for u, o in zip(under, over)]
+    highs = [max(u, o) for u, o in zip(under, over)]
+    pairs = []
+    for p in range(n):
+        lo, hi = lows[p], highs[p]
+        for q in range(p + 1, n):
+            if (lo < lows[q] < hi) != (lo < highs[q] < hi):
+                pairs.append((p, q))
     return CompiledDiagram(
         range(1, n + 1),
         tuple(under),
         tuple(over),
         tuple(sign),
-        slots,
-        kind,
-        touching or ((),),
-        touches or ((),),
-        pairs,
+        tuple(slots),
+        tuple(kind),
+        tuple(touching) or ((),),
+        tuple(touches) or ((),),
+        tuple(pairs),
     )
 
 

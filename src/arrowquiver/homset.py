@@ -34,6 +34,14 @@ By axiom B2 the colors of (u_in, o_out), (o_in, u_out), (u_in, o_in) or
 (u_out, o_out) each fix a crossing, so propagation usually runs around the
 whole knot.  When nothing is forced, the uncolored semiarc whose crossings
 allow the fewest values is tried with each of them in ascending order.
+The search is one loop over an explicit stack, the idiom of
+:meth:`~arrowquiver.biquandle.Biquandle._maps`: one trail lists the
+semiarcs propagation colored, in order, and each open branch point holds
+its semiarc, the values still to try and the length of the trail when it
+branched, so going back to it uncolors the trail past that length.  Its
+depth therefore does not count against the recursion limit, and a search
+allocates no closure and leaves no reference cycle for the garbage
+collector to find.
 :func:`enumerate_colorings` runs the solver once per orbit of the
 biquandle's automorphism group on its elements, with semiarc 0 colored by
 the orbit's least element r: an automorphism f sends the colorings with r
@@ -67,7 +75,7 @@ from functools import lru_cache
 from itertools import product
 
 from .biquandle import Biquandle
-from .gausscode import GaussDiagram, Move, _moved
+from .gausscode import LABEL_SLOTS, GaussDiagram, Move, _moved
 
 __all__ = [
     "enumerate_colorings",
@@ -274,7 +282,13 @@ def _extensions(
     b: Biquandle, d: GaussDiagram, start: list[int]
 ) -> list[tuple[int, ...]]:
     """Every coloring of ``d`` that agrees with ``start`` where it is
-    nonzero (0 marks an uncolored semiarc), in no particular order."""
+    nonzero (0 marks an uncolored semiarc), in the order of the search.
+
+    One loop propagates and branches.  ``trail`` lists the semiarcs that
+    propagation colored, in order, and ``stack`` the open branch points as
+    [semiarc, values still to try, length of the trail at the branch]; going
+    back to a branch point uncolors the trail past its length.
+    """
     cd = d.compiled
     rel = _relation(b)
     r = rel.radix
@@ -285,10 +299,13 @@ def _extensions(
     values = [rel.values[kind] for kind in cd.kind]
     forced = [rel.forced[kind] for kind in cd.kind]
     val = list(start)
+    queue = list(range(len(slots)))
     queued = [True] * len(slots)  # exactly the chords in the queue
+    trail: list[int] = []
+    stack: list[list[int]] = []
     found: list[tuple[int, ...]] = []
-
-    def propagate(queue: list[int], trail: list[int]) -> bool:
+    while True:
+        # propagate: a crossing's known colors may force others
         while queue:
             ch = queue.pop()
             sl = slots[ch]
@@ -299,7 +316,7 @@ def _extensions(
                     queued[c] = False
                 queued[ch] = False
                 queue.clear()
-                return False
+                break
             for k, v in pairs:
                 s = sl[k]
                 val[s] = v
@@ -310,11 +327,9 @@ def _extensions(
                         queue.append(c)
             # unqueued only now: the values it forced leave it nothing more
             queued[ch] = False
-        return True
-
-    def search(queue: list[int]) -> None:
-        trail: list[int] = []
-        if propagate(queue, trail):
+        else:
+            # consistent: branch on the uncolored semiarc with the fewest
+            # values its crossings allow, or report a complete coloring
             best, best_values, fewest = -1, 0, r
             for s, v in enumerate(val):
                 if v:
@@ -333,28 +348,31 @@ def _extensions(
             if best < 0:
                 found.append(tuple(val))
             else:
-                while best_values:
-                    low = best_values & -best_values
-                    best_values ^= low
-                    val[best] = low.bit_length() - 1
-                    for c in touches[best]:
-                        queued[c] = True
-                    search(list(touches[best]))
-                val[best] = 0
-        for s in trail:
+                stack.append([best, best_values, len(trail)])
+        # the next value of the innermost open branch point, if any
+        while stack:
+            top = stack[-1]
+            s, left, mark = top
+            for t in trail[mark:]:
+                val[t] = 0
+            del trail[mark:]
+            if left:
+                low = left & -left
+                top[1] = left ^ low
+                val[s] = low.bit_length() - 1
+                for c in touches[s]:
+                    queued[c] = True
+                queue.extend(touches[s])
+                break
             val[s] = 0
-
-    search(list(range(len(slots))))
-    return found
+            stack.pop()
+        else:
+            return found
 
 
 def counting_invariant(b: Biquandle, d: GaussDiagram) -> int:
     """The number of colorings of ``d`` by ``b``."""
     return len(enumerate_colorings(b, d))
-
-
-# where a crossing's arrow label sits in (u_in, u_out, o_in, o_out), by sign
-LABEL_SLOTS = {1: (0, 3), -1: (1, 2)}
 
 
 def arrow_label(

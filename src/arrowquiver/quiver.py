@@ -14,6 +14,7 @@ with multiplicity; the polynomial invariants of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .arrowweight import WeightTensor, _weight_sums
 from .biquandle import Biquandle
@@ -89,7 +90,12 @@ def build_quiver(
     """
     endos = b.endomorphisms() if endos is None else [tuple(f) for f in endos]
     colorings = enumerate_colorings(b, d)
-    index = {c: i for i, c in enumerate(colorings)}
+    # itemgetter(*c) applied to fx = (0, *f) gives the image of coloring c
+    # under f.  For a coloring of one semiarc it gives a bare color, not a
+    # tuple, so the keys of index are what it picks from the identity map.
+    picks = [itemgetter(*c) for c in colorings]
+    identity = tuple(range(b.n + 1))
+    index = {pick(identity): i for i, pick in enumerate(picks)}
     weights = _weight_sums(b, w, d)
     edges = []
     seen = set()
@@ -97,11 +103,12 @@ def build_quiver(
         if f in seen:
             raise ValueError(f"map {f} is listed twice")
         seen.add(f)
-        for c in colorings:
-            image = tuple(f[x - 1] for x in c)
-            if image not in index:
+        fx = (0, *f)
+        for i, pick in enumerate(picks):
+            j = index.get(pick(fx))
+            if j is None:
                 raise ValueError(f"map {f} does not preserve colorings")
-            edges.append((index[c], index[image], k))
+            edges.append((i, j, k))
     return Quiver(tuple(colorings), weights, tuple(edges), tuple(endos), w.m)
 
 

@@ -1118,3 +1118,58 @@ class TestRotationRowsAt:
                 rows = range(two_n - 1)
                 indices = sorted(rng.sample(rows, rng.randint(0, len(rows))))
                 assert arrowweight._rotation_rows_at(terms, indices) == [full[i] for i in indices]
+
+
+def _sum_by_definition(w, d, c) -> int:
+    """sigma_D as the module docstring defines it: over the interleaving
+    chord pairs, the first being the one whose under passage comes first,
+    sign(p) sign(q) W[label(p)][label(q)], reduced mod m."""
+    total = 0
+    for p, q in d.crossing_pairs():
+        if d.index_of(p, "U") > d.index_of(q, "U"):
+            p, q = q, p
+        label_p, label_q = arrow_label(d, c, p), arrow_label(d, c, q)
+        total += d.sign_of(p) * d.sign_of(q) * w.get(label_p, label_q)
+    return total % w.m
+
+
+class TestPairTable:
+    """Weight sums read straight from the per-diagram pair table equal the
+    sums of the pair terms and the sums from the definition."""
+
+    PAIRS = TestCachedWeightSums.PAIRS
+
+    @staticmethod
+    def _diagrams(rng) -> list:
+        return [_random_diagram_of_size(rng, chords) for chords in range(11) for _ in range(3)]
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_bundled_tensors(self, request, pair):
+        name, tensor = self.PAIRS[pair]
+        b, w = request.getfixturevalue(name), request.getfixturevalue(tensor)
+        for d in self._diagrams(random.Random(20261019)):
+            expected = tuple(sigma_D(w, d, c) for c in enumerate_colorings(b, d))
+            assert arrowweight._weight_sums(b, w, d) == expected, (pair, str(d))
+            assert expected == tuple(_sum_by_definition(w, d, c) for c in enumerate_colorings(b, d))
+
+    @pytest.mark.parametrize("m", [2, 7, 10**23])
+    def test_random_tensors(self, flip2, cyc3, quad4, shift4, m):
+        rng = random.Random(m)
+        for b in (flip2, cyc3, quad4, shift4):
+            w = WeightTensor(b.n, m, tuple(rng.randrange(m) for _ in range(b.n**4)))
+            for d in self._diagrams(rng):
+                colorings = enumerate_colorings(b, d)
+                expected = tuple(sigma_D(w, d, c) for c in colorings)
+                assert arrowweight._weight_sums(b, w, d) == expected, (m, str(d))
+                assert expected == tuple(_sum_by_definition(w, d, c) for c in colorings)
+
+    def test_table_rows(self):
+        # one row per interleaving pair, in the order of crossing_pairs, with
+        # the first chord the one whose under passage comes first
+        rng = random.Random(7)
+        for d in self._diagrams(rng):
+            table = d._pair_table
+            assert len(table) == len(d.crossing_pairs())
+            for (sign, *_, u1, u2), (p, q) in zip(table, d.crossing_pairs()):
+                assert sign == d.sign_of(p) * d.sign_of(q)
+                assert (u1, u2) == tuple(sorted((d.index_of(p, "U"), d.index_of(q, "U"))))

@@ -1,11 +1,13 @@
 """Signed Gauss codes, diagram operations, and Reidemeister moves."""
 
+import dataclasses
 import os
 import pickle
 import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -662,3 +664,58 @@ class TestTrustedConstruction:
             outs.append(done.stdout)
         # the hash is read from integers only, so it is the same everywhere
         assert outs[0] == outs[1] == f"{hash(d)} {d}\n"
+
+
+def _compile_reference(endpoints) -> gausscode.CompiledDiagram:
+    """The compiler as it was written with ``combinations`` and generator
+    expressions: the reference the one-pass compiler must match."""
+    two_n = len(endpoints)
+    n = two_n // 2
+    under = [0] * n
+    over = [0] * n
+    sign = [0] * n
+    for i, e in enumerate(endpoints):
+        (under if e.passage == "U" else over)[e.chord - 1] = i
+        sign[e.chord - 1] = e.sign
+    slots = tuple(((u - 1) % two_n, u, (o - 1) % two_n, o) for u, o in zip(under, over))
+    kind = tuple((c, (s0 == s3) | (s1 == s2) << 1) for c, (s0, s1, s2, s3) in zip(sign, slots))
+    touching = tuple(
+        (
+            (e.chord - 1, 1 if e.passage == "U" else 3),
+            (f.chord - 1, 0 if f.passage == "U" else 2),
+        )
+        for e, f in zip(endpoints, endpoints[1:] + endpoints[:1])
+    )
+    touches = tuple((a,) if a == b else (a, b) for (a, _), (b, _) in touching)
+    spans = [sorted(ends) for ends in zip(under, over)]
+    pairs = tuple(
+        (p, q)
+        for (p, (lo, hi)), (q, (a, b)) in combinations(enumerate(spans), 2)
+        if (lo < a < hi) != (lo < b < hi)
+    )
+    return gausscode.CompiledDiagram(
+        range(1, n + 1),
+        tuple(under),
+        tuple(over),
+        tuple(sign),
+        slots,
+        kind,
+        touching or ((),),
+        touches or ((),),
+        pairs,
+    )
+
+
+class TestCompileOracle:
+    def test_same_tables_as_the_reference(self):
+        rng = random.Random(20261019)
+        kinks = 0
+        for i in range(5000):
+            d = _random_diagram_of_size(rng, i % 15)
+            got, expected = gausscode._compile(d.endpoints), _compile_reference(d.endpoints)
+            for field in dataclasses.fields(gausscode.CompiledDiagram):
+                name = field.name
+                assert getattr(got, name) == getattr(expected, name), (str(d), name)
+            assert got == expected
+            kinks += any(shape for _, shape in got.kind)
+        assert kinks > 500, kinks

@@ -647,3 +647,127 @@ class TestBatchTransport:
             batch = colorings[:k] + [bad] + colorings[k + 1 :]
             with pytest.raises(TransportError, match="not a coloring"):
                 transport_colorings(quad4, R3_HOST, move, batch)
+
+
+def _recursive_extensions(b, d, start) -> list[tuple[int, ...]]:
+    """The coloring solver as it was written with two nested closures, one
+    of them recursive: the reference the explicit-stack solver must match,
+    list for list and in order."""
+    cd = d.compiled
+    rel = homset._relation(b)
+    r = rel.radix
+    r2, r3 = r * r, r * r * r
+    everything = rel.everything
+    slots, touching, touches = cd.slots, cd.touching, cd.touches
+    values = [rel.values[kind] for kind in cd.kind]
+    forced = [rel.forced[kind] for kind in cd.kind]
+    val = list(start)
+    queued = [True] * len(slots)
+    found = []
+
+    def propagate(queue, trail):
+        while queue:
+            ch = queue.pop()
+            sl = slots[ch]
+            s0, s1, s2, s3 = sl
+            pairs = forced[ch].get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
+            if pairs is None:
+                for c in queue:
+                    queued[c] = False
+                queued[ch] = False
+                queue.clear()
+                return False
+            for k, v in pairs:
+                s = sl[k]
+                val[s] = v
+                trail.append(s)
+                for c in touches[s]:
+                    if not queued[c]:
+                        queued[c] = True
+                        queue.append(c)
+            queued[ch] = False
+        return True
+
+    def search(queue):
+        trail = []
+        if propagate(queue, trail):
+            best, best_values, fewest = -1, 0, r
+            for s, v in enumerate(val):
+                if v:
+                    continue
+                allowed = everything
+                for ch, k in touching[s]:
+                    s0, s1, s2, s3 = slots[ch]
+                    allowed &= values[ch][val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]][k]
+                count = allowed.bit_count()
+                if count < fewest:
+                    best, best_values, fewest = s, allowed, count
+                    if count <= 1:
+                        break
+            if best < 0:
+                found.append(tuple(val))
+            else:
+                while best_values:
+                    low = best_values & -best_values
+                    best_values ^= low
+                    val[best] = low.bit_length() - 1
+                    for c in touches[best]:
+                        queued[c] = True
+                    search(list(touches[best]))
+                val[best] = 0
+        for s in trail:
+            val[s] = 0
+
+    search(list(range(len(slots))))
+    return found
+
+
+class TestSolverOracle:
+    """The explicit-stack solver returns what the recursive one returned,
+    in the same order, for every kind of start the library passes it."""
+
+    @staticmethod
+    def _starts(rng, b, d) -> list[list[int]]:
+        k = d.num_semiarcs
+        starts = [[0] * k]  # the empty start
+        for r in b.elements:  # semiarc 0 preset, as enumerate_colorings does
+            starts.append([r] + [0] * (k - 1))
+        colorings = _recursive_extensions(b, d, [0] * k)
+        for c in rng.sample(colorings, min(3, len(colorings))):
+            # transport-style: a coloring with the colors of a run of
+            # semiarcs (a move disk) removed
+            lo = rng.randrange(k)
+            hi = lo + rng.randint(1, 4)
+            starts.append([0 if lo <= i < hi else v for i, v in enumerate(c)])
+            # and one with scattered holes
+            starts.append([0 if rng.random() < 0.4 else v for v in c])
+        for _ in range(3):
+            # random presets, nearly always inconsistent
+            starts.append([rng.choice((0, 0, *b.elements)) for _ in range(k)])
+        return starts
+
+    @pytest.mark.parametrize(
+        "name", ["flip2", "cyc3", "quad4", "shift4", "dihedral6", "sigma6"]
+    )
+    def test_same_colorings_in_the_same_order(self, request, name):
+        b = _biquandle(request, name)
+        rng = random.Random(20261019)
+        inconsistent = nonempty = 0
+        for chords in range(13):
+            for _ in range(10 if chords <= 8 else 5):
+                d = _random_diagram_of_size(rng, chords)
+                for start in self._starts(rng, b, d):
+                    expected = _recursive_extensions(b, d, start)
+                    before = list(start)
+                    assert homset._extensions(b, d, start) == expected, (str(d), start)
+                    assert start == before
+                    inconsistent += not expected
+                    nonempty += len(expected) > 1
+        assert inconsistent and nonempty, (inconsistent, nonempty)
+
+    def test_bundled_table_in_the_same_order(self, cyc3, quad4, table):
+        for b in (cyc3, quad4):
+            for entry in table:
+                d = entry.diagram
+                start = [0] * d.num_semiarcs
+                assert homset._extensions(b, d, start) == _recursive_extensions(b, d, start)
