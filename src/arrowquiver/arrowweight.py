@@ -12,9 +12,12 @@ first from the basepoint.  The total is the weight sum sigma_D of the
 coloring.  Every sum reads one table per diagram, built once beside its
 compiled tables: per intersecting pair, its sign product, the four
 semiarcs whose colors give its tensor slot and its under-passage indices.
-:func:`_weight_sums` sums each coloring straight from it, and
-:func:`_pair_terms`, which serves :func:`sigma_D`, :func:`sigma_coefficients`,
-the rotation rows and the validity trials, lists one coloring's terms from it.
+:func:`_sums` is the one loop that adds tensor entries into weight sums,
+straight from that table; :func:`sigma_D`, :func:`weight_multiset`, the
+``nontrivial`` probes of :func:`search_weights` and the validity trials all
+read their sums from it.  The symbolic side, :func:`sigma_coefficients`, the
+rotation rows and the basepoint check, lists one coloring's terms with
+:func:`_pair_terms`.
 Moving the basepoint to passage k swaps the labels of exactly the pairs
 it straddles, those with under-passages u1 < k <= u2.  For W to define a
 knot invariant the multiset of weight sums over all colorings must be
@@ -25,7 +28,7 @@ The conditions are integer rows that do not depend on m: they are built and
 deduplicated once per biquandle, and each modulus reduces that one list.
 
 Weight sums are cached the way colorings are: :func:`_weight_sums` keeps,
-per (biquandle, tensor, diagram), the sums of the colorings
+per (biquandle, tensor, diagram), the :func:`_sums` of the colorings
 :mod:`arrowquiver.homset` caches, in their order, so that
 :func:`weight_multiset` and :func:`~arrowquiver.quiver.build_quiver` sum
 one diagram once between them.
@@ -42,7 +45,7 @@ from math import gcd
 
 # Nothing here uses numpy.  perfbench/worker.py reads the numpy version from
 # sys.modules after importing the package, so the import stays until the
-# benchmark records it only when loaded (ROADMAP item 1).
+# benchmark records it only when loaded (ROADMAP item 3).
 import numpy  # noqa: F401
 
 from .biquandle import Biquandle
@@ -159,15 +162,11 @@ def _pair_terms(d: GaussDiagram, coloring: tuple[int, ...], n: int) -> list[tupl
     return terms
 
 
-def _rotation_rows(terms: list[tuple], two_n: int) -> list[dict[int, int]]:
-    """Row k - 1 is sigma_D minus sigma_D from basepoint k, for 0 < k < 2n:
-    moving the basepoint to k swaps the labels of the pairs with u1 < k <= u2."""
-    return _rotation_rows_at(terms, range(two_n - 1))
-
-
 def _rotation_rows_at(terms: list[tuple], indices) -> list[dict[int, int]]:
-    """The rows of :func:`_rotation_rows` at the ascending ``indices``, in
-    their order: row i covers the pairs with u1 <= i < u2."""
+    """Rotation rows of one coloring's pair ``terms`` at the ascending
+    ``indices``, in their order.  Row k - 1 is sigma_D minus sigma_D from
+    basepoint k, for 0 < k < 2n: moving the basepoint to k swaps the labels
+    of the pairs with u1 < k <= u2, so row i covers those with u1 <= i < u2."""
     rows: list[dict[int, int]] = [{} for _ in indices]
     for sign, slot, swapped, u1, u2 in terms:
         for row in rows[bisect_left(indices, u1) : bisect_left(indices, u2)]:
@@ -186,59 +185,28 @@ def sigma_coefficients(
     return coeffs
 
 
-def sigma_D(
-    w: WeightTensor,
-    d: GaussDiagram,
-    coloring: tuple[int, ...],
-    check_rotations: bool = False,
-) -> int:
-    """The weight sum of one coloring, reduced mod m.
-
-    With ``check_rotations`` the sum from every other basepoint must agree,
-    which holds for every valid arrow weight; see :func:`_rotation_rows`.
-    The first rotation k at which it differs raises ValueError.
-    """
-    return _sum_terms(w, _pair_terms(d, coloring, w.n), len(d.endpoints), check_rotations)
+def sigma_D(w: WeightTensor, d: GaussDiagram, coloring: tuple[int, ...]) -> int:
+    """The weight sum of one coloring, reduced mod m."""
+    return _sums(w, d, (coloring,))[0]
 
 
-def _sum_terms(w: WeightTensor, terms: list[tuple], two_n: int, check_rotations: bool) -> int:
-    """:func:`sigma_D` of the pair terms of a coloring of a diagram with
-    ``two_n`` passages."""
-    e, m = w.entries, w.m
-    if check_rotations:
-        # row k - 1 of _rotation_rows, evaluated at w, is the sum of
-        # sign * (W[slot] - W[swapped]) over the pairs with u1 < k <= u2:
-        # a prefix sum of +x at u1 + 1 and -x at u2 + 1
-        steps = [0] * (two_n + 1)
-        for sign, slot, swapped, u1, u2 in terms:
-            x = sign * (e[slot] - e[swapped])
-            steps[u1 + 1] += x
-            steps[u2 + 1] -= x
-        value = 0
-        for k in range(1, two_n):
-            value += steps[k]
-            if value % m:
-                raise ValueError(f"weight sum depends on the basepoint (rotation {k})")
-    return sum(t[0] * e[t[1]] for t in terms) % m
-
-
-def weight_multiset(
-    b: Biquandle, w: WeightTensor, d: GaussDiagram, check_rotations: bool = False
-) -> tuple[int, ...]:
+def weight_multiset(b: Biquandle, w: WeightTensor, d: GaussDiagram) -> tuple[int, ...]:
     """Sorted weight sums over all colorings: the multiset-valued invariant."""
-    colorings = enumerate_colorings(b, d)
-    if check_rotations:
-        return tuple(sorted(sigma_D(w, d, c, True) for c in colorings))
     return tuple(sorted(_weight_sums(b, w, d)))
 
 
 @lru_cache(maxsize=_COLORINGS_CACHED)
 def _weight_sums(b: Biquandle, w: WeightTensor, d: GaussDiagram) -> tuple[int, ...]:
     """The weight sum of each coloring of ``d`` by ``b``, in the order of
-    :func:`~arrowquiver.homset.enumerate_colorings`.  Each is read straight
-    from the diagram's pair table: the sum over its rows (sign, i, j, k, l,
-    u1, u2) of sign * W[c[i], c[j], c[k], c[l]], reduced mod m, where the
-    slot of those four colors (each from 1) is
+    :func:`~arrowquiver.homset.enumerate_colorings`."""
+    return _sums(w, d, _colorings(b, d))
+
+
+def _sums(w: WeightTensor, d: GaussDiagram, colorings) -> tuple[int, ...]:
+    """The weight sum of each of ``colorings`` of ``d``, in their order.  Each
+    is read straight from the diagram's pair table: the sum over its rows
+    (sign, i, j, k, l, u1, u2) of sign * W[c[i], c[j], c[k], c[l]], reduced
+    mod m, where the slot of those four colors (each from 1) is
     c[i] n^3 + c[j] n^2 + c[k] n + c[l] - (n^3 + n^2 + n + 1)."""
     e, m, n = w.entries, w.m, w.n
     n2 = n * n
@@ -246,12 +214,33 @@ def _weight_sums(b: Biquandle, w: WeightTensor, d: GaussDiagram) -> tuple[int, .
     offset = n3 + n2 + n + 1
     table = d._pair_table
     sums = []
-    for c in _colorings(b, d):
+    for c in colorings:
         total = 0
         for sign, i, j, k, l, _, _ in table:
             total += sign * e[c[i] * n3 + c[j] * n2 + c[k] * n + c[l] - offset]
         sums.append(total % m)
     return tuple(sums)
+
+
+def _check_rotations(w: WeightTensor, d: GaussDiagram, coloring: tuple[int, ...]) -> None:
+    """Raise ValueError at the first basepoint k, 0 < k < 2n, from which the
+    weight sum of ``coloring`` differs; it never does for a valid arrow weight.
+
+    Rotation row k - 1 (see :func:`_rotation_rows_at`), evaluated at w, is
+    the sum of sign * (W[slot] - W[swapped]) over the pairs with
+    u1 < k <= u2: a prefix sum of +x at u1 + 1 and -x at u2 + 1."""
+    e, m = w.entries, w.m
+    two_n = len(d.endpoints)
+    steps = [0] * (two_n + 1)
+    for sign, slot, swapped, u1, u2 in _pair_terms(d, coloring, w.n):
+        x = sign * (e[slot] - e[swapped])
+        steps[u1 + 1] += x
+        steps[u2 + 1] -= x
+    value = 0
+    for k in range(1, two_n):
+        value += steps[k]
+        if value % m:
+            raise ValueError(f"weight sum depends on the basepoint (rotation {k})")
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +651,7 @@ def search_weights(
     sols = solve_constraints(generate_constraints(b, m))
     tensors = (WeightTensor(b.n, m, values) for values in sols)
     if nontrivial:
-        tensors = (
-            w for w in tensors if any(sigma_D(w, d, c) for d, cs in colorings for c in cs)
-        )
+        tensors = (w for w in tensors if any(any(_sums(w, d, cs)) for d, cs in colorings))
     yield from islice(tensors, limit)
 
 
@@ -747,16 +734,6 @@ def is_valid_weight(
     if bad:
         return ValidityReport(False, violated_rows=bad)
     rng = random.Random(seed)
-    # each step's colorings of the moved diagram are the next step's
-    # colorings, so their pair terms are computed once
-    known: dict[tuple[GaussDiagram, tuple[int, ...]], list[tuple]] = {}
-
-    def weight_sum(d: GaussDiagram, c: tuple[int, ...], check_rotations: bool) -> int:
-        terms = known.get((d, c))
-        if terms is None:
-            terms = known[d, c] = _pair_terms(d, c, w.n)
-        return _sum_terms(w, terms, len(d.endpoints), check_rotations)
-
     for trial in range(trials):
         d = _random_diagram_of_size(rng, rng.randint(0, _TRIAL_MAX_CHORDS))
         for _ in range(rng.randint(1, 3)):
@@ -765,10 +742,10 @@ def is_valid_weight(
                 break
             colorings = enumerate_colorings(b, d)
             d2, images = _transport(b, d, move, colorings)
-            for c, c2 in zip(colorings, images):
+            sums = zip(_weight_sums(b, w, d), _sums(w, d2, images))
+            for c, (before, after) in zip(colorings, sums):
                 try:
-                    before = weight_sum(d, c, True)
-                    after = weight_sum(d2, c2, False)
+                    _check_rotations(w, d, c)
                     mismatch = before != after
                     detail = {"before": before, "after": after}
                 except ValueError as err:

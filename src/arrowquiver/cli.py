@@ -29,7 +29,6 @@ from .arrowweight import (
     WeightTensor,
     is_valid_weight,
     search_weights,
-    sigma_D,
     weight_multiset,
 )
 from .biquandle import Biquandle, BiquandleError, parse_endos

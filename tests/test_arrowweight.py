@@ -3,7 +3,6 @@
 import copy
 import hashlib
 import random
-import re
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, product
@@ -17,13 +16,14 @@ from arrowquiver.arrowweight import (
     ConstraintSystem,
     SolutionSet,
     WeightTensor,
+    _check_rotations,
     _difference_row,
     _integer_rows,
     _pair_terms,
     _r3_template_hosts,
     _random_diagram_of_size,
     _random_move,
-    _rotation_rows,
+    _rotation_rows_at,
     _small_hosts,
     generate_constraints,
     is_valid_weight,
@@ -139,16 +139,12 @@ class TestWeightSums:
 
     def test_rotation_check_passes_for_valid_tensor(self, flip2, w16):
         for c in ((1, 2, 1, 2), (2, 1, 2, 1)):
-            assert sigma_D(w16, VIRTUAL_HOPF, c, check_rotations=True) == 8
+            _check_rotations(w16, VIRTUAL_HOPF, c)
+            assert sigma_D(w16, VIRTUAL_HOPF, c) == 8
 
     def test_rotation_check_detects_basepoint_dependence(self):
         with pytest.raises(ValueError, match="depends on the basepoint"):
-            sigma_D(
-                asymmetric_tensor(),
-                VIRTUAL_HOPF,
-                (1, 2, 1, 2),
-                check_rotations=True,
-            )
+            _check_rotations(asymmetric_tensor(), VIRTUAL_HOPF, (1, 2, 1, 2))
 
 
 class TestConstraints:
@@ -203,6 +199,30 @@ class TestSearch:
         found = list(search_weights(flip2, 2, nontrivial=True))
         assert len(found) == 4
         assert all(any(w.entries) for w in found)
+
+    @staticmethod
+    def _seen_by_a_probe(b, m) -> list:
+        """The tensors of search_weights(b, m), in order, with a nonzero
+        weight sum, read from the definition, on some coloring of a probe."""
+        probes = [parse_gauss_code(code) for code in arrowweight._PROBE_CODES]
+        colored = [(d, enumerate_colorings(b, d)) for d in probes]
+        return [
+            w
+            for w in search_weights(b, m)
+            if any(_sum_by_definition(w, d, c) for d, cs in colored for c in cs)
+        ]
+
+    @pytest.mark.parametrize("name, m", [("flip2", 16), ("flip2", 2), ("cyc3", 3)])
+    def test_nontrivial_keeps_the_tensors_a_probe_sees(self, request, name, m):
+        b = request.getfixturevalue(name)
+        assert list(search_weights(b, m, nontrivial=True)) == self._seen_by_a_probe(b, m)
+
+    def test_nontrivial_limit_keeps_the_first_tensors_a_probe_sees(self, flip2):
+        want = self._seen_by_a_probe(flip2, 16)
+        assert len(want) > 5
+        for limit in (0, 1, 5):
+            found = list(search_weights(flip2, 16, limit=limit, nontrivial=True))
+            assert found == want[:limit]
 
     def test_modulus_one_leaves_only_zero(self, flip2):
         found = list(search_weights(flip2, 1))
@@ -347,7 +367,7 @@ class TestEvaluatorOracles:
         for d in _oracle_diagrams():
             two_n = len(d.endpoints)
             for c in enumerate_colorings(b, d):
-                rows = _rotation_rows(_pair_terms(d, c, n), two_n)
+                rows = _rotation_rows_at(_pair_terms(d, c, n), range(two_n - 1))
                 assert len(rows) == max(0, two_n - 1)
                 base = sigma_coefficients(d, c, n)
                 for k in range(1, two_n):
@@ -373,7 +393,7 @@ class TestEvaluatorOracles:
             )
             w = WeightTensor(n, m, entries)
             for c in enumerate_colorings(b, d):
-                rows = _rotation_rows(_pair_terms(d, c, n), len(d.endpoints))
+                rows = _rotation_rows_at(_pair_terms(d, c, n), range(len(d.endpoints) - 1))
                 failing = [
                     k
                     for k, row in enumerate(rows, start=1)
@@ -381,13 +401,14 @@ class TestEvaluatorOracles:
                 ]
                 if failing:
                     with pytest.raises(ValueError) as err:
-                        sigma_D(w, d, c, check_rotations=True)
+                        _check_rotations(w, d, c)
                     want = f"weight sum depends on the basepoint (rotation {failing[0]})"
                     assert str(err.value) == want, (str(d), c)
                     outcomes["first" if failing[0] == 1 else "later"] += 1
                 else:
                     total = sum(v * entries[s] for s, v in sigma_coefficients(d, c, n).items())
-                    assert sigma_D(w, d, c, check_rotations=True) == total % m
+                    _check_rotations(w, d, c)
+                    assert sigma_D(w, d, c) == total % m
                     outcomes["passed"] += 1
         assert min(outcomes.values()) >= 5, outcomes
 
@@ -404,7 +425,7 @@ class TestEvaluatorOracles:
         # rotations 1-3 agree with the basepoint; rotation 4 is the first not to
         assert rebuilt.index(next(t for t in rebuilt if t != base)) + 1 == 4
         with pytest.raises(ValueError, match=r"basepoint \(rotation 4\)$"):
-            sigma_D(w, d, c, check_rotations=True)
+            _check_rotations(w, d, c)
 
 
 def _per_coloring_rows(b) -> list[dict[int, int]]:
@@ -423,7 +444,7 @@ def _per_coloring_rows(b) -> list[dict[int, int]]:
     def rotation_rows(d):
         if len(d.endpoints) >= 4:
             for c in enumerate_colorings(b, d):
-                rows.extend(_rotation_rows(_pair_terms(d, c, n), len(d.endpoints)))
+                rows.extend(_rotation_rows_at(_pair_terms(d, c, n), range(len(d.endpoints) - 1)))
 
     for d in _small_hosts():
         move_rows(d, enumerate_moves(d))
@@ -526,7 +547,7 @@ class TestConstraintRowsOracle:
         repeats = 0
         for d in hosts:
             for c in enumerate_colorings(b, d):
-                rows = _rotation_rows(_pair_terms(d, c, n), len(d.endpoints))
+                rows = _rotation_rows_at(_pair_terms(d, c, n), range(len(d.endpoints) - 1))
                 for k in range(1, len(d.endpoints) - 1):
                     if d.endpoints[k].passage == "O":
                         assert rows[k] == rows[k - 1], (str(d), c, k)
@@ -660,7 +681,7 @@ def _slide_host_rows(b, d) -> set[tuple]:
                 after = sigma_coefficients(d2, c2, n)
                 rows.append(_difference_row(sigma_coefficients(d, c, n), after))
     for c in colorings:
-        rows.extend(_rotation_rows(_pair_terms(d, c, n), len(d.endpoints)))
+        rows.extend(_rotation_rows_at(_pair_terms(d, c, n), range(len(d.endpoints) - 1)))
     return {tuple(sorted(_nonzero(r).items())) for r in rows} - {()}
 
 
@@ -998,28 +1019,10 @@ class TestCachedWeightSums:
                 assert list(build_quiver(b, t, d).weights) == sums, (pair, str(d))
                 assert weight_multiset(b, t, d) == tuple(sorted(sums)), (pair, str(d))
 
-    def test_rotation_checked_multiset_is_not_read_from_the_cache(self, flip2):
-        """With the sums of a basepoint-dependent tensor cached, the rotation
-        check still runs and raises."""
-        w = asymmetric_tensor()
-        raised = 0
-        for d in _oracle_diagrams()[:40]:
-            sums = weight_multiset(flip2, w, d)
-            try:
-                expected = sorted(sigma_D(w, d, c, True) for c in enumerate_colorings(flip2, d))
-            except ValueError as err:
-                with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
-                    weight_multiset(flip2, w, d, check_rotations=True)
-                raised += 1
-            else:
-                checked = weight_multiset(flip2, w, d, check_rotations=True)
-                assert checked == tuple(expected) == sums
-        assert raised
-
 
 def _old_trials(b, w, trials, seed) -> arrowweight.ValidityReport:
-    """The trial loop of ``is_valid_weight`` as it was before pair terms were
-    shared between steps: every weight sum through ``sigma_D``."""
+    """The trial loop of ``is_valid_weight`` one coloring at a time: the
+    basepoint check, then both weight sums through ``sigma_D``."""
     rng = random.Random(seed)
     for trial in range(trials):
         d = _random_diagram_of_size(rng, rng.randint(0, arrowweight._TRIAL_MAX_CHORDS))
@@ -1031,7 +1034,8 @@ def _old_trials(b, w, trials, seed) -> arrowweight.ValidityReport:
             d2, images = transport_colorings(b, d, move, colorings)
             for c, c2 in zip(colorings, images):
                 try:
-                    before = sigma_D(w, d, c, check_rotations=True)
+                    _check_rotations(w, d, c)
+                    before = sigma_D(w, d, c)
                     after = sigma_D(w, d2, c2)
                     mismatch = before != after
                     detail = {"before": before, "after": after}
@@ -1091,19 +1095,6 @@ class TestValidityTrialsShareTerms:
                     kinds["valid" if report else "error" if "error" in trial else "sums"] += 1
         assert kinds["valid"] and kinds["error"] and kinds["sums"], kinds
 
-    def test_pair_terms_are_computed_once_per_diagram_and_coloring(self, monkeypatch, cyc3, w8):
-        calls = Counter()
-        real = arrowweight._pair_terms
-
-        def counted(d, c, n):
-            calls[d, c] += 1
-            return real(d, c, n)
-
-        generate_constraints(cyc3, w8.m)  # its rows read pair terms too
-        monkeypatch.setattr(arrowweight, "_pair_terms", counted)
-        assert is_valid_weight(cyc3, w8, trials=20)
-        assert calls and max(calls.values()) == 1
-
 
 class TestRotationRowsAt:
     @pytest.mark.parametrize("name", ("flip2", "quad4"))
@@ -1114,10 +1105,10 @@ class TestRotationRowsAt:
             two_n = len(d.endpoints)
             for c in enumerate_colorings(b, d)[:4]:
                 terms = _pair_terms(d, c, b.n)
-                full = _rotation_rows(terms, two_n)
                 rows = range(two_n - 1)
+                full = _rotation_rows_at(terms, rows)
                 indices = sorted(rng.sample(rows, rng.randint(0, len(rows))))
-                assert arrowweight._rotation_rows_at(terms, indices) == [full[i] for i in indices]
+                assert _rotation_rows_at(terms, indices) == [full[i] for i in indices]
 
 
 def _sum_by_definition(w, d, c) -> int:

@@ -14,7 +14,12 @@ from contextlib import contextmanager
 import pytest
 
 from arrowquiver import arrowweight, homset
-from arrowquiver.arrowweight import _integer_rows, is_valid_weight, weight_multiset
+from arrowquiver.arrowweight import (
+    _check_rotations,
+    _integer_rows,
+    is_valid_weight,
+    weight_multiset,
+)
 from arrowquiver.gausscode import R3Slide, enumerate_moves, parse_gauss_code
 from arrowquiver.homset import enumerate_colorings, transport_colorings
 from arrowquiver.quiver import build_quiver
@@ -113,7 +118,8 @@ def test_weight_multiset(pair):
     with _no_cycles_left():
         for d in _diagrams():
             weight_multiset(b, w, d)
-            weight_multiset(b, w, d, check_rotations=True)
+            for c in enumerate_colorings(b, d):
+                _check_rotations(w, d, c)
 
 
 def test_integer_rows(flip2, cyc3):
