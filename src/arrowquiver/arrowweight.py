@@ -9,9 +9,10 @@ diagram contributes
 
 where the first slot belongs to the crossing whose under-passage comes
 first from the basepoint.  The total is the weight sum sigma_D of the
-coloring.  Every sum reads one table per diagram, built once beside its
-compiled tables: per intersecting pair, its sign product, the four
-semiarcs whose colors give its tensor slot and its under-passage indices.
+coloring.  Every sum reads the pair table of the diagram's compiled tables
+(:attr:`~arrowquiver.gausscode.CompiledDiagram.pair_table`): per
+intersecting pair, its sign product, the four semiarcs whose colors give
+its tensor slot and its under-passage indices.
 :func:`_sums` is the one loop that adds tensor entries into weight sums,
 straight from that table; :func:`sigma_D`, :func:`weight_multiset`, the
 ``nontrivial`` probes of :func:`search_weights` and the validity trials all
@@ -58,7 +59,6 @@ from .gausscode import (
     R2Insert,
     R3Slide,
     _deletions,
-    _insertions,
     enumerate_moves,
     parse_gauss_code,
 )
@@ -155,7 +155,7 @@ def _pair_terms(d: GaussDiagram, coloring: tuple[int, ...], n: int) -> list[tupl
     the pair (the first chord's is u1)."""
     n2 = n * n
     terms = []
-    for sign, a, b, x, y, u1, u2 in d._pair_table:
+    for sign, a, b, x, y, u1, u2 in d.compiled.pair_table:
         lp = (coloring[a] - 1) * n + coloring[b] - 1
         lq = (coloring[x] - 1) * n + coloring[y] - 1
         terms.append((sign, lp * n2 + lq, lq * n2 + lp, u1, u2))
@@ -212,7 +212,7 @@ def _sums(w: WeightTensor, d: GaussDiagram, colorings) -> tuple[int, ...]:
     n2 = n * n
     n3 = n2 * n
     offset = n3 + n2 + n + 1
-    table = d._pair_table
+    table = d.compiled.pair_table
     sums = []
     for c in colorings:
         total = 0
@@ -666,23 +666,6 @@ def _random_diagram_of_size(rng: random.Random, chords: int) -> GaussDiagram:
     return GaussDiagram(tuple(word))
 
 
-def _random_move(rng: random.Random, d: GaussDiagram) -> Move | None:
-    """One scramble step's move: ``rng.choice`` over ``enumerate_moves(d)``,
-    without the insertions once ``d`` has 6 chords, or None if no move is left.
-
-    That list is the insertions (none from 6 chords up) followed by the
-    deletions, so one index is drawn with ``rng.randrange`` over its length
-    and read from the right part, without building the list.  ``choice(seq)``
-    and ``randrange(len(seq))`` both draw ``_randbelow(len(seq))``, so the move
-    and the state the RNG is left in are the same."""
-    ins = _insertions(len(d.endpoints)) if d.n < 6 else ()
-    dels = _deletions(d.endpoints) if d.endpoints else []
-    if not ins and not dels:
-        return None
-    i = rng.randrange(len(ins) + len(dels))
-    return ins[i] if i < len(ins) else dels[i - len(ins)]
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """Outcome of an arrow weight validity check.
@@ -721,7 +704,8 @@ def is_valid_weight(
 
     Checks membership in the generated constraint system, then runs seeded
     randomized trials: random diagrams of at most four chords, random
-    applicable moves, and for every coloring the weight sum must survive
+    applicable moves (deletions and slides only, once a diagram has six
+    chords), and for every coloring the weight sum must survive
     transport and basepoint rotation exactly.  The report is truthy
     exactly when ``w`` passes.
     A negative ``trials`` raises ValueError.
@@ -737,9 +721,10 @@ def is_valid_weight(
     for trial in range(trials):
         d = _random_diagram_of_size(rng, rng.randint(0, _TRIAL_MAX_CHORDS))
         for _ in range(rng.randint(1, 3)):
-            move = _random_move(rng, d)
-            if move is None:
+            moves = enumerate_moves(d) if d.n < 6 else _deletions(d.endpoints)
+            if not moves:
                 break
+            move = rng.choice(moves)
             colorings = enumerate_colorings(b, d)
             d2, images = _transport(b, d, move, colorings)
             sums = zip(_weight_sums(b, w, d), _sums(w, d2, images))

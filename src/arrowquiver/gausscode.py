@@ -14,7 +14,12 @@ semiarc i runs from the i-th passage to the (i+1)-th, cyclically, and semiarc
 closed semiarc.
 
 Two chords of the Gauss diagram *cross* when their endpoint pairs interleave
-cyclically; arrow weight sums run over exactly these pairs.
+cyclically; arrow weight sums run over exactly these pairs.  A diagram's
+flat integer tables (:attr:`~GaussDiagram.compiled`) come from one walk of
+its word, which also finds these pairs: a chord crosses exactly the chords
+open (met once) at one of its two passages and not at the other, so the
+XOR of the two masks of open chords lists them, and the pair table that
+weight sums read is built from those bits alone.
 
 Reidemeister moves are represented explicitly as :class:`R1Insert`,
 :class:`R1Delete`, :class:`R2Insert`, :class:`R2Delete` and :class:`R3Slide`
@@ -130,27 +135,6 @@ class GaussDiagram:
         """Flat integer tables of this diagram, built on first use."""
         return _compile(self.endpoints)
 
-    @cached_property
-    def _pair_table(self) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
-        """What arrow weight sums read, built on first use: per interleaving
-        chord pair, in the order of :meth:`crossing_pairs`, the tuple
-        (sign product, a, b, x, y, u1, u2).  The first chord is the one whose
-        under passage comes first: u1 < u2 are the two under-passage indices,
-        and the colors of semiarcs (a, b) and (x, y) are the arrow labels of
-        the first and the second chord."""
-        cd = self.compiled
-        sign, under = cd.sign, cd.under
-        labels = []  # per chord, the two semiarcs of its arrow label
-        for sl, sg in zip(cd.slots, sign):
-            i, j = LABEL_SLOTS[sg]
-            labels.append((sl[i], sl[j]))
-        table = []
-        for p, q in cd.pairs:
-            if under[p] > under[q]:
-                p, q = q, p
-            table.append((sign[p] * sign[q], *labels[p], *labels[q], under[p], under[q]))
-        return tuple(table)
-
     def __hash__(self) -> int:
         # computed once, from ints only, so that it does not depend on
         # PYTHONHASHSEED
@@ -168,13 +152,13 @@ class GaussDiagram:
     def index_of(self, chord: int, passage: str) -> int:
         c = self.compiled
         if passage in ("U", "O") and chord in c.chords:
-            return (c.under if passage == "U" else c.over)[chord - 1]
+            return c.slots[chord - 1][1 if passage == "U" else 3]
         raise KeyError((chord, passage))
 
     def sign_of(self, chord: int) -> int:
         c = self.compiled
         if chord in c.chords:
-            return c.sign[chord - 1]
+            return c.kind[chord - 1][0]
         raise KeyError(chord)
 
     def crossing_pairs(self) -> list[tuple[int, int]]:
@@ -231,17 +215,16 @@ class CompiledDiagram:
     Chords are numbered from 0 here: per-chord tuples hold chord label c at
     index c - 1.  A chord's four *slots* are the semiarcs around its
     crossing, at positions 0-3: ``(u_in, u_out, o_in, o_out)``, the
-    semiarcs entering and leaving its under passage and its over passage.
-    Two slots of one chord are the same semiarc when its passages are
-    adjacent (a kink).  Coloring search reads each chord's crossing relation
-    from the table of its ``kind``: its sign and kink shape (bit 0 set when
-    u_in and o_out are one semiarc, bit 1 when u_out and o_in are).
+    semiarcs entering and leaving its under passage and its over passage,
+    so u_out and o_out are also the passage indices of its U and O
+    endpoints.  Two slots of one chord are the same semiarc when its
+    passages are adjacent (a kink).  Coloring search reads each chord's
+    crossing relation from the table of its ``kind``: its sign and kink
+    shape (bit 0 set when u_in and o_out are one semiarc, bit 1 when u_out
+    and o_in are).
     """
 
     chords: range  # the chord labels 1..n
-    under: tuple[int, ...]  # passage index of each chord's U endpoint
-    over: tuple[int, ...]  # passage index of each chord's O endpoint
-    sign: tuple[int, ...]
     slots: tuple[tuple[int, int, int, int], ...]
     kind: tuple[tuple[int, int], ...]  # (sign, kink shape) of each chord
     # per semiarc, the (chord index, position) of the slots it fills, and
@@ -251,6 +234,12 @@ class CompiledDiagram:
     touches: tuple[tuple[int, ...], ...]
     # the chord index pairs (p, q), p < q, whose endpoints interleave
     pairs: tuple[tuple[int, int], ...]
+    # what arrow weight sums read, per pair in the order of ``pairs``:
+    # (sign product, a, b, x, y, u1, u2), the first chord being the one whose
+    # under passage comes first; u1 < u2 are the two under-passage indices,
+    # and the colors of semiarcs (a, b) and (x, y) are the arrow labels of
+    # the first and the second chord
+    pair_table: tuple[tuple[int, int, int, int, int, int, int], ...]
 
 
 def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
@@ -259,6 +248,11 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
     under = [0] * n
     over = [0] * n
     sign = [0] * n
+    # per chord, the XOR of the masks of chords open (one passage met) at
+    # its two passages: bit q is set exactly when chord q has one passage
+    # strictly inside its span, or q is the chord itself
+    crossed = [0] * n
+    open_chords = 0
     # semiarc i leaves passage i and enters passage i + 1 (the last one
     # enters passage 0), at the slot (chord index, position) of each: u_out 1
     # or o_out 3 where it leaves, u_in 0 or o_in 2 where it enters
@@ -268,6 +262,8 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
     for i, e in enumerate(endpoints):
         c = e.chord - 1
         sign[c] = e.sign
+        crossed[c] ^= open_chords
+        open_chords ^= 1 << c
         if e.passage == "U":
             under[c] = i
             entering, leave = (c, 0), (c, 1)
@@ -285,30 +281,32 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
         touches.append((c,) if c == first[0] else (c, first[0]))
     slots = []
     kind = []
-    for c in range(n):
-        u, o = under[c], over[c]
-        s0, s2 = (u - 1) % two_n, (o - 1) % two_n
-        slots.append((s0, u, s2, o))
-        kind.append((sign[c], (s0 == o) | (u == s2) << 1))
-    # chords p < q interleave when exactly one end of q lies inside p's span
-    lows = [min(u, o) for u, o in zip(under, over)]
-    highs = [max(u, o) for u, o in zip(under, over)]
+    labels = []  # per chord, the two semiarcs of its arrow label
+    for u, o, sg in zip(under, over, sign):
+        sl = ((u - 1) % two_n, u, (o - 1) % two_n, o)
+        slots.append(sl)
+        kind.append((sg, (sl[0] == o) | (u == sl[2]) << 1))
+        i, j = LABEL_SLOTS[sg]
+        labels.append((sl[i], sl[j]))
     pairs = []
+    table = []
     for p in range(n):
-        lo, hi = lows[p], highs[p]
-        for q in range(p + 1, n):
-            if (lo < lows[q] < hi) != (lo < highs[q] < hi):
-                pairs.append((p, q))
+        rest = crossed[p] >> p + 1  # chord q > p at bit q - p - 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            q = p + low.bit_length()
+            pairs.append((p, q))
+            one, two = (q, p) if under[p] > under[q] else (p, q)
+            table.append((sign[p] * sign[q], *labels[one], *labels[two], under[one], under[two]))
     return CompiledDiagram(
         range(1, n + 1),
-        tuple(under),
-        tuple(over),
-        tuple(sign),
         tuple(slots),
         tuple(kind),
         tuple(touching) or ((),),
         tuple(touches) or ((),),
         tuple(pairs),
+        tuple(table),
     )
 
 

@@ -233,7 +233,7 @@ def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> boo
     values, r = _relation(b).values, b.n + 1
     tables = {1: values[1, 0], -1: values[-1, 0]}
     cd = d.compiled
-    for (s0, s1, s2, s3), sign in zip(cd.slots, cd.sign):
+    for (s0, s1, s2, s3), (sign, _) in zip(cd.slots, cd.kind):
         key = coloring[s0] + r * (coloring[s1] + r * (coloring[s2] + r * coloring[s3]))
         if key not in tables[sign]:
             return False

@@ -4,6 +4,7 @@ import pytest
 
 from arrowquiver.arrowweight import WeightTensor
 from arrowquiver.biquandle import load as load_biquandle, parse_endos
+from arrowquiver.gausscode import R1Insert, R2Insert, enumerate_moves
 from arrowquiver.knotdata import bundled_path, bundled_table
 
 TESTS = Path(__file__).parent
@@ -85,3 +86,13 @@ def read_rows(name: str) -> dict[str, str]:
         knot, render = line.split("\t")
         rows[knot] = render
     return rows
+
+
+def listed_move(rng, d):
+    """One scramble step's move: ``rng.choice`` over ``enumerate_moves(d)``,
+    without the insertions once ``d`` has 6 chords, or None if no move is
+    left.  Validity trials draw their moves this way."""
+    moves = enumerate_moves(d)
+    if d.n >= 6:
+        moves = [mv for mv in moves if not isinstance(mv, (R1Insert, R2Insert))]
+    return rng.choice(moves) if moves else None

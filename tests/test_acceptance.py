@@ -16,7 +16,6 @@ import pytest
 from arrowquiver.arrowweight import (
     WeightTensor,
     _check_rotations,
-    _random_move,
     generate_constraints,
     is_valid_weight,
     sigma_coefficients,
@@ -41,6 +40,8 @@ from arrowquiver.invariants import (
 )
 from arrowquiver.knotdata import bundled_path, orientation_variants
 from arrowquiver.quiver import build_quiver, quiver_isomorphic
+
+from conftest import listed_move
 
 SEED = 20260815
 
@@ -283,7 +284,7 @@ def _random_diagram(rng, max_chords):
 
 def _scramble(rng, d):
     for _ in range(rng.randint(1, 8)):
-        move = _random_move(rng, d)
+        move = listed_move(rng, d)
         if move is None:
             break
         d = apply_move(d, move)

@@ -22,7 +22,6 @@ from arrowquiver.arrowweight import (
     _pair_terms,
     _r3_template_hosts,
     _random_diagram_of_size,
-    _random_move,
     _rotation_rows_at,
     _small_hosts,
     generate_constraints,
@@ -52,6 +51,8 @@ from arrowquiver.homset import (
     transport_colorings,
 )
 from arrowquiver.quiver import build_quiver
+
+from conftest import listed_move
 
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
 
@@ -286,34 +287,6 @@ class TestValidity:
         assert data["valid"] is False
         assert data["violated_rows"] == list(report.violated_rows)
         assert data["failed_trial"] is None
-
-    def test_random_move_draws_as_choice_over_the_listed_moves(self):
-        """The index draw against the list it stands for: the same move and
-        the same RNG state afterwards, with and without insertions."""
-
-        def listed(rng, d):
-            moves = enumerate_moves(d)
-            if d.n >= 6:
-                moves = [mv for mv in moves if not isinstance(mv, (R1Insert, R2Insert))]
-            return rng.choice(moves) if moves else None
-
-        rng = random.Random(20261019)
-        seen = {"insert": 0, "delete": 0, "none": 0, "large delete": 0}
-        for _ in range(2000):
-            d = _random_diagram_of_size(rng, rng.randint(0, 8))
-            mine, ref = random.Random(), random.Random()
-            mine.setstate(rng.getstate())
-            ref.setstate(rng.getstate())
-            move = _random_move(mine, d)
-            assert move == listed(ref, d), str(d)
-            assert mine.getstate() == ref.getstate(), str(d)
-            if move is None:
-                seen["none"] += 1
-            elif isinstance(move, (R1Insert, R2Insert)):
-                seen["insert"] += 1
-            else:
-                seen["large delete" if d.n >= 6 else "delete"] += 1
-        assert min(seen.values()) >= 5, seen
 
 
 def _nonzero(row: dict[int, int]) -> dict[int, int]:
@@ -1022,12 +995,13 @@ class TestCachedWeightSums:
 
 def _old_trials(b, w, trials, seed) -> arrowweight.ValidityReport:
     """The trial loop of ``is_valid_weight`` one coloring at a time: the
-    basepoint check, then both weight sums through ``sigma_D``."""
+    basepoint check, then both weight sums through ``sigma_D``, with each
+    move drawn from the listed moves (``listed_move``)."""
     rng = random.Random(seed)
     for trial in range(trials):
         d = _random_diagram_of_size(rng, rng.randint(0, arrowweight._TRIAL_MAX_CHORDS))
         for _ in range(rng.randint(1, 3)):
-            move = _random_move(rng, d)
+            move = listed_move(rng, d)
             if move is None:
                 break
             colorings = enumerate_colorings(b, d)
@@ -1159,7 +1133,7 @@ class TestPairTable:
         # the first chord the one whose under passage comes first
         rng = random.Random(7)
         for d in self._diagrams(rng):
-            table = d._pair_table
+            table = d.compiled.pair_table
             assert len(table) == len(d.crossing_pairs())
             for (sign, *_, u1, u2), (p, q) in zip(table, d.crossing_pairs()):
                 assert sign == d.sign_of(p) * d.sign_of(q)

@@ -16,7 +16,6 @@ from arrowquiver import gausscode
 from arrowquiver.arrowweight import (
     _r3_template_hosts,
     _random_diagram_of_size,
-    _random_move,
     _small_hosts,
 )
 from arrowquiver.gausscode import (
@@ -32,7 +31,10 @@ from arrowquiver.gausscode import (
     inverse_move,
     parse_gauss_code,
 )
+from arrowquiver.homset import chord_colors
 from arrowquiver.knotdata import bundled_table, orientation_variants
+
+from conftest import listed_move
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 R3_HOST = "U1+U2+O1+U3+O2+O3+"
@@ -534,7 +536,7 @@ class TestEnumerationOracle:
             d = _random_diagram_of_size(rng, rng.randint(0, 6))
             _assert_same_moves(d)
             for _ in range(rng.randint(1, 8)):
-                move = _random_move(rng, d)
+                move = listed_move(rng, d)
                 if move is None:
                     break
                 d = apply_move(d, move)
@@ -668,7 +670,9 @@ class TestTrustedConstruction:
 
 def _compile_reference(endpoints) -> gausscode.CompiledDiagram:
     """The compiler as it was written with ``combinations`` and generator
-    expressions: the reference the one-pass compiler must match."""
+    expressions, with the pair table built as it once was, from the chord
+    pairs whose spans interleave: the reference the one-walk compiler must
+    match."""
     two_n = len(endpoints)
     n = two_n // 2
     under = [0] * n
@@ -693,25 +697,37 @@ def _compile_reference(endpoints) -> gausscode.CompiledDiagram:
         for (p, (lo, hi)), (q, (a, b)) in combinations(enumerate(spans), 2)
         if (lo < a < hi) != (lo < b < hi)
     )
+    labels = [
+        tuple(sl[k] for k in gausscode.LABEL_SLOTS[sg]) for sl, sg in zip(slots, sign)
+    ]
+    table = []
+    for p, q in pairs:
+        if under[p] > under[q]:
+            p, q = q, p
+        table.append((sign[p] * sign[q], *labels[p], *labels[q], under[p], under[q]))
     return gausscode.CompiledDiagram(
         range(1, n + 1),
-        tuple(under),
-        tuple(over),
-        tuple(sign),
         slots,
         kind,
         touching or ((),),
         touches or ((),),
         pairs,
+        tuple(table),
     )
+
+
+def _compile_oracle_diagrams() -> list[GaussDiagram]:
+    """Seeded random words: 5 000 of 0-14 chords, the empty one among them,
+    then 1 600 of 15-30 chords."""
+    rng = random.Random(20261019)
+    words = [_random_diagram_of_size(rng, i % 15) for i in range(5000)]
+    return words + [_random_diagram_of_size(rng, 15 + i % 16) for i in range(1600)]
 
 
 class TestCompileOracle:
     def test_same_tables_as_the_reference(self):
-        rng = random.Random(20261019)
         kinks = 0
-        for i in range(5000):
-            d = _random_diagram_of_size(rng, i % 15)
+        for d in _compile_oracle_diagrams():
             got, expected = gausscode._compile(d.endpoints), _compile_reference(d.endpoints)
             for field in dataclasses.fields(gausscode.CompiledDiagram):
                 name = field.name
@@ -719,3 +735,38 @@ class TestCompileOracle:
             assert got == expected
             kinks += any(shape for _, shape in got.kind)
         assert kinks > 500, kinks
+
+    def test_fields(self):
+        names = [field.name for field in dataclasses.fields(gausscode.CompiledDiagram)]
+        assert names == ["chords", "slots", "kind", "touching", "touches", "pairs", "pair_table"]
+
+    def test_readers_agree_with_the_word(self):
+        for d in _compile_oracle_diagrams()[::10]:
+            ends, two_n = d.endpoints, len(d.endpoints)
+            at = {(e.chord, e.passage): i for i, e in enumerate(ends)}
+            coloring = tuple(range(100, 100 + d.num_semiarcs))
+            for chord in range(1, d.n + 1):
+                u, o = at[chord, "U"], at[chord, "O"]
+                assert d.index_of(chord, "U") == u and d.index_of(chord, "O") == o
+                assert d.sign_of(chord) == ends[u].sign
+                expected = tuple(coloring[i] for i in ((u - 1) % two_n, u, (o - 1) % two_n, o))
+                assert chord_colors(d, coloring, chord) == expected
+            # q crosses p when the word between p's passages meets q once
+            between = {}
+            for chord in range(1, d.n + 1):
+                lo, hi = sorted((at[chord, "U"], at[chord, "O"]))
+                between[chord] = Counter(e.chord for e in ends[lo + 1 : hi])
+            crossing = [
+                (p, q) for p, q in combinations(range(1, d.n + 1), 2) if between[p][q] == 1
+            ]
+            assert d.crossing_pairs() == crossing, str(d)
+            for chord in (0, d.n + 1):
+                for passage in ("U", "O"):
+                    with pytest.raises(KeyError):
+                        d.index_of(chord, passage)
+                with pytest.raises(KeyError):
+                    d.sign_of(chord)
+                with pytest.raises(KeyError):
+                    chord_colors(d, coloring, chord)
+            with pytest.raises(KeyError):
+                d.index_of(1, "X")

@@ -1,6 +1,7 @@
 """Colorings of Gauss diagrams and their transport through moves."""
 
 import random
+from functools import lru_cache
 from itertools import permutations, product
 
 import numpy as np
@@ -14,6 +15,7 @@ from arrowquiver.arrowweight import (
     _small_hosts,
 )
 from arrowquiver.gausscode import (
+    Endpoint,
     GaussDiagram,
     R1Delete,
     R1Insert,
@@ -52,19 +54,38 @@ def _random_diagrams(count: int, seed: int = 20260815) -> list[GaussDiagram]:
 def _equations_hold(b, d, grid: np.ndarray) -> np.ndarray:
     """For each row of ``grid`` (one color per semiarc), whether every
     crossing equation of ``d`` holds, evaluated straight from the equations
-    in the docstring of :mod:`arrowquiver.homset`."""
+    in the docstring of :mod:`arrowquiver.homset` on the passages of the
+    word."""
     under, over = np.array(b.under), np.array(b.over)
     two_n = len(d.endpoints)
+    at = {(e.chord, e.passage): i for i, e in enumerate(d.endpoints)}
     ok = np.ones(len(grid), dtype=bool)
     for chord in range(1, d.n + 1):
-        ui, oi = d.index_of(chord, "U"), d.index_of(chord, "O")
+        ui, oi = at[chord, "U"], at[chord, "O"]
         u_in, u_out = grid[:, (ui - 1) % two_n] - 1, grid[:, ui] - 1
         o_in, o_out = grid[:, (oi - 1) % two_n] - 1, grid[:, oi] - 1
-        if d.sign_of(chord) > 0:
+        if d.endpoints[ui].sign > 0:
             ok &= (under[u_in, o_out] == u_out + 1) & (over[o_out, u_in] == o_in + 1)
         else:
             ok &= (under[u_out, o_in] == u_in + 1) & (over[o_in, u_out] == o_out + 1)
     return ok
+
+
+@lru_cache(maxsize=None)
+def _every_small_diagram() -> tuple[GaussDiagram, ...]:
+    """Every word of 0-2 chords whose chords are numbered in order of first
+    appearance, and every 3-chord word up to rotation and renumbering (as
+    its canonical code), kinks included."""
+    codes = set()
+    for n in range(4):
+        passages = [(c, p) for c in range(1, n + 1) for p in "OU"]
+        for order in permutations(passages):
+            if list(dict.fromkeys(c for c, _ in order)) != list(range(1, n + 1)):
+                continue
+            for signs in product((1, -1), repeat=n):
+                d = GaussDiagram(tuple(Endpoint(c, p, signs[c - 1]) for c, p in order))
+                codes.add(d.canonical_code() if n == 3 else str(d))
+    return tuple(parse_gauss_code(code) for code in sorted(codes))
 
 
 def _brute_force_colorings(b, d) -> tuple[tuple[int, ...], ...]:
@@ -433,6 +454,24 @@ class TestPredicates:
         for i in range(len(good)):
             c = good[:i] + (bad,) + good[i + 1 :]
             assert is_coloring(flip2, VIRTUAL_HOPF, c) is False, (bad, i)
+
+    @pytest.mark.parametrize("name", ("flip2", "cyc3", "quad4", "shift4"))
+    def test_is_coloring_accepts_exactly_the_brute_force_colorings(self, request, name):
+        """Every assignment of every diagram of at most three chords: the
+        signs is_coloring reads from the compiled kinds must give the
+        equations read from the word."""
+        b = request.getfixturevalue(name)
+        diagrams = _every_small_diagram()
+        assert [sum(d.n == k for d in diagrams) for k in range(4)] == [1, 4, 48, 164]
+        kinks = 0
+        for d in diagrams:
+            k = d.num_semiarcs
+            grid = np.indices((b.n,) * k).reshape(k, -1).T + 1
+            expected = _equations_hold(b, d, grid).tolist()
+            got = [is_coloring(b, d, c) for c in product(b.elements, repeat=k)]
+            assert got == expected, str(d)
+            kinks += any(e.chord == f.chord for e, f in zip(d.endpoints, d.endpoints[1:]))
+        assert kinks > 100, kinks
 
     def test_is_coloring_agrees_with_the_enumerated_colorings(self, cyc3, quad4):
         rng = random.Random(20261019)
