@@ -30,9 +30,11 @@ deduplicated once per biquandle, and each modulus reduces that one list.
 
 Weight sums are cached the way colorings are: :func:`_weight_sums` keeps,
 per (biquandle, tensor, diagram), the :func:`_sums` of the colorings
-:mod:`arrowquiver.homset` caches, in their order, so that
-:func:`weight_multiset` and :func:`~arrowquiver.quiver.build_quiver` sum
-one diagram once between them.
+:mod:`arrowquiver.homset` caches, in their order and under the same bound,
+so that :func:`weight_multiset` and :func:`~arrowquiver.quiver.build_quiver`
+sum one diagram once between them.  A validity trial searches and sums only
+its starting diagram: after each move, the transported colorings, sorted,
+are the moved diagram's colorings, and their sums come along.
 """
 
 from __future__ import annotations
@@ -720,15 +722,15 @@ def is_valid_weight(
     rng = random.Random(seed)
     for trial in range(trials):
         d = _random_diagram_of_size(rng, rng.randint(0, _TRIAL_MAX_CHORDS))
+        colorings, sums = enumerate_colorings(b, d), _weight_sums(b, w, d)
         for _ in range(rng.randint(1, 3)):
             moves = enumerate_moves(d) if d.n < 6 else _deletions(d.endpoints)
             if not moves:
                 break
             move = rng.choice(moves)
-            colorings = enumerate_colorings(b, d)
             d2, images = _transport(b, d, move, colorings)
-            sums = zip(_weight_sums(b, w, d), _sums(w, d2, images))
-            for c, (before, after) in zip(colorings, sums):
+            moved_sums = _sums(w, d2, images)
+            for c, before, after in zip(colorings, sums, moved_sums):
                 try:
                     _check_rotations(w, d, c)
                     mismatch = before != after
@@ -748,5 +750,9 @@ def is_valid_weight(
                             **detail,
                         },
                     )
-            d = d2
+            # transport is a bijection onto the colorings of d2, so the
+            # images, sorted, are what enumerate_colorings(b, d2) returns,
+            # and their sums come along as its weight sums
+            moved = sorted(zip(images, moved_sums))
+            d, colorings, sums = d2, [c for c, _ in moved], [t for _, t in moved]
     return ValidityReport(True)

@@ -19,11 +19,14 @@ flat integer tables (:attr:`~GaussDiagram.compiled`) come from one walk of
 its word, which also finds these pairs: a chord crosses exactly the chords
 open (met once) at one of its two passages and not at the other, so the
 XOR of the two masks of open chords lists them, and the pair table that
-weight sums read is built from those bits alone.
+weight sums read is built from those bits alone.  The small tuples that
+repeat from diagram to diagram, the (chord, position) slot references and
+the (sign, kink shape) pairs, are shared, not built anew for each diagram.
 
 Reidemeister moves are represented explicitly as :class:`R1Insert`,
 :class:`R1Delete`, :class:`R2Insert`, :class:`R2Delete` and :class:`R3Slide`
-instances, and one rule places their passages.  An insertion puts each
+instances (frozen dataclasses with slots, like the compiled tables), and
+one rule places their passages.  An insertion puts each
 block of new passages into a gap: gap g means "immediately before passage
 g", in 0..2n (gap 0 and gap 2n are one place on the circle, kept distinct
 only so that round trips restore the exact word), and the new chords are
@@ -208,7 +211,7 @@ def _trusted(endpoints: tuple[Endpoint, ...]) -> GaussDiagram:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompiledDiagram:
     """A diagram as flat integer tables, read by coloring search and weight sums.
 
@@ -226,12 +229,14 @@ class CompiledDiagram:
 
     chords: range  # the chord labels 1..n
     slots: tuple[tuple[int, int, int, int], ...]
-    kind: tuple[tuple[int, int], ...]  # (sign, kink shape) of each chord
-    # per semiarc, the (chord index, position) of the slots it fills, and
-    # the chord indices among them, each once; the lone semiarc of the empty
-    # diagram fills none
+    # (sign, kink shape) of each chord, one of the eight shared ``_KINDS``
+    kind: tuple[tuple[int, int], ...]
+    # per semiarc, the (chord index, position) of the two slots it fills,
+    # where it leaves one passage and where it enters the next (one chord
+    # twice at a kink); each reference is shared by every diagram of n
+    # chords (``_slot_refs``).  The lone semiarc of the empty diagram fills
+    # none
     touching: tuple[tuple[tuple[int, int], ...], ...]
-    touches: tuple[tuple[int, ...], ...]
     # the chord index pairs (p, q), p < q, whose endpoints interleave
     pairs: tuple[tuple[int, int], ...]
     # what arrow weight sums read, per pair in the order of ``pairs``:
@@ -242,9 +247,25 @@ class CompiledDiagram:
     pair_table: tuple[tuple[int, int, int, int, int, int, int], ...]
 
 
+# the (sign, kink shape) of a chord: one tuple each, shared by every diagram
+_KINDS = {(sign, shape): (sign, shape) for sign in (1, -1) for shape in range(4)}
+
+# chord counts whose slot references are kept; one tuple of 30 chords holds
+# 120 references
+_SLOT_REF_SIZES = 64
+
+
+@lru_cache(maxsize=_SLOT_REF_SIZES)
+def _slot_refs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every (chord index, position) of ``n`` chords; the one at index
+    4c + k is (c, k)."""
+    return tuple((c, k) for c in range(n) for k in range(4))
+
+
 def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
     two_n = len(endpoints)
     n = two_n // 2
+    refs = _slot_refs(n)
     under = [0] * n
     over = [0] * n
     sign = [0] * n
@@ -257,7 +278,6 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
     # enters passage 0), at the slot (chord index, position) of each: u_out 1
     # or o_out 3 where it leaves, u_in 0 or o_in 2 where it enters
     touching = []
-    touches = []
     leaving = None  # the slot where the semiarc before passage i leaves
     for i, e in enumerate(endpoints):
         c = e.chord - 1
@@ -266,26 +286,24 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
         open_chords ^= 1 << c
         if e.passage == "U":
             under[c] = i
-            entering, leave = (c, 0), (c, 1)
+            entering, leave = refs[4 * c], refs[4 * c + 1]
         else:
             over[c] = i
-            entering, leave = (c, 2), (c, 3)
+            entering, leave = refs[4 * c + 2], refs[4 * c + 3]
         if i:
             touching.append((leaving, entering))
-            touches.append((leaving[0],) if leaving[0] == c else (leaving[0], c))
         else:
             first = entering
         leaving = leave
     if two_n:
         touching.append((leaving, first))
-        touches.append((c,) if c == first[0] else (c, first[0]))
     slots = []
     kind = []
     labels = []  # per chord, the two semiarcs of its arrow label
     for u, o, sg in zip(under, over, sign):
         sl = ((u - 1) % two_n, u, (o - 1) % two_n, o)
         slots.append(sl)
-        kind.append((sg, (sl[0] == o) | (u == sl[2]) << 1))
+        kind.append(_KINDS[sg, (sl[0] == o) | (u == sl[2]) << 1])
         i, j = LABEL_SLOTS[sg]
         labels.append((sl[i], sl[j]))
     pairs = []
@@ -304,7 +322,6 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
         tuple(slots),
         tuple(kind),
         tuple(touching) or ((),),
-        tuple(touches) or ((),),
         tuple(pairs),
         tuple(table),
     )
@@ -346,7 +363,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
 # Reidemeister moves, placed by the rule of the module docstring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class R1Insert:
     """Add a kink: the two new passages sit side by side in one gap.
 
@@ -359,7 +376,7 @@ class R1Insert:
     sign: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class R1Delete:
     """Remove a kink whose two passages are cyclically adjacent.
 
@@ -370,7 +387,7 @@ class R1Delete:
     start: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class R2Insert:
     """Slide one strand over another, adding two canceling crossings.
 
@@ -388,7 +405,7 @@ class R2Insert:
     sign: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class R2Delete:
     """Cancel two crossings forming an R2 pair.
 
@@ -402,7 +419,7 @@ class R2Delete:
     antiparallel: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class R3Slide:
     """Slide a strand across a crossing.
 

@@ -22,7 +22,7 @@ Search: one solver finds every coloring that extends a partial one.  It
 reads the diagram compiled to flat tables
 (:attr:`~arrowquiver.gausscode.GaussDiagram.compiled`: the four semiarc
 slots around each chord, the relation table each chord reads and the
-chords each semiarc touches) and, per biquandle, the crossing relation
+slots each semiarc fills) and, per biquandle, the crossing relation
 tabulated by which slots are known.  It propagates, then branches: when
 the solutions of a crossing's equations that agree with its known colors
 all give an uncolored slot the same value, the slot gets that value, and a
@@ -51,6 +51,11 @@ element of its orbit, come from the map search that also lists the
 endomorphisms (:meth:`~arrowquiver.biquandle.Biquandle._maps`), asked for
 the first bijective map with one image fixed; they are built on a
 biquandle's first enumeration and cached with its relation tables.
+The colorings of the 64 most recently used (biquandle, diagram) pairs are
+cached, and :mod:`arrowquiver.arrowweight` caches their weight sums alike:
+the reuse these caches serve lies within one call chain (a diagram's
+colorings, then its weight sums, then its quiver), so a diagram rendered
+long ago is not kept alive with its compiled tables.
 
 Transport: performing a Reidemeister move on a colored diagram leaves the
 colors of all semiarcs outside the move disk unchanged and determines the
@@ -261,8 +266,14 @@ def enumerate_colorings(
     return list(_colorings(b, d))
 
 
-# diagrams whose colorings (and, in arrowweight, weight sums) are kept
-_COLORINGS_CACHED = 1 << 15
+# diagrams whose colorings (and, in arrowweight, weight sums) are kept.  The
+# reuse they serve lies within one call chain: the colorings, then the
+# weight sums, then the quiver of one diagram, for d1 and d2 of a scramble
+# step.  A cached entry keeps its diagram and compiled tables alive, so the
+# bound is what that reuse needs: at 64 entries a seed-1 perfbench scramble
+# job misses 11-14 more of its about 960 coloring lookups than with no
+# bound, and a weights job 5 more of its 200-260.
+_COLORINGS_CACHED = 64
 
 
 @lru_cache(maxsize=_COLORINGS_CACHED)
@@ -294,7 +305,7 @@ def _extensions(
     r = rel.radix
     r2, r3 = r * r, r * r * r
     everything = rel.everything
-    slots, touching, touches = cd.slots, cd.touching, cd.touches
+    slots, touching = cd.slots, cd.touching
     # per chord: the tables of its sign and kink shape
     values = [rel.values[kind] for kind in cd.kind]
     forced = [rel.forced[kind] for kind in cd.kind]
@@ -321,7 +332,7 @@ def _extensions(
                 s = sl[k]
                 val[s] = v
                 trail.append(s)
-                for c in touches[s]:
+                for c, _ in touching[s]:
                     if not queued[c]:
                         queued[c] = True
                         queue.append(c)
@@ -360,9 +371,10 @@ def _extensions(
                 low = left & -left
                 top[1] = left ^ low
                 val[s] = low.bit_length() - 1
-                for c in touches[s]:
-                    queued[c] = True
-                queue.extend(touches[s])
+                for c, _ in touching[s]:
+                    if not queued[c]:
+                        queued[c] = True
+                        queue.append(c)
                 break
             val[s] = 0
             stack.pop()

@@ -19,7 +19,7 @@ from operator import itemgetter
 from .arrowweight import WeightTensor, _weight_sums
 from .biquandle import Biquandle
 from .gausscode import GaussDiagram
-from .homset import enumerate_colorings
+from .homset import _colorings
 
 __all__ = [
     "Quiver",
@@ -89,7 +89,7 @@ def build_quiver(
     none may repeat, since the maps form a set.
     """
     endos = b.endomorphisms() if endos is None else [tuple(f) for f in endos]
-    colorings = enumerate_colorings(b, d)
+    colorings = _colorings(b, d)
     # itemgetter(*c) applied to fx = (0, *f) gives the image of coloring c
     # under f.  For a coloring of one semiarc it gives a bare color, not a
     # tuple, so the keys of index are what it picks from the identity map.
@@ -109,7 +109,7 @@ def build_quiver(
             if j is None:
                 raise ValueError(f"map {f} does not preserve colorings")
             edges.append((i, j, k))
-    return Quiver(tuple(colorings), weights, tuple(edges), tuple(endos), w.m)
+    return Quiver(colorings, weights, tuple(edges), tuple(endos), w.m)
 
 
 def quotient_quiver(q: Quiver) -> QuotientQuiver:

@@ -690,7 +690,6 @@ def _compile_reference(endpoints) -> gausscode.CompiledDiagram:
         )
         for e, f in zip(endpoints, endpoints[1:] + endpoints[:1])
     )
-    touches = tuple((a,) if a == b else (a, b) for (a, _), (b, _) in touching)
     spans = [sorted(ends) for ends in zip(under, over)]
     pairs = tuple(
         (p, q)
@@ -710,7 +709,6 @@ def _compile_reference(endpoints) -> gausscode.CompiledDiagram:
         slots,
         kind,
         touching or ((),),
-        touches or ((),),
         pairs,
         tuple(table),
     )
@@ -738,7 +736,7 @@ class TestCompileOracle:
 
     def test_fields(self):
         names = [field.name for field in dataclasses.fields(gausscode.CompiledDiagram)]
-        assert names == ["chords", "slots", "kind", "touching", "touches", "pairs", "pair_table"]
+        assert names == ["chords", "slots", "kind", "touching", "pairs", "pair_table"]
 
     def test_readers_agree_with_the_word(self):
         for d in _compile_oracle_diagrams()[::10]:

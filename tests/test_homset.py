@@ -697,7 +697,9 @@ def _recursive_extensions(b, d, start) -> list[tuple[int, ...]]:
     r = rel.radix
     r2, r3 = r * r, r * r * r
     everything = rel.everything
-    slots, touching, touches = cd.slots, cd.touching, cd.touches
+    slots, touching = cd.slots, cd.touching
+    # per semiarc, the chords it touches, each once, in order
+    touches = [list(dict.fromkeys(c for c, _ in t)) for t in touching]
     values = [rel.values[kind] for kind in cd.kind]
     forced = [rel.forced[kind] for kind in cd.kind]
     val = list(start)
