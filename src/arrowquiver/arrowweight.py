@@ -18,7 +18,8 @@ straight from that table; :func:`sigma_D`, :func:`weight_multiset`, the
 ``nontrivial`` probes of :func:`search_weights` and the validity trials all
 read their sums from it.  The symbolic side, :func:`sigma_coefficients`, the
 rotation rows and the basepoint check, lists one coloring's terms with
-:func:`_pair_terms`.
+:func:`_pair_terms`, from compiled tables that its caller reads once per
+diagram.
 Moving the basepoint to passage k swaps the labels of exactly the pairs
 it straddles, those with under-passages u1 < k <= u2.  For W to define a
 knot invariant the multiset of weight sums over all colorings must be
@@ -53,6 +54,7 @@ import numpy  # noqa: F401
 
 from .biquandle import Biquandle
 from .gausscode import (
+    CompiledDiagram,
     Endpoint,
     GaussDiagram,
     Move,
@@ -149,15 +151,16 @@ class WeightTensor:
             return cls.loads(fh.read())
 
 
-def _pair_terms(d: GaussDiagram, coloring: tuple[int, ...], n: int) -> list[tuple]:
-    """The terms of one coloring's weight sum, read from the diagram's pair
-    table: per interleaving chord pair, in the order of ``crossing_pairs``,
+def _pair_terms(cd: CompiledDiagram, coloring: tuple[int, ...], n: int) -> list[tuple]:
+    """The terms of one coloring's weight sum, read from the pair table of
+    a compiled diagram: per interleaving chord pair, in the order of
+    ``crossing_pairs``,
     the sign product, the tensor slot of (label(first), label(second)), the
     slot with the labels swapped, and the under-passage indices u1 < u2 of
     the pair (the first chord's is u1)."""
     n2 = n * n
     terms = []
-    for sign, a, b, x, y, u1, u2 in d.compiled.pair_table:
+    for sign, a, b, x, y, u1, u2 in cd.pair_table:
         lp = (coloring[a] - 1) * n + coloring[b] - 1
         lq = (coloring[x] - 1) * n + coloring[y] - 1
         terms.append((sign, lp * n2 + lq, lq * n2 + lp, u1, u2))
@@ -178,11 +181,13 @@ def _rotation_rows_at(terms: list[tuple], indices) -> list[dict[int, int]]:
 
 
 def sigma_coefficients(
-    d: GaussDiagram, coloring: tuple[int, ...], n: int
+    cd: CompiledDiagram, coloring: tuple[int, ...], n: int
 ) -> dict[int, int]:
-    """sigma_D as a sparse vector of coefficients on tensor slots."""
+    """sigma_D of a coloring of the compiled diagram ``cd`` as a sparse
+    vector of coefficients on tensor slots; callers read ``cd`` once per
+    diagram."""
     coeffs: dict[int, int] = {}
-    for sign, slot, *_ in _pair_terms(d, coloring, n):
+    for sign, slot, *_ in _pair_terms(cd, coloring, n):
         coeffs[slot] = coeffs.get(slot, 0) + sign
     return coeffs
 
@@ -224,17 +229,18 @@ def _sums(w: WeightTensor, d: GaussDiagram, colorings) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def _check_rotations(w: WeightTensor, d: GaussDiagram, coloring: tuple[int, ...]) -> None:
+def _check_rotations(w: WeightTensor, cd: CompiledDiagram, coloring: tuple[int, ...]) -> None:
     """Raise ValueError at the first basepoint k, 0 < k < 2n, from which the
-    weight sum of ``coloring`` differs; it never does for a valid arrow weight.
+    weight sum of ``coloring`` of the compiled diagram ``cd`` differs; it
+    never does for a valid arrow weight.
 
     Rotation row k - 1 (see :func:`_rotation_rows_at`), evaluated at w, is
     the sum of sign * (W[slot] - W[swapped]) over the pairs with
     u1 < k <= u2: a prefix sum of +x at u1 + 1 and -x at u2 + 1."""
     e, m = w.entries, w.m
-    two_n = len(d.endpoints)
+    two_n = 2 * len(cd.slots)
     steps = [0] * (two_n + 1)
-    for sign, slot, swapped, u1, u2 in _pair_terms(d, coloring, w.n):
+    for sign, slot, swapped, u1, u2 in _pair_terms(cd, coloring, w.n):
         x = sign * (e[slot] - e[swapped])
         steps[u1 + 1] += x
         steps[u2 + 1] -= x
@@ -431,7 +437,8 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
 
     def move_rows(d: GaussDiagram, moves) -> None:
         colorings = enumerate_colorings(b, d)
-        bases = [sigma_coefficients(d, c, n) for c in colorings]
+        cd = d.compiled
+        bases = [sigma_coefficients(cd, c, n) for c in colorings]
         for move in moves:
             carried = range(len(colorings))
             if isinstance(move, R2Insert):
@@ -445,8 +452,9 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
                 if not carried:
                     continue
             d2, images = _transport(b, d, move, [colorings[i] for i in carried])
+            cd2 = d2.compiled
             for i, c2 in zip(carried, images):
-                add(_difference_row(bases[i], sigma_coefficients(d2, c2, n)))
+                add(_difference_row(bases[i], sigma_coefficients(cd2, c2, n)))
 
     def rotation_rows(d: GaussDiagram) -> None:
         two_n = len(d.endpoints)
@@ -455,8 +463,9 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
         # row k + 1 repeats row k when passage k is an O passage, so only
         # row 1 (index 0) and the rows after a U passage are built and added
         changed = [0] + [k for k in range(1, two_n - 1) if d.endpoints[k].passage == "U"]
+        cd = d.compiled
         for c in enumerate_colorings(b, d):
-            for row in _rotation_rows_at(_pair_terms(d, c, n), changed):
+            for row in _rotation_rows_at(_pair_terms(cd, c, n), changed):
                 add(row)
 
     for d in _small_hosts():
@@ -730,9 +739,10 @@ def is_valid_weight(
             move = rng.choice(moves)
             d2, images = _transport(b, d, move, colorings)
             moved_sums = _sums(w, d2, images)
+            cd = d.compiled
             for c, before, after in zip(colorings, sums, moved_sums):
                 try:
-                    _check_rotations(w, d, c)
+                    _check_rotations(w, cd, c)
                     mismatch = before != after
                     detail = {"before": before, "after": after}
                 except ValueError as err:

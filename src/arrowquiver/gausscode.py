@@ -13,6 +13,10 @@ semiarc i runs from the i-th passage to the (i+1)-th, cyclically, and semiarc
 2n-1 closes up back to passage 0.  With zero crossings there is a single
 closed semiarc.
 
+Passages are shared: building a well-formed :class:`Endpoint` of
+chord at most ``_SHARED_LABELS`` returns the one instance of its value, so
+a word is a tuple of references to at most 4 * ``_SHARED_LABELS`` objects.
+
 Two chords of the Gauss diagram *cross* when their endpoint pairs interleave
 cyclically; arrow weight sums run over exactly these pairs.  A diagram's
 flat integer tables (:attr:`~GaussDiagram.compiled`) come from one walk of
@@ -22,6 +26,10 @@ XOR of the two masks of open chords lists them, and the pair table that
 weight sums read is built from those bits alone.  The small tuples that
 repeat from diagram to diagram, the (chord, position) slot references and
 the (sign, kink shape) pairs, are shared, not built anew for each diagram.
+The tables are not stored on the diagram: :attr:`~GaussDiagram.compiled`
+reads them from a cache of the 64 most recently used diagrams, keyed by
+the diagram, so equal diagrams share one set of tables and a caller that
+holds many diagrams holds their words only.
 
 Reidemeister moves are represented explicitly as :class:`R1Insert`,
 :class:`R1Delete`, :class:`R2Insert`, :class:`R2Delete` and :class:`R3Slide`
@@ -53,7 +61,7 @@ the word transforms :meth:`~GaussDiagram.rotated`,
 :meth:`~GaussDiagram._relabeled` build their results with
 :func:`_trusted`, which skips the check, since each of them maps a valid
 word to a valid word.  A diagram computes its hash once, from integers
-only, and keeps it beside :attr:`~GaussDiagram.compiled`; a pickled
+only, and keeps it beside its word, which is all it holds; a pickled
 diagram carries only its word and is checked again when loaded.
 """
 
@@ -61,7 +69,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 __all__ = [
     "Endpoint",
@@ -81,21 +89,84 @@ __all__ = [
 _TOKEN = re.compile(r"([OU])(\d+)([+-])")
 
 
-@dataclass(frozen=True)
+# the largest chord label whose passages are shared: at most 4 * 256
+# instances, each built when first asked for (two threads asking at once
+# may build two equal ones, and one of them is kept)
+_SHARED_LABELS = 256
+_SHARED: dict[tuple[int, str, int], Endpoint] = {}
+
+
+@dataclass(frozen=True, init=False)
 class Endpoint:
-    """One passage through a crossing: which chord, O or U, and the sign."""
+    """One passage through a crossing: which chord, O or U, and the sign.
+
+    A well-formed passage (chord an ``int`` from 1 to ``_SHARED_LABELS``,
+    passage "O" or "U", sign the ``int`` 1 or -1) is one shared instance
+    per value; any other is built anew, so that the check of
+    :class:`GaussDiagram` can name it as it was given.  A well-formed
+    passage also carries the integer code the hash of a diagram reads.
+    """
 
     chord: int
     passage: str  # "O" or "U"
     sign: int  # +1 or -1
 
+    def __new__(cls, chord: int, passage: str, sign: int) -> Endpoint:
+        if type(chord) is int and type(passage) is str and type(sign) is int:
+            e = _SHARED.get((chord, passage, sign))
+            if e is not None:
+                return e
+        e = object.__new__(cls)
+        e.__dict__.update(chord=chord, passage=passage, sign=sign)
+        if _well_formed(e):
+            # the integer that a diagram's hash reads for this passage
+            e.__dict__["_code"] = chord * 4 + (passage == "O") * 2 + (sign > 0)
+            if 0 < chord <= _SHARED_LABELS:
+                _SHARED[chord, passage, sign] = e
+        return e
+
+    def __reduce__(self):
+        # through the constructor, so that a copy is the shared instance
+        return Endpoint, (self.chord, self.passage, self.sign)
+
     def __str__(self) -> str:
         return f"{self.passage}{self.chord}{'+' if self.sign > 0 else '-'}"
+
+
+def _well_formed(e: Endpoint) -> bool:
+    """Whether a passage has an ``int`` chord, the ``str`` passage "O" or
+    "U" and the ``int`` sign 1 or -1; the chord labels are checked with the
+    word."""
+    return (
+        type(e.chord) is int
+        and type(e.passage) is str
+        and e.passage in ("O", "U")
+        and type(e.sign) is int
+        and e.sign in (1, -1)
+    )
 
 
 # where a crossing's arrow label sits in its slots (u_in, u_out, o_in, o_out),
 # by sign: (u_in, o_out) at a positive crossing, (u_out, o_in) at a negative one
 LABEL_SLOTS = {1: (0, 3), -1: (1, 2)}
+
+
+# diagrams whose compiled tables (:func:`_compiled`) are kept, and, in
+# homset and arrowweight, whose colorings and weight sums are.  The reuse
+# these caches serve lies within one call chain: a diagram's tables, its
+# colorings, then its weight sums and its quiver, for d1 and d2 of a
+# scramble step.  A cached entry keeps its diagram alive, so the bound is
+# what that reuse needs: at 64 entries a seed-1 perfbench scramble job
+# misses 11-14 more of its about 960 coloring lookups than with no bound,
+# and a weights job 5 more of its 200-260; tables are built again only for
+# a diagram met again after 64 others, 10-14 of about 280 per scramble job.
+_DIAGRAMS_CACHED = 64
+
+
+@lru_cache(maxsize=_DIAGRAMS_CACHED)
+def _compiled(d: GaussDiagram) -> CompiledDiagram:
+    """The compiled tables of ``d``, keyed by its cached hash."""
+    return _compile(d.endpoints)
 
 
 @dataclass(frozen=True)
@@ -107,7 +178,7 @@ class GaussDiagram:
     def __post_init__(self) -> None:
         seen: dict[int, dict[str, int]] = {}
         for e in self.endpoints:
-            if e.passage not in ("O", "U") or e.sign not in (1, -1):
+            if not _well_formed(e):
                 raise ValueError(f"malformed endpoint {e!r}")
             slot = seen.setdefault(e.chord, {})
             if e.passage in slot:
@@ -133,18 +204,19 @@ class GaussDiagram:
     def __str__(self) -> str:
         return "".join(str(e) for e in self.endpoints)
 
-    @cached_property
-    def compiled(self) -> "CompiledDiagram":
-        """Flat integer tables of this diagram, built on first use."""
-        return _compile(self.endpoints)
+    compiled = property(
+        _compiled,
+        doc="""Flat integer tables of this diagram, from the bounded cache of
+        :func:`_compiled`: equal diagrams share them, and a diagram held by a
+        caller does not hold them.""",
+    )
 
     def __hash__(self) -> int:
-        # computed once, from ints only, so that it does not depend on
-        # PYTHONHASHSEED
+        # computed once, from the integer code of each (well-formed) passage,
+        # so that it does not depend on PYTHONHASHSEED
         h = self.__dict__.get("_hash")
         if h is None:
-            codes = [e.chord * 4 + (e.passage == "O") * 2 + (e.sign > 0) for e in self.endpoints]
-            h = self.__dict__["_hash"] = hash(tuple(codes))
+            h = self.__dict__["_hash"] = hash(tuple([e._code for e in self.endpoints]))
         return h
 
     def __reduce__(self):
@@ -455,7 +527,7 @@ def _insert_blocks(d: GaussDiagram, blocks: dict[int, list[Endpoint]]) -> Moved:
         # the one check a new passage needs: its chord and passages are
         # fresh and complete, but the sign comes from the move
         for e in block:
-            if e.sign not in (1, -1):
+            if not _well_formed(e):
                 raise ValueError(f"malformed endpoint {e!r}")
         out += ends[last:g]
         out += block

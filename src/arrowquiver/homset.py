@@ -52,10 +52,12 @@ endomorphisms (:meth:`~arrowquiver.biquandle.Biquandle._maps`), asked for
 the first bijective map with one image fixed; they are built on a
 biquandle's first enumeration and cached with its relation tables.
 The colorings of the 64 most recently used (biquandle, diagram) pairs are
-cached, and :mod:`arrowquiver.arrowweight` caches their weight sums alike:
-the reuse these caches serve lies within one call chain (a diagram's
-colorings, then its weight sums, then its quiver), so a diagram rendered
-long ago is not kept alive with its compiled tables.
+cached, and :mod:`arrowquiver.arrowweight` caches their weight sums alike,
+as :mod:`arrowquiver.gausscode` caches compiled tables, all under one
+bound: the reuse these caches serve lies within one call chain (a
+diagram's tables, its colorings, then its weight sums and its quiver), so
+a diagram rendered long ago is not kept alive, and its tables are not kept
+by a caller that holds the diagram.
 
 Transport: performing a Reidemeister move on a colored diagram leaves the
 colors of all semiarcs outside the move disk unchanged and determines the
@@ -80,7 +82,7 @@ from functools import lru_cache
 from itertools import product
 
 from .biquandle import Biquandle
-from .gausscode import LABEL_SLOTS, GaussDiagram, Move, _moved
+from .gausscode import _DIAGRAMS_CACHED, LABEL_SLOTS, GaussDiagram, Move, _moved
 
 __all__ = [
     "enumerate_colorings",
@@ -230,18 +232,23 @@ def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> boo
 
     Every color must equal one of 1..n: a key built from any other value
     could collide with a key of the relation table."""
-    if len(coloring) != d.num_semiarcs:
-        return False
+    return _all_colorings(b, d, (coloring,))
+
+
+def _all_colorings(b: Biquandle, d: GaussDiagram, colorings) -> bool:
+    """:func:`is_coloring` of each of ``colorings``, reading the tables of
+    ``d`` once."""
     elements = range(1, b.n + 1)
-    if not all(map(elements.__contains__, coloring)):
-        return False
     values, r = _relation(b).values, b.n + 1
     tables = {1: values[1, 0], -1: values[-1, 0]}
-    cd = d.compiled
-    for (s0, s1, s2, s3), (sign, _) in zip(cd.slots, cd.kind):
-        key = coloring[s0] + r * (coloring[s1] + r * (coloring[s2] + r * coloring[s3]))
-        if key not in tables[sign]:
+    cd, semiarcs = d.compiled, d.num_semiarcs
+    for coloring in colorings:
+        if len(coloring) != semiarcs or not all(map(elements.__contains__, coloring)):
             return False
+        for (s0, s1, s2, s3), (sign, _) in zip(cd.slots, cd.kind):
+            key = coloring[s0] + r * (coloring[s1] + r * (coloring[s2] + r * coloring[s3]))
+            if key not in tables[sign]:
+                return False
     return True
 
 
@@ -266,14 +273,8 @@ def enumerate_colorings(
     return list(_colorings(b, d))
 
 
-# diagrams whose colorings (and, in arrowweight, weight sums) are kept.  The
-# reuse they serve lies within one call chain: the colorings, then the
-# weight sums, then the quiver of one diagram, for d1 and d2 of a scramble
-# step.  A cached entry keeps its diagram and compiled tables alive, so the
-# bound is what that reuse needs: at 64 entries a seed-1 perfbench scramble
-# job misses 11-14 more of its about 960 coloring lookups than with no
-# bound, and a weights job 5 more of its 200-260.
-_COLORINGS_CACHED = 64
+# the one bound of the diagram caches, set and explained in gausscode
+_COLORINGS_CACHED = _DIAGRAMS_CACHED
 
 
 @lru_cache(maxsize=_COLORINGS_CACHED)
@@ -432,7 +433,7 @@ def transport_colorings(
     non-move).
     """
     colorings = list(colorings)
-    if not all(is_coloring(b, d, c) for c in colorings):
+    if not _all_colorings(b, d, colorings):
         raise TransportError("not a coloring of the input diagram")
     return _transport(b, d, move, colorings)
 

@@ -58,7 +58,7 @@ def test_criterion_1_two_element_pipeline(flip2, w16, table):
     colorings = enumerate_colorings(flip2, d)
     assert colorings == [(1, 2, 1, 2), (2, 1, 2, 1)]
     for c in colorings:
-        _check_rotations(w16, d, c)
+        _check_rotations(w16, d.compiled, c)
     assert weight_multiset(flip2, w16, d) == (8, 8)
     assert str(weight_polynomial(flip2, w16, d)) == "2u^8"
     endos = flip2.endomorphisms()
@@ -236,16 +236,16 @@ def test_criterion_7_mod2_brute_force_matches_solver(flip2):
     for code in PROBE_HOSTS:
         d = parse_gauss_code(code).rotated(3)._relabeled()
         for c in enumerate_colorings(flip2, d):
-            base = sigma_coefficients(d, c, 2)
+            base = sigma_coefficients(d.compiled, c, 2)
             after = []
             for mv in enumerate_moves(d):
                 d2 = apply_move(d, mv)
                 after.append(
-                    sigma_coefficients(d2, transport_coloring(flip2, d, mv, c), 2)
+                    sigma_coefficients(d2.compiled, transport_coloring(flip2, d, mv, c), 2)
                 )
             for k in range(1, len(d.endpoints)):
                 after.append(
-                    sigma_coefficients(d.rotated(k), c[k:] + c[:k], 2)
+                    sigma_coefficients(d.rotated(k).compiled, c[k:] + c[:k], 2)
                 )
             for coeffs in after:
                 row = [0] * 16

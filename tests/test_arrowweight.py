@@ -120,7 +120,7 @@ class TestTensor:
 
 class TestWeightSums:
     def test_virtual_hopf_terms(self, w16):
-        terms = _pair_terms(VIRTUAL_HOPF, (1, 2, 1, 2), w16.n)
+        terms = _pair_terms(VIRTUAL_HOPF.compiled, (1, 2, 1, 2), w16.n)
         pairs = [(p + 1, q + 1) for p, q in VIRTUAL_HOPF.compiled.pairs]
         assert [(pq, t[0] * w16.entries[t[1]] % w16.m) for pq, t in zip(pairs, terms)] == [
             ((1, 2), 8)
@@ -140,12 +140,12 @@ class TestWeightSums:
 
     def test_rotation_check_passes_for_valid_tensor(self, flip2, w16):
         for c in ((1, 2, 1, 2), (2, 1, 2, 1)):
-            _check_rotations(w16, VIRTUAL_HOPF, c)
+            _check_rotations(w16, VIRTUAL_HOPF.compiled, c)
             assert sigma_D(w16, VIRTUAL_HOPF, c) == 8
 
     def test_rotation_check_detects_basepoint_dependence(self):
         with pytest.raises(ValueError, match="depends on the basepoint"):
-            _check_rotations(asymmetric_tensor(), VIRTUAL_HOPF, (1, 2, 1, 2))
+            _check_rotations(asymmetric_tensor(), VIRTUAL_HOPF.compiled, (1, 2, 1, 2))
 
 
 class TestConstraints:
@@ -330,7 +330,7 @@ class TestEvaluatorOracles:
                     la, lb = arrow_label(d, c, p), arrow_label(d, c, q)
                     slot = WeightTensor.slot(n, *la, *lb)
                     brute[slot] = brute.get(slot, 0) + d.sign_of(p) * d.sign_of(q)
-                assert sigma_coefficients(d, c, n) == brute, (str(d), c)
+                assert sigma_coefficients(d.compiled, c, n) == brute, (str(d), c)
 
     @pytest.mark.parametrize("name", ["flip2", "cyc3", "quad4", "shift4"])
     def test_rotation_rows_match_rebuilt_diagrams(self, request, name):
@@ -340,11 +340,11 @@ class TestEvaluatorOracles:
         for d in _oracle_diagrams():
             two_n = len(d.endpoints)
             for c in enumerate_colorings(b, d):
-                rows = _rotation_rows_at(_pair_terms(d, c, n), range(two_n - 1))
+                rows = _rotation_rows_at(_pair_terms(d.compiled, c, n), range(two_n - 1))
                 assert len(rows) == max(0, two_n - 1)
-                base = sigma_coefficients(d, c, n)
+                base = sigma_coefficients(d.compiled, c, n)
                 for k in range(1, two_n):
-                    rebuilt = sigma_coefficients(d.rotated(k), c[k:] + c[:k], n)
+                    rebuilt = sigma_coefficients(d.rotated(k).compiled, c[k:] + c[:k], n)
                     want = _nonzero(_difference_row(base, rebuilt))
                     assert _nonzero(rows[k - 1]) == want, (str(d), c, k)
                     checked += 1
@@ -366,7 +366,7 @@ class TestEvaluatorOracles:
             )
             w = WeightTensor(n, m, entries)
             for c in enumerate_colorings(b, d):
-                rows = _rotation_rows_at(_pair_terms(d, c, n), range(len(d.endpoints) - 1))
+                rows = _rotation_rows_at(_pair_terms(d.compiled, c, n), range(len(d.endpoints) - 1))
                 failing = [
                     k
                     for k, row in enumerate(rows, start=1)
@@ -374,13 +374,13 @@ class TestEvaluatorOracles:
                 ]
                 if failing:
                     with pytest.raises(ValueError) as err:
-                        _check_rotations(w, d, c)
+                        _check_rotations(w, d.compiled, c)
                     want = f"weight sum depends on the basepoint (rotation {failing[0]})"
                     assert str(err.value) == want, (str(d), c)
                     outcomes["first" if failing[0] == 1 else "later"] += 1
                 else:
-                    total = sum(v * entries[s] for s, v in sigma_coefficients(d, c, n).items())
-                    _check_rotations(w, d, c)
+                    total = sum(v * entries[s] for s, v in sigma_coefficients(d.compiled, c, n).items())
+                    _check_rotations(w, d.compiled, c)
                     assert sigma_D(w, d, c) == total % m
                     outcomes["passed"] += 1
         assert min(outcomes.values()) >= 5, outcomes
@@ -398,7 +398,7 @@ class TestEvaluatorOracles:
         # rotations 1-3 agree with the basepoint; rotation 4 is the first not to
         assert rebuilt.index(next(t for t in rebuilt if t != base)) + 1 == 4
         with pytest.raises(ValueError, match=r"basepoint \(rotation 4\)$"):
-            _check_rotations(w, d, c)
+            _check_rotations(w, d.compiled, c)
 
 
 def _per_coloring_rows(b) -> list[dict[int, int]]:
@@ -411,13 +411,13 @@ def _per_coloring_rows(b) -> list[dict[int, int]]:
         for move in moves:
             d2 = apply_move(d, move)
             for c in enumerate_colorings(b, d):
-                after = sigma_coefficients(d2, transport_coloring(b, d, move, c), n)
-                rows.append(_difference_row(sigma_coefficients(d, c, n), after))
+                after = sigma_coefficients(d2.compiled, transport_coloring(b, d, move, c), n)
+                rows.append(_difference_row(sigma_coefficients(d.compiled, c, n), after))
 
     def rotation_rows(d):
         if len(d.endpoints) >= 4:
             for c in enumerate_colorings(b, d):
-                rows.extend(_rotation_rows_at(_pair_terms(d, c, n), range(len(d.endpoints) - 1)))
+                rows.extend(_rotation_rows_at(_pair_terms(d.compiled, c, n), range(len(d.endpoints) - 1)))
 
     for d in _small_hosts():
         move_rows(d, enumerate_moves(d))
@@ -451,7 +451,7 @@ def _r2_insert_rows(b) -> list[tuple]:
             d2 = apply_move(d, move)
             for c in enumerate_colorings(b, d):
                 c2 = transport_coloring(b, d, move, c)
-                row = _difference_row(sigma_coefficients(d, c, n), sigma_coefficients(d2, c2, n))
+                row = _difference_row(sigma_coefficients(d.compiled, c, n), sigma_coefficients(d2.compiled, c2, n))
                 out.append((d, move, c, d2, c2, _nonzero(row)))
     return out
 
@@ -520,7 +520,7 @@ class TestConstraintRowsOracle:
         repeats = 0
         for d in hosts:
             for c in enumerate_colorings(b, d):
-                rows = _rotation_rows_at(_pair_terms(d, c, n), range(len(d.endpoints) - 1))
+                rows = _rotation_rows_at(_pair_terms(d.compiled, c, n), range(len(d.endpoints) - 1))
                 for k in range(1, len(d.endpoints) - 1):
                     if d.endpoints[k].passage == "O":
                         assert rows[k] == rows[k - 1], (str(d), c, k)
@@ -540,8 +540,8 @@ class TestConstraintRowsOracle:
                     continue
                 d2 = apply_move(d, move)
                 for c in enumerate_colorings(b, d):
-                    after = sigma_coefficients(d2, transport_coloring(b, d, move, c), n)
-                    row = _difference_row(sigma_coefficients(d, c, n), after)
+                    after = sigma_coefficients(d2.compiled, transport_coloring(b, d, move, c), n)
+                    row = _difference_row(sigma_coefficients(d.compiled, c, n), after)
                     assert _nonzero(row) == {}, (str(d), move, c)
                     checked += 1
         assert checked > 100
@@ -651,10 +651,10 @@ def _slide_host_rows(b, d) -> set[tuple]:
         if isinstance(move, R3Slide):
             d2, images = transport_colorings(b, d, move, colorings)
             for c, c2 in zip(colorings, images):
-                after = sigma_coefficients(d2, c2, n)
-                rows.append(_difference_row(sigma_coefficients(d, c, n), after))
+                after = sigma_coefficients(d2.compiled, c2, n)
+                rows.append(_difference_row(sigma_coefficients(d.compiled, c, n), after))
     for c in colorings:
-        rows.extend(_rotation_rows_at(_pair_terms(d, c, n), range(len(d.endpoints) - 1)))
+        rows.extend(_rotation_rows_at(_pair_terms(d.compiled, c, n), range(len(d.endpoints) - 1)))
     return {tuple(sorted(_nonzero(r).items())) for r in rows} - {()}
 
 
@@ -1008,7 +1008,7 @@ def _old_trials(b, w, trials, seed) -> arrowweight.ValidityReport:
             d2, images = transport_colorings(b, d, move, colorings)
             for c, c2 in zip(colorings, images):
                 try:
-                    _check_rotations(w, d, c)
+                    _check_rotations(w, d.compiled, c)
                     before = sigma_D(w, d, c)
                     after = sigma_D(w, d2, c2)
                     mismatch = before != after
@@ -1078,7 +1078,7 @@ class TestRotationRowsAt:
         for d in _oracle_diagrams():
             two_n = len(d.endpoints)
             for c in enumerate_colorings(b, d)[:4]:
-                terms = _pair_terms(d, c, b.n)
+                terms = _pair_terms(d.compiled, c, b.n)
                 rows = range(two_n - 1)
                 full = _rotation_rows_at(terms, rows)
                 indices = sorted(rng.sample(rows, rng.randint(0, len(rows))))

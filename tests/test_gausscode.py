@@ -1,6 +1,8 @@
 """Signed Gauss codes, diagram operations, and Reidemeister moves."""
 
+import copy
 import dataclasses
+import operator
 import os
 import pickle
 import random
@@ -628,6 +630,22 @@ class TestTrustedConstruction:
         with pytest.raises(ValueError, match=message.format("U", 0)):
             apply_move(d, R2Insert(2, 0, False, 0))
 
+    @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+    def test_non_int_chords_and_signs_are_malformed(self, bad):
+        """A float or bool equals an int label or sign, but a word holding
+        one is refused with the passage named as given, not compiled."""
+        message = r"^malformed endpoint Endpoint\(chord={}, passage='{}', sign={}\)$"
+        with pytest.raises(ValueError, match=message.format(bad, "O", 1)):
+            GaussDiagram((Endpoint(bad, "O", 1), Endpoint(bad, "U", 1)))
+        with pytest.raises(ValueError, match=message.format(1, "O", bad)):
+            GaussDiagram((Endpoint(1, "O", bad), Endpoint(1, "U", bad)))
+        # the move engine builds its passages from the move's sign
+        d = parse_gauss_code("O1+U1+")
+        with pytest.raises(ValueError, match=message.format(2, "O", bad)):
+            apply_move(d, R1Insert(0, False, bad))
+        with pytest.raises(ValueError, match=message.format(2, "U", bad)):
+            apply_move(d, R2Insert(2, 0, False, bad))
+
     def test_hash_is_cached_and_equal_for_equal_words(self):
         d = apply_move(parse_gauss_code(TREFOIL), R1Insert(2, True, -1))
         assert hash(d) == hash(d) == hash(parse_gauss_code(str(d)))
@@ -640,7 +658,7 @@ class TestTrustedConstruction:
         d = apply_move(parse_gauss_code(TREFOIL), R2Insert(1, 4, False, 1))
         hash(d)
         d.compiled
-        assert {"_hash", "compiled"} <= set(d.__dict__)
+        assert "_hash" in d.__dict__ and "compiled" not in d.__dict__
         path = tmp_path / "moved.pickle"
         path.write_bytes(pickle.dumps(d))
         script = (
@@ -666,6 +684,109 @@ class TestTrustedConstruction:
             outs.append(done.stdout)
         # the hash is read from integers only, so it is the same everywhere
         assert outs[0] == outs[1] == f"{hash(d)} {d}\n"
+
+
+class TestSharedEndpoints:
+    """Well-formed passages are one shared instance per value; every other
+    value is built anew and reads as it was given."""
+
+    def test_well_formed_passages_are_shared(self):
+        for chord in (1, 2, 17, gausscode._SHARED_LABELS):
+            for passage in ("O", "U"):
+                for sign in (1, -1):
+                    e = Endpoint(chord, passage, sign)
+                    assert Endpoint(chord, passage, sign) is e
+                    assert Endpoint(chord=chord, passage=passage, sign=sign) is e
+        one, two = parse_gauss_code(TREFOIL), parse_gauss_code(TREFOIL).mirrored().mirrored()
+        assert all(map(operator.is_, one.endpoints, two.endpoints))
+        moved = apply_move(one, R2Insert(1, 4, False, 1))
+        assert moved.endpoints[1] is Endpoint(4, "O", 1)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1.0, "O", 1),
+            (True, "O", 1),
+            (1, "O", True),
+            (1, "U", -1.0),
+            (gausscode._SHARED_LABELS + 1, "O", 1),
+            (0, "U", 1),
+            (-2, "U", -1),
+            (1, "X", 1),
+            (1, "O", 2),
+            (1, "O", 0),
+        ],
+    )
+    def test_other_values_are_built_fresh(self, values):
+        e, again = Endpoint(*values), Endpoint(*values)
+        assert e is not again
+        assert e == again and hash(e) == hash(again) == hash(values)
+        chord, passage, sign = values
+        assert repr(e) == f"Endpoint(chord={chord!r}, passage={passage!r}, sign={sign!r})"
+        assert (type(e.chord), type(e.sign)) == (type(chord), type(sign))
+        # a float or bool equal to a well-formed value is not mapped onto it
+        if 0 < chord <= gausscode._SHARED_LABELS and sign in (1, -1) and passage in ("O", "U"):
+            shared = Endpoint(int(chord), passage, int(sign))
+            assert e is not shared and e == shared
+
+    def test_dataclass_behaviour_is_kept(self):
+        e = Endpoint(3, "U", -1)
+        assert [f.name for f in dataclasses.fields(e)] == ["chord", "passage", "sign"]
+        assert repr(e) == "Endpoint(chord=3, passage='U', sign=-1)"
+        assert hash(e) == hash((3, "U", -1))
+        assert dataclasses.replace(e, sign=1) is Endpoint(3, "U", 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.sign = 1
+
+    def test_copies_are_the_shared_instances(self):
+        d = parse_gauss_code(TREFOIL)
+        for e in d.endpoints:
+            assert copy.copy(e) is e
+            assert copy.deepcopy(e) is e
+            assert pickle.loads(pickle.dumps(e)) is e
+        assert all(map(operator.is_, copy.deepcopy(d).endpoints, d.endpoints))
+        fresh = Endpoint(1.0, "O", 1)
+        assert copy.deepcopy(fresh) is not fresh and copy.deepcopy(fresh) == fresh
+
+    def test_pickled_passages_are_shared_under_another_hash_seed(self, tmp_path):
+        d = parse_gauss_code(TREFOIL)
+        path = tmp_path / "word.pickle"
+        path.write_bytes(pickle.dumps((d.endpoints, d)))
+        script = (
+            "import pickle, sys\n"
+            "from arrowquiver.gausscode import Endpoint, parse_gauss_code\n"
+            "ends, d = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "built = parse_gauss_code(sys.argv[2]).endpoints\n"
+            "assert all(e is f for e, f in zip(ends, built)), ends\n"
+            "assert all(e is f for e, f in zip(d.endpoints, built)), d\n"
+            "assert all(Endpoint(e.chord, e.passage, e.sign) is e for e in ends)\n"
+            "print(hash(d), str(d))\n"
+        )
+        src = str(Path(gausscode.__file__).resolve().parents[1])
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(path), TREFOIL],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] == f"{hash(d)} {d}\n"
+
+    def test_the_shared_table_stays_within_its_bound(self):
+        bound = gausscode._SHARED_LABELS
+        n = bound + 44
+        d = parse_gauss_code("".join(f"O{c}+U{c}+" for c in range(1, n + 1)))
+        d = apply_move(d, R1Insert(0, True, -1))
+        assert d.n == n + 1
+        assert len(gausscode._SHARED) <= 4 * bound
+        assert max(chord for chord, _, _ in gausscode._SHARED) <= bound
+        for e in d.endpoints:
+            assert (Endpoint(e.chord, e.passage, e.sign) is e) == (e.chord <= bound)
+        _same_as_validated(d)
+        assert d.compiled == gausscode._compile(d.endpoints)
 
 
 def _compile_reference(endpoints) -> gausscode.CompiledDiagram:

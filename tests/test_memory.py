@@ -1,12 +1,14 @@
-"""What the coloring and weight-sum caches keep, and what compiled tables
-and moves hold.
+"""What the compiled-table, coloring and weight-sum caches keep, and what
+diagrams, compiled tables and moves hold.
 
-The caches of :mod:`arrowquiver.homset` and :mod:`arrowquiver.arrowweight`
-serve the reuse within one call chain (a diagram's colorings, then its
-weight sums, then its quiver), so they must hold that much and no more: a
-diagram rendered and dropped long ago must be freed.  Compiled tables share
-the small tuples that repeat across diagrams, and neither they nor the moves
-carry an instance dictionary.
+The caches of :mod:`arrowquiver.gausscode`, :mod:`arrowquiver.homset` and
+:mod:`arrowquiver.arrowweight` serve the reuse within one call chain (a
+diagram's tables, its colorings, then its weight sums and its quiver), so
+they must hold that much and no more: a diagram rendered and dropped long
+ago must be freed, and one still held by a caller holds only its word and
+hash, not its tables.  Compiled tables share the small tuples that repeat
+across diagrams, and neither they nor the moves carry an instance
+dictionary.
 """
 
 import dataclasses
@@ -124,10 +126,38 @@ class TestCacheRetention:
         gc.collect()
         assert first() is None
 
+    def test_held_diagrams_do_not_hold_their_tables(self, cyc3, w8, endos_cyc3):
+        def live_tables() -> int:
+            gc.collect()
+            return sum(type(o) is gausscode.CompiledDiagram for o in gc.get_objects())
+
+        rng = random.Random(20261020)
+        words = {}
+        while len(words) < self.RENDERED:
+            d = _random_diagram_of_size(rng, rng.randint(1, 4))
+            words.setdefault(str(d), d)
+        held = list(words.values())
+        gausscode._compiled.cache_clear()
+        before = live_tables()
+        for d in held:
+            build_quiver(cyc3, w8, d, endos_cyc3)
+        assert live_tables() - before <= gausscode._DIAGRAMS_CACHED
+        assert all(set(d.__dict__) == {"endpoints", "_hash"} for d in held)
+        # the first diagram's tables were evicted: reading them builds them
+        # again, equal to a fresh compile
+        misses = gausscode._compiled.cache_info().misses
+        first = held[0]
+        assert first.compiled == gausscode._compile(first.endpoints)
+        assert gausscode._compiled.cache_info().misses == misses + 1
+
     def test_cache_bound(self):
         assert homset._COLORINGS_CACHED < self.RENDERED
         for cached in (homset._colorings, arrowweight._weight_sums):
             assert cached.cache_parameters()["maxsize"] == homset._COLORINGS_CACHED
+
+    def test_compiled_tables_share_the_bound(self):
+        assert homset._COLORINGS_CACHED == gausscode._DIAGRAMS_CACHED
+        assert gausscode._compiled.cache_parameters()["maxsize"] == gausscode._DIAGRAMS_CACHED
 
 
 class TestLayout:
@@ -161,7 +191,8 @@ class TestLayout:
         ]
         for obj in (d.compiled, *moves):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
-        # diagrams keep theirs: they cache their hash and tables in it
+        # diagrams keep theirs: it holds their word and cached hash, and the
+        # tables sit in the bounded cache of gausscode._compiled
         assert hasattr(d, "__dict__")
         assert [repr(m) for m in moves] == [
             "R1Insert(gap=0, head_first=False, sign=1)",

@@ -119,7 +119,7 @@ def test_weight_multiset(pair):
         for d in _diagrams():
             weight_multiset(b, w, d)
             for c in enumerate_colorings(b, d):
-                _check_rotations(w, d, c)
+                _check_rotations(w, d.compiled, c)
 
 
 def test_integer_rows(flip2, cyc3):
