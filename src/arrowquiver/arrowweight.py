@@ -206,6 +206,8 @@ def weight_multiset(b: Biquandle, w: WeightTensor, d: GaussDiagram) -> tuple[int
 def _weight_sums(b: Biquandle, w: WeightTensor, d: GaussDiagram) -> tuple[int, ...]:
     """The weight sum of each coloring of ``d`` by ``b``, in the order of
     :func:`~arrowquiver.homset.enumerate_colorings`."""
+    if w.n != b.n:
+        raise ValueError(f"tensor is over {w.n} elements but the biquandle has {b.n}")
     return _sums(w, d, _colorings(b, d))
 
 
@@ -259,12 +261,22 @@ def _r3_template_hosts(spectators: int) -> list[GaussDiagram]:
     """Diagrams containing a slide site, with extra chords woven through.
 
     The three slide blocks are placed around the circle in both cyclic
-    arrangements, for both common signs; each spectator chord drops its two
-    passages into the inter-block gaps in every distinct way, each once: O
-    in gap g1 and U in gap g2 for every (g1, g2), then [U O] in each gap
-    (U in g1 and O in g2 != g1 is the word of O in g2 and U in g1).  So
-    one spectator of either sign gives 12 words on each of the 4 bare
-    hosts, 96 hosts in all, and in 48 of them it is a kink.
+    arrangements, for both common signs; each spectator chord puts its O
+    passage in one inter-block gap g1 and its U passage in another gap
+    g2 != g1, in every way, each once.  So one spectator of either sign
+    gives 12 words on each of the 4 bare hosts, 48 hosts in all, and in
+    none of them is it a kink: a block lies between its passages both ways
+    round the circle.
+
+    A spectator with both passages in one gap would be a kink, and such a
+    host adds no constraint row.  Deleting the kink is an R1 move onto the
+    bare slide host of the same sign and arrangement, which comes earlier,
+    and by the R1 lemma it keeps every other color and every intersecting
+    pair with its labels and its order.  The kink takes no part in a
+    slide, whose chords all interleave, so each slide row of the kinked
+    host is a slide row of the bare host.  Moving the basepoint across the
+    kink swaps no labels, so each rotation row is a rotation row of the
+    bare host or zero.
     """
     hosts: list[GaussDiagram] = []
     for eps in (1, -1):
@@ -277,13 +289,10 @@ def _r3_template_hosts(spectators: int) -> list[GaussDiagram]:
                 placements.append([[], [], []])
             else:
                 for s_sign in (1, -1):
-                    o, u = Endpoint(4, "O", s_sign), Endpoint(4, "U", s_sign)
-                    drops = [((o, g1), (u, g2)) for g1, g2 in product(range(3), repeat=2)]
-                    drops += [((u, g), (o, g)) for g in range(3)]
-                    for (e1, g1), (e2, g2) in drops:
+                    for g1, g2 in permutations(range(3), 2):
                         gaps: list[list[Endpoint]] = [[], [], []]
-                        gaps[g1].append(e1)
-                        gaps[g2].append(e2)
+                        gaps[g1].append(Endpoint(4, "O", s_sign))
+                        gaps[g2].append(Endpoint(4, "U", s_sign))
                         placements.append(gaps)
             for gaps in placements:
                 word: list[Endpoint] = []
@@ -382,17 +391,9 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     covers every one-gap key.  Only later duplicates are dropped, so the
     rows and their order are unchanged.
 
-    Slide hosts whose spectator chord is a kink are skipped.  Deleting the
-    kink is an R1 move onto the bare slide host of the same sign and
-    arrangement, which comes earlier, and by the R1 lemma it keeps every
-    other color and every intersecting pair with its labels and its order.
-    The kink takes no part in a slide, whose chords all interleave, so each
-    slide row of the kinked host is a slide row of the bare host.  Moving
-    the basepoint across the kink swaps no labels, so each rotation row is
-    a rotation row of the bare host or zero.  The skip drops only repeated
-    rows, so the rows and their order are unchanged.  The one-chord small
-    hosts are kinks too, but they are not skipped: their R2 inserts give
-    rows.
+    No slide host has a kinked spectator chord: such a host only repeats
+    rows of a bare host (see :func:`_r3_template_hosts`).  The one-chord
+    small hosts are kinks, but their R2 inserts give rows.
 
     Rotation rows are added only where they can change.  Rotation row k
     covers the pair terms with u1 < k <= u2, where u1 and u2 are
@@ -473,8 +474,6 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
         rotation_rows(d)
     for spectators in (0, 1):
         for d in _r3_template_hosts(spectators):
-            if spectators and d.compiled.kind[3][1]:  # chord 4 is a kink
-                continue
             move_rows(d, [mv for mv in _deletions(d.endpoints) if isinstance(mv, R3Slide)])
             rotation_rows(d)
     return [dict(key) for key in unique]

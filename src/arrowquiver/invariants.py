@@ -96,12 +96,12 @@ def phi_indegree(q: Quiver) -> ExpPoly:
 
 def phi_twovar(q: Quiver) -> ExpPoly:
     wt = q.weights
-    return _histogram(("s", "t"), ((wt[src], wt[dst]) for src, dst, _ in q.edges))
+    return _histogram(("s", "t"), ((wt[i], wt[j]) for t in q.targets for i, j in enumerate(t)))
 
 
 def phi_quotient_loop(q: Quiver) -> ExpPoly:
     """Loops of the weight quotient are the edges between equal weights."""
     wt = q.weights
     return _histogram(
-        ("x",), ((wt[src],) for src, dst, _ in q.edges if wt[src] == wt[dst])
+        ("x",), ((wt[i],) for t in q.targets for i, j in enumerate(t) if wt[i] == wt[j])
     )

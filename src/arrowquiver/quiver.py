@@ -6,6 +6,12 @@ edge from c to the coloring obtained by applying f color by color.  Each
 vertex carries the weight sum of its coloring, making the quiver a
 diagram-independent invariant of the knot (for valid arrow weights).
 
+Each f thus acts as a total function on the vertices, and a :class:`Quiver`
+holds it as one tuple of vertex indices, the image of each vertex: one
+int per edge, where a (src, dst, endo) triple would cost a tuple of three.
+The polynomials, the weight quotient and the isomorphism test read these
+tuples; the triples are listed from them on demand, for rendering.
+
 The quotient quiver merges vertices of equal weight, keeping every edge
 with multiplicity; the polynomial invariants of
 :mod:`arrowquiver.invariants` read either object.
@@ -13,6 +19,7 @@ with multiplicity; the polynomial invariants of
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -32,18 +39,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Quiver:
-    """A weighted coloring quiver; edges are (src, dst, endo) index triples."""
+    """A weighted coloring quiver.  Each endomorphism acts as a total
+    function on the vertices: ``targets[k][i]`` is the index of the image of
+    vertex i under ``endos[k]``."""
 
     vertices: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    targets: tuple[tuple[int, ...], ...]
     endos: tuple[tuple[int, ...], ...]
     modulus: int
 
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The (src, dst, endo) index triples, map by map, then vertex by vertex."""
+        return tuple((i, j, k) for k, t in enumerate(self.targets) for i, j in enumerate(t))
+
     def indegrees(self) -> tuple[int, ...]:
         acc = [0] * len(self.vertices)
-        for _, dst, _ in self.edges:
-            acc[dst] += 1
+        for t in self.targets:
+            for j in t:
+                acc[j] += 1
         return tuple(acc)
 
     def to_dot(self) -> str:
@@ -84,9 +99,10 @@ def build_quiver(
 ) -> Quiver:
     """The coloring quiver of ``d`` weighted by ``w``, under the set ``endos``.
 
-    ``endos`` defaults to every endomorphism of ``b``; each must map
-    colorings to colorings, which holds for any biquandle endomorphism, and
-    none may repeat, since the maps form a set.
+    ``endos`` defaults to every endomorphism of ``b``; each must give one
+    image per element of ``b`` and map colorings to colorings, which holds
+    for any biquandle endomorphism, and none may repeat, since the maps form
+    a set.
     """
     endos = b.endomorphisms() if endos is None else [tuple(f) for f in endos]
     colorings = _colorings(b, d)
@@ -97,34 +113,34 @@ def build_quiver(
     identity = tuple(range(b.n + 1))
     index = {pick(identity): i for i, pick in enumerate(picks)}
     weights = _weight_sums(b, w, d)
-    edges = []
+    targets = []
     seen = set()
-    for k, f in enumerate(endos):
+    for f in endos:
+        if len(f) != b.n:
+            raise ValueError(f"map {f} has {len(f)} entries but the biquandle has {b.n} elements")
         if f in seen:
             raise ValueError(f"map {f} is listed twice")
         seen.add(f)
         fx = (0, *f)
-        for i, pick in enumerate(picks):
+        images = []
+        for pick in picks:
             j = index.get(pick(fx))
             if j is None:
                 raise ValueError(f"map {f} does not preserve colorings")
-            edges.append((i, j, k))
-    return Quiver(colorings, weights, tuple(edges), tuple(endos), w.m)
+            images.append(j)
+        targets.append(tuple(images))
+    return Quiver(colorings, weights, tuple(targets), tuple(endos), w.m)
 
 
 def quotient_quiver(q: Quiver) -> QuotientQuiver:
     """Merge vertices of equal weight, preserving edge multiplicities."""
-    weights = tuple(sorted(set(q.weights)))
+    sizes = Counter(q.weights)
+    weights = tuple(sorted(sizes))
     index = {w: i for i, w in enumerate(weights)}
-    sizes = [0] * len(weights)
-    for w in q.weights:
-        sizes[index[w]] += 1
-    mult: dict[tuple[int, int], int] = {}
-    for src, dst, _ in q.edges:
-        key = (index[q.weights[src]], index[q.weights[dst]])
-        mult[key] = mult.get(key, 0) + 1
+    classes = [index[w] for w in q.weights]
+    mult = Counter((classes[i], classes[j]) for t in q.targets for i, j in enumerate(t))
     edges = tuple((s, t, m) for (s, t), m in sorted(mult.items()))
-    return QuotientQuiver(weights, tuple(sizes), edges, q.modulus)
+    return QuotientQuiver(weights, tuple(sizes[w] for w in weights), edges, q.modulus)
 
 
 def _refine(succ: list[list[int]], colors: list[int]) -> list[int]:
@@ -160,10 +176,7 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver, ignore_weights: bool = False) -> b
     if not ignore_weights and q1.modulus != q2.modulus:
         return False
     n = len(q1.vertices)
-    succ = [[0] * n + [n] * n for _ in q1.endos]
-    for offset, q in ((0, q1), (n, q2)):
-        for src, dst, k in q.edges:
-            succ[k][offset + src] = offset + dst
+    succ = [[*t1, *(j + n for j in t2)] for t1, t2 in zip(q1.targets, q2.targets)]
     seed = [0] * 2 * n if ignore_weights else [*q1.weights, *q2.weights]
     colors = _refine(succ, seed)
     if sorted(colors[:n]) != sorted(colors[n:]):

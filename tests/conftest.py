@@ -1,10 +1,11 @@
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from arrowquiver.arrowweight import WeightTensor
+from arrowquiver.arrowweight import WeightTensor, _r3_template_hosts
 from arrowquiver.biquandle import load as load_biquandle, parse_endos
-from arrowquiver.gausscode import R1Insert, R2Insert, enumerate_moves
+from arrowquiver.gausscode import Endpoint, GaussDiagram, R1Insert, R2Insert, enumerate_moves
 from arrowquiver.knotdata import bundled_path, bundled_table
 
 TESTS = Path(__file__).parent
@@ -96,3 +97,24 @@ def listed_move(rng, d):
     if d.n >= 6:
         moves = [mv for mv in moves if not isinstance(mv, (R1Insert, R2Insert))]
     return rng.choice(moves) if moves else None
+
+
+def spectator_hosts() -> list[GaussDiagram]:
+    """Every slide host with one spectator chord 4, kinked or not: each
+    placement of the spectator's passages (e1, e2) into the inter-block gaps
+    (g1, g2) of each bare host, both passage orders and repeated gaps
+    included, as 96 distinct words in order of first occurrence.  In 48 of
+    them the spectator is a kink; ``_r3_template_hosts(1)`` lists the others."""
+    words = []
+    for bare in _r3_template_hosts(0):
+        blocks = [bare.endpoints[i : i + 2] for i in (0, 2, 4)]
+        for sign in (1, -1):
+            ends = (Endpoint(4, "O", sign), Endpoint(4, "U", sign))
+            for e1, e2 in (ends, ends[::-1]):
+                for g1, g2 in product(range(3), repeat=2):
+                    gaps = [[], [], []]
+                    gaps[g1].append(e1)
+                    gaps[g2].append(e2)
+                    word = [e for blk, gap in zip(blocks, gaps) for e in (*blk, *gap)]
+                    words.append(GaussDiagram(tuple(word)))
+    return list(dict.fromkeys(words))

@@ -5,7 +5,8 @@ throughout) and prints a single summary line on success.  Criterion 7
 rebuilds the modulus-2 solution set of the constraint solver by brute force
 over an independent probe family; criterion 8 checks invariance of every
 exported invariant on a thousand seeded random Reidemeister scrambles per
-bundled fixture.
+bundled fixture, and on scrambles of connected sums whose quivers have
+thousands of vertices.
 """
 
 import random
@@ -291,19 +292,22 @@ def _scramble(rng, d):
     return d
 
 
+def _assert_same_invariants(b, w, endos, d1, d2):
+    assert len(enumerate_colorings(b, d1)) == len(enumerate_colorings(b, d2))
+    assert weight_multiset(b, w, d1) == weight_multiset(b, w, d2)
+    q1 = build_quiver(b, w, d1, endos)
+    q2 = build_quiver(b, w, d2, endos)
+    for phi in (phi_weight, phi_indegree, phi_twovar, phi_quotient_loop):
+        assert str(phi(q1)) == str(phi(q2)), (str(d1), str(d2))
+    assert quiver_isomorphic(q1, q2), (str(d1), str(d2))
+
+
 def _check_move_invariance(b, w, trials=1000):
     endos = b.endomorphisms()
     rng = random.Random(SEED)
     for _ in range(trials):
         d1 = _random_diagram(rng, 6)
-        d2 = _scramble(rng, d1)
-        assert len(enumerate_colorings(b, d1)) == len(enumerate_colorings(b, d2))
-        assert weight_multiset(b, w, d1) == weight_multiset(b, w, d2)
-        q1 = build_quiver(b, w, d1, endos)
-        q2 = build_quiver(b, w, d2, endos)
-        for phi in (phi_weight, phi_indegree, phi_twovar, phi_quotient_loop):
-            assert str(phi(q1)) == str(phi(q2)), (str(d1), str(d2))
-        assert quiver_isomorphic(q1, q2), (str(d1), str(d2))
+        _assert_same_invariants(b, w, endos, d1, _scramble(rng, d1))
     print(
         f"PASS criterion 8: {trials} random move scrambles preserve count, "
         f"weights, all four polynomials and the quiver (modulus {w.m})"
@@ -328,6 +332,36 @@ def test_criterion_8_invariance_quad4(quad4, w6):
 
 def test_criterion_8_invariance_shift4(shift4, w4):
     _check_move_invariance(shift4, w4)
+
+
+def _connected_copies(d, copies):
+    """The connected sum of ``copies`` copies of ``d``: its word repeated,
+    the chords of copy i renumbered from i * n + 1."""
+    return GaussDiagram(
+        tuple(Endpoint(e.chord + i * d.n, e.passage, e.sign) for i in range(copies) for e in d.endpoints)
+    )
+
+
+def test_criterion_8_invariance_many_colorings(quad4, w6, table):
+    """Scrambles of two and three connected copies of 4.99, with 256 and
+    4 096 quad4 colorings: quivers far larger than those of the random
+    diagrams above.  Each takes 1-3 moves from the whole list, insertions
+    included, so a scramble reaches up to 18 chords."""
+    endos = quad4.endomorphisms()
+    rng = random.Random(SEED)
+    trials = 8
+    for trial in range(trials):
+        copies = 2 + trial % 2
+        d1 = _connected_copies(table.get("4.99"), copies)
+        assert len(enumerate_colorings(quad4, d1)) == 16**copies
+        d2 = d1
+        for _ in range(rng.randint(1, 3)):
+            d2 = apply_move(d2, rng.choice(enumerate_moves(d2)))
+        _assert_same_invariants(quad4, w6, endos, d1, d2)
+    print(
+        f"PASS criterion 8: {trials} move scrambles of connected sums of 4.99 "
+        "(256 and 4096 colorings) preserve every invariant (modulus 6)"
+    )
 
 
 def test_criterion_9_table_output_deterministic(capsys):

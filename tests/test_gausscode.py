@@ -36,7 +36,7 @@ from arrowquiver.gausscode import (
 from arrowquiver.homset import chord_colors
 from arrowquiver.knotdata import bundled_table, orientation_variants
 
-from conftest import listed_move
+from conftest import listed_move, spectator_hosts
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 R3_HOST = "U1+U2+O1+U3+O2+O3+"
@@ -528,7 +528,7 @@ class TestEnumerationOracle:
                 _assert_same_moves(d)
 
     def test_constraint_hosts(self):
-        for d in _small_hosts() + _r3_template_hosts(0) + _r3_template_hosts(1):
+        for d in _small_hosts() + _r3_template_hosts(0) + spectator_hosts():
             _assert_same_moves(d)
 
     def test_random_diagrams_and_scrambles(self):
@@ -599,7 +599,7 @@ class TestTrustedConstruction:
         diagrams = [_random_diagram_of_size(rng, chords) for chords in range(7) for _ in range(2)]
         # deletions and slides are rare on random words: add words that have them
         diagrams += [apply_move(d, R2Insert(1, 2, False, 1)) for d in diagrams[2:8]]
-        diagrams += _r3_template_hosts(0) + _r3_template_hosts(1)[::8]
+        diagrams += _r3_template_hosts(0) + spectator_hosts()[::8]
         applied = Counter()
         for d in diagrams:
             for move in enumerate_moves(d):

@@ -1,6 +1,7 @@
 """Weighted coloring quivers, quotients, and isomorphism testing."""
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -40,6 +41,12 @@ class TestBuild:
         assert len(build_quiver(cyc3, w8, VIRTUAL_HOPF, endos=[(1, 2, 3)]).edges) == 3
         with pytest.raises(ValueError, match=r"^map \(1, 2, 3\) is listed twice$"):
             build_quiver(cyc3, w8, VIRTUAL_HOPF, endos=[(1, 2, 3), (2, 3, 1), [1, 2, 3]])
+
+    @pytest.mark.parametrize("f", [(1,), (1, 2, 3, 3)])
+    def test_rejects_map_of_wrong_length(self, cyc3, w8, f):
+        message = f"^map {re.escape(str(f))} has {len(f)} entries but the biquandle has 3 elements$"
+        with pytest.raises(ValueError, match=message):
+            build_quiver(cyc3, w8, VIRTUAL_HOPF, endos=[(1, 2, 3), f])
 
     def test_every_map_of_a_trivial_biquandle(self):
         # all 6^6 maps of the trivial 6-element biquandle are endomorphisms,
@@ -136,9 +143,9 @@ class TestIsomorphism:
 def _quiver(maps, weights, modulus=3):
     """A quiver on vertices 0..n-1 whose k-th endomorphism acts as ``maps[k]``."""
     n = len(weights)
-    edges = tuple((v, f[v], k) for k, f in enumerate(maps) for v in range(n))
+    targets = tuple(tuple(f) for f in maps)
     endos = tuple((k + 1,) for k in range(len(maps)))
-    return Quiver(tuple((v,) for v in range(n)), tuple(weights), edges, endos, modulus)
+    return Quiver(tuple((v,) for v in range(n)), tuple(weights), targets, endos, modulus)
 
 
 def _shuffled(maps, weights, rng):
