@@ -49,7 +49,7 @@ from math import gcd
 
 # Nothing here uses numpy.  perfbench/worker.py reads the numpy version from
 # sys.modules after importing the package, so the import stays until the
-# benchmark records it only when loaded (ROADMAP item 3).
+# benchmark records it only when loaded (ROADMAP items 5 and 8).
 import numpy  # noqa: F401
 
 from .biquandle import Biquandle

@@ -224,21 +224,25 @@ class GaussDiagram:
         # another process (perhaps another platform) are never carried over
         return GaussDiagram, (self.endpoints,)
 
+    # the chord readers take a label only as an ``int`` from 1 to n, as the
+    # word does; any other raises KeyError
     def index_of(self, chord: int, passage: str) -> int:
-        c = self.compiled
-        if passage in ("U", "O") and chord in c.chords:
-            return c.slots[chord - 1][1 if passage == "U" else 3]
+        slots = self.compiled.slots
+        if passage in ("U", "O") and type(chord) is int and 0 < chord <= len(slots):
+            return slots[chord - 1][1 if passage == "U" else 3]
         raise KeyError((chord, passage))
 
     def sign_of(self, chord: int) -> int:
-        c = self.compiled
-        if chord in c.chords:
-            return c.kind[chord - 1][0]
+        kind = self.compiled.kind
+        if type(chord) is int and 0 < chord <= len(kind):
+            return kind[chord - 1][0]
         raise KeyError(chord)
 
     def crossing_pairs(self) -> list[tuple[int, int]]:
-        """All unordered pairs of chords that interleave, as (p, q), p < q."""
-        return [(p + 1, q + 1) for p, q in self.compiled.pairs]
+        """All unordered pairs of chords that interleave, as (p, q), p < q,
+        in the order of the pair table."""
+        ends, table = self.endpoints, self.compiled.pair_table
+        return [tuple(sorted((ends[u1].chord, ends[u2].chord))) for *_, u1, u2 in table]
 
     def rotated(self, k: int) -> "GaussDiagram":
         """Move the basepoint k passages forward; chord labels are kept."""
@@ -299,7 +303,6 @@ class CompiledDiagram:
     and o_in are).
     """
 
-    chords: range  # the chord labels 1..n
     slots: tuple[tuple[int, int, int, int], ...]
     # (sign, kink shape) of each chord, one of the eight shared ``_KINDS``
     kind: tuple[tuple[int, int], ...]
@@ -309,13 +312,12 @@ class CompiledDiagram:
     # chords (``_slot_refs``).  The lone semiarc of the empty diagram fills
     # none
     touching: tuple[tuple[tuple[int, int], ...], ...]
-    # the chord index pairs (p, q), p < q, whose endpoints interleave
-    pairs: tuple[tuple[int, int], ...]
-    # what arrow weight sums read, per pair in the order of ``pairs``:
-    # (sign product, a, b, x, y, u1, u2), the first chord being the one whose
-    # under passage comes first; u1 < u2 are the two under-passage indices,
-    # and the colors of semiarcs (a, b) and (x, y) are the arrow labels of
-    # the first and the second chord
+    # what arrow weight sums read, per pair of chord indices p < q whose
+    # endpoints interleave, by p and then q: (sign product, a, b, x, y, u1,
+    # u2), the first chord being the one whose under passage comes first;
+    # u1 < u2 are the two under-passage indices, and the colors of semiarcs
+    # (a, b) and (x, y) are the arrow labels of the first and the second
+    # chord
     pair_table: tuple[tuple[int, int, int, int, int, int, int], ...]
 
 
@@ -378,7 +380,6 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
         kind.append(_KINDS[sg, (sl[0] == o) | (u == sl[2]) << 1])
         i, j = LABEL_SLOTS[sg]
         labels.append((sl[i], sl[j]))
-    pairs = []
     table = []
     for p in range(n):
         rest = crossed[p] >> p + 1  # chord q > p at bit q - p - 1
@@ -386,17 +387,9 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
             low = rest & -rest
             rest ^= low
             q = p + low.bit_length()
-            pairs.append((p, q))
             one, two = (q, p) if under[p] > under[q] else (p, q)
             table.append((sign[p] * sign[q], *labels[one], *labels[two], under[one], under[two]))
-    return CompiledDiagram(
-        range(1, n + 1),
-        tuple(slots),
-        tuple(kind),
-        tuple(touching) or ((),),
-        tuple(pairs),
-        tuple(table),
-    )
+    return CompiledDiagram(tuple(slots), tuple(kind), tuple(touching) or ((),), tuple(table))
 
 
 def _relabel(endpoints) -> tuple[Endpoint, ...]:
@@ -685,16 +678,17 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
     to basepoint rotation and chord renumbering (deletions renumber the
     remaining chords, and blocks that straddled the basepoint are restored
     in a single gap), so round trips compare equal under
-    :meth:`GaussDiagram.canonical_code`.  Raises ValueError when a block
-    of a deletion or slide does not start at a passage of ``d``.
+    :meth:`GaussDiagram.canonical_code`.  Raises exactly when
+    :func:`apply_move` raises, with the same error, since it runs the same
+    checks.
     """
+    _moved(d, move)
     two_n = len(d.endpoints)
     if isinstance(move, R1Insert):
         return R1Delete(move.gap)
 
     if isinstance(move, R1Delete):
         i = move.start
-        _check_starts(d, (i,))
         j = _adjacent(d, i)
         head = d.endpoints[i]
         gap = i if j > i else two_n - 2
@@ -709,21 +703,15 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
 
     if isinstance(move, R2Delete):
         i, j = move.over_start, move.under_start
-        _check_starts(d, (i, j))
         removed = {i, _adjacent(d, i), j, _adjacent(d, j)}
         gap_over = i - sum(r < i for r in removed)
         gap_under = j - sum(r < j for r in removed)
         sign = d.endpoints[i].sign
         return R2Insert(gap_over, gap_under, move.antiparallel, sign)
 
-    if isinstance(move, R3Slide):
-        _check_starts(d, move.sites)
-        form = {"L": "R", "R": "L"}.get(move.form)
-        if form is None:
-            raise ValueError(f"R3 form must be 'L' or 'R', got {move.form!r}")
-        return R3Slide(move.sites, form, move.chords, move.eps)
-
-    raise TypeError(f"unknown move {move!r}")
+    # an R3Slide, the one kind left
+    form = "R" if move.form == "L" else "L"
+    return R3Slide(move.sites, form, move.chords, move.eps)
 
 
 def enumerate_moves(d: GaussDiagram) -> list[Move]:

@@ -103,11 +103,12 @@ class TransportError(RuntimeError):
 def chord_colors(
     d: GaussDiagram, coloring: tuple[int, ...], chord: int
 ) -> tuple[int, int, int, int]:
-    """The four semiarc colors (u_in, u_out, o_in, o_out) around a chord."""
-    cd = d.compiled
-    if chord not in cd.chords:
+    """The four semiarc colors (u_in, u_out, o_in, o_out) around a chord,
+    whose label must be an ``int`` from 1 to n (KeyError otherwise)."""
+    slots = d.compiled.slots
+    if not (type(chord) is int and 0 < chord <= len(slots)):
         raise KeyError(chord)
-    s0, s1, s2, s3 = cd.slots[chord - 1]
+    s0, s1, s2, s3 = slots[chord - 1]
     return coloring[s0], coloring[s1], coloring[s2], coloring[s3]
 
 

@@ -107,11 +107,11 @@ def build_quiver(
     endos = b.endomorphisms() if endos is None else [tuple(f) for f in endos]
     colorings = _colorings(b, d)
     # itemgetter(*c) applied to fx = (0, *f) gives the image of coloring c
-    # under f.  For a coloring of one semiarc it gives a bare color, not a
-    # tuple, so the keys of index are what it picks from the identity map.
+    # under f.  For the one semiarc of the empty diagram it gives a bare
+    # color, not a tuple, so index is keyed by the cached colorings, or
+    # there by their bare colors.
     picks = [itemgetter(*c) for c in colorings]
-    identity = tuple(range(b.n + 1))
-    index = {pick(identity): i for i, pick in enumerate(picks)}
+    index = {c if d.endpoints else c[0]: i for i, c in enumerate(colorings)}
     weights = _weight_sums(b, w, d)
     targets = []
     seen = set()

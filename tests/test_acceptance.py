@@ -10,6 +10,7 @@ thousands of vertices.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -345,19 +346,30 @@ def _connected_copies(d, copies):
 def test_criterion_8_invariance_many_colorings(quad4, w6, table):
     """Scrambles of two and three connected copies of 4.99, with 256 and
     4 096 quad4 colorings: quivers far larger than those of the random
-    diagrams above.  Each takes 1-3 moves from the whole list, insertions
-    included, so a scramble reaches up to 18 chords."""
+    diagrams above.  Each takes 1-3 moves, insertions included, so a
+    scramble reaches up to 18 chords.  A move's kind is drawn first, among
+    the kinds listed for the diagram, then a move of that kind: drawn from
+    the whole list, nearly every move would be an R2 insertion, which
+    outnumber the others by far."""
     endos = quad4.endomorphisms()
     rng = random.Random(SEED)
     trials = 8
+    kinds = Counter()
     for trial in range(trials):
         copies = 2 + trial % 2
         d1 = _connected_copies(table.get("4.99"), copies)
         assert len(enumerate_colorings(quad4, d1)) == 16**copies
         d2 = d1
         for _ in range(rng.randint(1, 3)):
-            d2 = apply_move(d2, rng.choice(enumerate_moves(d2)))
+            by_kind = {}
+            for move in enumerate_moves(d2):
+                by_kind.setdefault(type(move), []).append(move)
+            kind = rng.choice(list(by_kind))
+            kinds[kind.__name__] += 1
+            d2 = apply_move(d2, rng.choice(by_kind[kind]))
         _assert_same_invariants(quad4, w6, endos, d1, d2)
+    # the draw reaches deletions, not only insertions
+    assert {"R1Delete", "R2Delete"} <= set(kinds), kinds
     print(
         f"PASS criterion 8: {trials} move scrambles of connected sums of 4.99 "
         "(256 and 4096 colorings) preserve every invariant (modulus 6)"

@@ -119,7 +119,7 @@ class TestTensor:
 class TestWeightSums:
     def test_virtual_hopf_terms(self, w16):
         terms = _pair_terms(VIRTUAL_HOPF.compiled, (1, 2, 1, 2), w16.n)
-        pairs = [(p + 1, q + 1) for p, q in VIRTUAL_HOPF.compiled.pairs]
+        pairs = VIRTUAL_HOPF.crossing_pairs()
         assert [(pq, t[0] * w16.entries[t[1]] % w16.m) for pq, t in zip(pairs, terms)] == [
             ((1, 2), 8)
         ]

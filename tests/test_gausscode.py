@@ -335,6 +335,114 @@ class TestBlockStarts:
         assert applied > 500 and raised > 500
 
 
+def _outcome(f, d, move):
+    """None if ``f(d, move)`` returns, else the type and message it raises."""
+    try:
+        f(d, move)
+    except Exception as err:
+        return type(err), str(err)
+    return None
+
+
+# the cases of TestBlockStarts: blocks that start outside the passages
+_BAD_STARTS = TestBlockStarts.test_out_of_range_start.pytestmark[0].args[1]
+
+
+class TestInverseChecks:
+    """``inverse_move`` raises exactly when ``apply_move`` raises, with the
+    same exception type and message."""
+
+    @pytest.mark.parametrize(
+        "code, move, message",
+        [
+            ("O1+O2+U1+U2+", R1Delete(0), "R1 deletion needs adjacent passages of one chord"),
+            ("O1+O2+U1+U2+", R2Delete(0, 2, False), "R2 deletion needs opposite signs"),
+            ("O1+O2+U1+U2+", R3Slide((0, 1, 2), "L", (1, 2, 3), 1), "R3 sites overlap"),
+            ("O1+O2+U1+U2+", R1Insert(9, False, 1), "R1 gap out of range"),
+            ("O1+O2+U1+U2+", R1Insert(-1, True, 1), "R1 gap out of range"),
+            ("O1+O2+U1+U2+", R2Insert(0, 9, True, 1), "R2 gap out of range"),
+            (R3_HOST, R3Slide((0, 2, 4), "X", (1, 2, 3), 1), "R3 form must be 'L' or 'R', got 'X'"),
+        ],
+    )
+    def test_moves_that_do_not_match(self, code, move, message):
+        d = parse_gauss_code(code)
+        assert _outcome(apply_move, d, move) == (ValueError, message)
+        assert _outcome(inverse_move, d, move) == (ValueError, message)
+
+    def test_unknown_move(self):
+        d = parse_gauss_code(TREFOIL)
+        assert _outcome(inverse_move, d, "R1") == _outcome(apply_move, d, "R1") == (
+            TypeError,
+            "unknown move 'R1'",
+        )
+
+    @pytest.mark.parametrize("code, move", _BAD_STARTS)
+    def test_blocks_outside_the_passages(self, code, move):
+        d = parse_gauss_code(code)
+        expected = _outcome(apply_move, d, move)
+        assert expected is not None and _outcome(inverse_move, d, move) == expected
+
+    def test_random_moves(self):
+        """Moves of all five kinds on 0-6 chords: a listed move, as it is or
+        with one field redrawn, or a move with every field drawn, from in
+        range and out of range.  Three in ten diagrams are slide hosts, and
+        three in ten carry an R2 pair just inserted, so that deletions and
+        slides are listed too."""
+        rng = random.Random(20261020)
+        kinds = (R1Insert, R1Delete, R2Insert, R2Delete, R3Slide)
+        hosts = spectator_hosts()
+        outcomes = Counter()
+        for _ in range(3000):
+            shape = rng.random()
+            if shape < 0.3:
+                d = rng.choice(hosts)
+            elif shape < 0.6:
+                d = _random_diagram_of_size(rng, rng.randint(0, 4))
+                d = apply_move(d, rng.choice([m for m in enumerate_moves(d) if type(m) is R2Insert]))
+            else:
+                d = _random_diagram_of_size(rng, rng.randint(0, 6))
+            two_n = len(d.endpoints)
+
+            def index():
+                return rng.randint(-3, two_n + 3)
+
+            def flag():
+                return rng.random() < 0.5
+
+            def sign():
+                return rng.choice((1, -1, 1, -1, 0, 2))
+
+            # every other field is a gap or a start: an index
+            draw = {
+                "head_first": flag,
+                "antiparallel": flag,
+                "sign": sign,
+                "eps": sign,
+                "sites": lambda: (index(), index(), index()),
+                "form": lambda: rng.choice("LLRRX"),
+                "chords": lambda: tuple(rng.randint(0, d.n + 2) for _ in range(3)),
+            }
+
+            def value(field):
+                return draw.get(field.name, index)()
+
+            kind = rng.choice(kinds)
+            listed = [m for m in enumerate_moves(d) if type(m) is kind]
+            fields = dataclasses.fields(kind)
+            if listed and rng.random() < 0.6:
+                move = rng.choice(listed)
+                if rng.random() < 0.5:
+                    field = rng.choice(fields)
+                    move = dataclasses.replace(move, **{field.name: value(field)})
+            else:
+                move = kind(*(value(f) for f in fields))
+            expected = _outcome(apply_move, d, move)
+            assert _outcome(inverse_move, d, move) == expected, (str(d), move)
+            outcomes[kind, expected is None] += 1
+        for kind in kinds:
+            assert outcomes[kind, True] > 50 and outcomes[kind, False] > 50, outcomes
+
+
 class TestEnumeration:
     def test_unknot_moves(self):
         moves = enumerate_moves(parse_gauss_code(""))
@@ -825,14 +933,7 @@ def _compile_reference(endpoints) -> gausscode.CompiledDiagram:
         if under[p] > under[q]:
             p, q = q, p
         table.append((sign[p] * sign[q], *labels[p], *labels[q], under[p], under[q]))
-    return gausscode.CompiledDiagram(
-        range(1, n + 1),
-        slots,
-        kind,
-        touching or ((),),
-        pairs,
-        tuple(table),
-    )
+    return gausscode.CompiledDiagram(slots, kind, touching or ((),), tuple(table))
 
 
 def _compile_oracle_diagrams() -> list[GaussDiagram]:
@@ -857,7 +958,7 @@ class TestCompileOracle:
 
     def test_fields(self):
         names = [field.name for field in dataclasses.fields(gausscode.CompiledDiagram)]
-        assert names == ["chords", "slots", "kind", "touching", "pairs", "pair_table"]
+        assert names == ["slots", "kind", "touching", "pair_table"]
 
     def test_readers_agree_with_the_word(self):
         for d in _compile_oracle_diagrams()[::10]:
@@ -889,3 +990,26 @@ class TestCompileOracle:
                     chord_colors(d, coloring, chord)
             with pytest.raises(KeyError):
                 d.index_of(1, "X")
+
+
+class TestChordLabels:
+    """A chord label is an ``int`` from 1 to n; any other, a float or bool
+    equal to one among them, raises KeyError."""
+
+    @pytest.mark.parametrize("chord", [1.0, 2.0, True, False, 1.5, 0, 3])
+    def test_readers_refuse(self, chord):
+        d = parse_gauss_code("O1+O2+U1+U2+")
+        coloring = (1, 2, 3, 4)
+        for passage in ("U", "O"):
+            with pytest.raises(KeyError):
+                d.index_of(chord, passage)
+        with pytest.raises(KeyError):
+            d.sign_of(chord)
+        with pytest.raises(KeyError):
+            chord_colors(d, coloring, chord)
+
+    def test_readers_take_the_labels(self):
+        d = parse_gauss_code("O1+O2+U1+U2+")
+        assert [d.index_of(c, p) for c in (1, 2) for p in "UO"] == [2, 0, 3, 1]
+        assert [d.sign_of(c) for c in (1, 2)] == [1, 1]
+        assert chord_colors(d, (1, 2, 3, 4), 2) == (3, 4, 1, 2)

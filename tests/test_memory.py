@@ -14,6 +14,7 @@ dictionary.
 import dataclasses
 import gc
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import chain
@@ -21,8 +22,15 @@ from itertools import chain
 import pytest
 
 from arrowquiver import arrowweight, gausscode, homset
-from arrowquiver.arrowweight import _random_diagram_of_size, is_valid_weight, weight_multiset
+from arrowquiver.arrowweight import (
+    _random_diagram_of_size,
+    _weight_sums,
+    is_valid_weight,
+    weight_multiset,
+)
 from arrowquiver.gausscode import (
+    Endpoint,
+    GaussDiagram,
     R1Delete,
     R1Insert,
     R2Delete,
@@ -158,6 +166,29 @@ class TestCacheRetention:
     def test_compiled_tables_share_the_bound(self):
         assert homset._COLORINGS_CACHED == gausscode._DIAGRAMS_CACHED
         assert gausscode._compiled.cache_parameters()["maxsize"] == gausscode._DIAGRAMS_CACHED
+
+
+class TestQuiverBuild:
+    # the peak that tracemalloc read for the build below when the index of
+    # build_quiver was keyed by a fresh tuple per coloring (Python 3.11)
+    FRESH_KEYS_PEAK = 1_665_516
+
+    def test_the_index_holds_no_second_copy_of_the_colorings(self, quad4, w6, endos_quad4):
+        # the connected sum of three copies of 4.99: 4 096 colorings by quad4
+        word = parse_gauss_code("U1-O2-O1-U2-U3-O4-O3-U4-").endpoints
+        d = GaussDiagram(
+            tuple(Endpoint(e.chord + 4 * k, e.passage, e.sign) for k in range(3) for e in word)
+        )
+        assert len(homset._colorings(quad4, d)) == 4096
+        _weight_sums(quad4, w6, d)
+        tracemalloc.start()
+        try:
+            q = build_quiver(quad4, w6, d, endos_quad4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.vertices is homset._colorings(quad4, d)
+        assert peak <= self.FRESH_KEYS_PEAK // 2, peak
 
 
 class TestLayout:
