@@ -12,7 +12,11 @@ on the five bundled (biquandle, tensor, modulus) pairs, ``weights find``
 in every format, ``weights check`` at seeds 0 and 1, every ``table
 --type`` over all orientations, ``quiver`` with and without
 ``--quotient``, ``color`` and ``endos``; then ``calibrate``, and the
-witnesses of exit codes 1 and 2.  A change that keeps the output of every
+witnesses of exit codes 1 and 2.  Last come the paths those skip: every
+``invariant --type`` on the five pairs and once on a literal Gauss code,
+``weights check`` on two invalid tensors (one fails its constraint rows,
+one a trial), ``weights find --nontrivial`` and ``table --knots``, whose
+inputs lie in ``tests/data``.  A change that keeps the output of every
 command byte-identical leaves the file as it is.
 
 Run from the repository root, on the code whose output is the reference:
@@ -36,6 +40,8 @@ from arrowquiver.cli import main  # noqa: E402
 
 DATA = ROOT / "src" / "arrowquiver" / "data"
 OUT = ROOT / "tests" / "data" / "cli_digests.tsv"
+# tests/data, as a path from DATA
+TESTS_DATA = "../../../tests/data/"
 
 # (biquandle, tensor, endomorphism option, modulus), by fixture
 PAIRS = [
@@ -90,6 +96,28 @@ def matrix() -> list[list[str]]:
         ["weights", "find", "--biquandle", flip2, "--modulus", "2", "--limit", "-1"],
         ["weights", "check", "--biquandle", flip2, "--tensor", w16, "--trials", "-1"],
     ]
+    for b, t, endos, m in PAIRS:
+        for phi in TYPES:
+            for fmt in ("text", "json"):
+                cmds.append(["invariant", "--type", phi, "--biquandle", b, "--tensor", t,
+                             *endos, "--knot", KNOT, "--format", fmt])
+    cmds.append(["invariant", "--type", "twovar", "--biquandle", flip2, "--tensor", w16,
+                 "--full-endos", "--knot", "O1+U2+O3+U1+O2+U3+"])
+    # (1, 1, 1, 2) raised by 1 breaks constraint rows; the second tensor
+    # weights find lists for cyc3 over Z_8 fails a basepoint rotation
+    for b, t in ((flip2, "weight_flip2_z16_raised.txt"),
+                 ("biquandle_cyc3.txt", "weight_cyc3_z8_second.txt")):
+        for fmt in ("text", "json"):
+            cmds.append(["weights", "check", "--biquandle", b, "--tensor", TESTS_DATA + t,
+                         "--format", fmt])
+    for b, t, endos, m in (PAIRS[0], PAIRS[2]):
+        cmds.append(["weights", "find", "--biquandle", b, "--modulus", str(m),
+                     "--nontrivial", "--limit", "2"])
+    for (b, t, endos, m), phi, fmt in ((PAIRS[0], "weight-poly", "tsv"),
+                                       (PAIRS[1], "indeg", "json")):
+        cmds.append(["table", "--type", phi, "--biquandle", b, "--tensor", t, *endos,
+                     "--knots", TESTS_DATA + "knots_small.tsv", "--all-orientations",
+                     "--format", fmt])
     return cmds
 
 
