@@ -115,15 +115,9 @@ class WeightTensor:
         return self.entries[self.slot(self.n, a, b, c, d)]
 
     def dumps(self) -> str:
-        n = self.n
-        lines = [str(self.m), str(n)]
-        for a, b in product(range(1, n + 1), repeat=2):
-            row = [
-                self.entries[self.slot(n, a, b, c, d)]
-                for c, d in product(range(1, n + 1), repeat=2)
-            ]
-            lines.append(" ".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        k = self.n**2  # row (a, b) is the n^2 entries from slot(n, a, b, 1, 1) on
+        rows = (" ".join(map(str, self.entries[r * k : r * k + k])) for r in range(k))
+        return "\n".join([str(self.m), str(self.n), *rows]) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> "WeightTensor":

@@ -2,9 +2,21 @@
 
 A biquandle is a set X with two binary operations, here called ``under``
 (often written x >_ y) and ``over`` (x >~ y), satisfying axioms that make
-colorings of oriented knot diagrams invariant under Reidemeister moves.  At a
-positive crossing the understrand colored x passing under an overstrand
-colored y leaves as under(x, y), while the overstrand leaves as over(y, x).
+colorings of oriented knot diagrams invariant under Reidemeister moves.
+
+The crossing convention lives here.  At a crossing the understrand enters
+colored u_in and leaves colored u_out, and the overstrand enters colored
+o_in and leaves colored o_out.  At a positive crossing
+
+    u_out = under(u_in, o_out)        o_in = over(o_out, u_in)
+
+so the understrand colored x, passing under an overstrand that leaves
+colored y, leaves as under(x, y), and the overstrand *enters* as over(y, x).
+A negative crossing is the formal inverse: the same two equations hold with
+in and out exchanged on both strands.  :attr:`Biquandle.crossings` lists
+the positive crossings as tuples (u_in, u_out, o_in, o_out); the axiom
+check below and the coloring relation of :mod:`arrowquiver.homset` read
+that list.
 
 Elements are the integers 1..n throughout, matching the usual presentation of
 operation tables in the literature.
@@ -14,11 +26,11 @@ Axioms checked by :func:`validate_tables`:
 * B1 (kink rule): under(x, x) == over(x, x) for all x.
 * B2 (invertibility): for each y the maps x -> under(x, y) and
   x -> over(x, y) are bijections of X, and the combined map
-  S(x, y) = (over(y, x), under(x, y)) is a bijection of X x X.
-* B3 (triple point rule): the crossing gate
-  P(x, y) = (t, under(x, t)) with t the unique solution of over(t, x) == y
-  satisfies the set-theoretic Yang-Baxter equation
-  P12 P23 P12 == P23 P12 P23 on X^3.
+  S(x, y) = (over(y, x), under(x, y)) is a bijection of X x X: the
+  crossings take n^2 distinct values of (o_in, u_out).
+* B3 (triple point rule): the crossing gate P(u_in, o_in) = (o_out, u_out),
+  which the column bijections of B2 make a map on X x X, satisfies the
+  set-theoretic Yang-Baxter equation P12 P23 P12 == P23 P12 P23 on X^3.
 
 The gate formulation of B3 is the one that actually expresses invariance of
 colorings under the slide move for the coloring convention used in this
@@ -106,27 +118,13 @@ class Biquandle:
         return self.over[x - 1][y - 1]
 
     @cached_property
-    def _over_inv(self) -> tuple[tuple[int, ...], ...]:
-        # _over_inv[y-1][v-1] = the x with over(x, y) == v
-        inv = [[0] * self.n for _ in range(self.n)]
-        for x, y in product(self.elements, repeat=2):
-            inv[y - 1][self.over[x - 1][y - 1] - 1] = x
-        return tuple(tuple(row) for row in inv)
-
-    def over_inv(self, v: int, y: int) -> int:
-        """The unique x with over(x, y) == v."""
-        return self._over_inv[y - 1][v - 1]
-
-    def gate(self, x: int, y: int) -> tuple[int, int]:
-        """Colors leaving a positive crossing entered with (x, y).
-
-        x enters on the understrand and y enters on the overstrand.  The
-        coloring rule fixes the incoming overstrand color in terms of the
-        outgoing one, so solve over(t, x) == y for the outgoing overstrand
-        color t; the understrand then leaves as under(x, t).
-        """
-        t = self.over_inv(y, x)
-        return t, self.under_of(x, t)
+    def crossings(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Every positive crossing (u_in, u_out, o_in, o_out), one per
+        (u_in, o_out) in lexicographic order."""
+        return tuple(
+            (a, self.under[a - 1][t - 1], self.over[t - 1][a - 1], t)
+            for a, t in product(self.elements, repeat=2)
+        )
 
     def is_endomorphism(self, f: tuple[int, ...]) -> bool:
         """Whether the map x -> f[x-1] respects both operations."""
@@ -277,11 +275,8 @@ def validate_tables(
             )
 
     # B2: the map S(x, y) = (over(y, x), under(x, y)) must be a bijection
-    images = {
-        (over[y - 1][x - 1], under[x - 1][y - 1])
-        for x, y in product(elements, repeat=2)
-    }
-    if len(images) != n * n:
+    b = Biquandle(under, over)
+    if len({(o_in, u_out) for _, u_out, o_in, _ in b.crossings}) != n * n:
         violations.append(
             Violation("B2", (), "S(x,y) = (over(y,x), under(x,y)) is not a bijection")
         )
@@ -290,15 +285,13 @@ def validate_tables(
         return violations
 
     # B3 as the Yang-Baxter equation for the crossing gate
-    b = Biquandle(under, over)
+    gate = {(u_in, o_in): (o_out, u_out) for u_in, u_out, o_in, o_out in b.crossings}
 
     def p12(x: int, y: int, z: int) -> tuple[int, int, int]:
-        a, c = b.gate(x, y)
-        return a, c, z
+        return (*gate[x, y], z)
 
     def p23(x: int, y: int, z: int) -> tuple[int, int, int]:
-        a, c = b.gate(y, z)
-        return x, a, c
+        return (x, *gate[y, z])
 
     for x, y, z in product(elements, repeat=3):
         lhs = p12(*p23(*p12(x, y, z)))

@@ -54,6 +54,9 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def _get_formatter(self):  # 78 columns on every terminal, as at COLUMNS=80
+        return self.formatter_class(prog=self.prog, width=78)
+
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

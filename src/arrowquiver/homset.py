@@ -1,15 +1,12 @@
 """Biquandle colorings of Gauss diagrams and their transport through moves.
 
 A coloring assigns an element of the biquandle to every semiarc.  Walking
-the knot, the color changes only at crossing passages.  At a positive
-crossing with incoming under color u_in and *outgoing* over color o_out:
-
-    u_out = under(u_in, o_out)        o_in = over(o_out, u_in)
-
-A negative crossing is the formal inverse, so the same two equations hold
-with in and out exchanged on both strands:
-
-    u_in = under(u_out, o_in)         o_out = over(o_in, u_out)
+the knot, the color changes only at crossing passages, by the crossing
+convention of :mod:`arrowquiver.biquandle`: the colors (u_in, u_out, o_in,
+o_out) around a positive crossing form one of
+:attr:`~arrowquiver.biquandle.Biquandle.crossings`, and those around a
+negative crossing, the formal inverse, form one with in and out exchanged
+on both strands.
 
 The number of colorings is the biquandle counting invariant.  Each crossing
 also gets an *arrow label*, the pair of colors that sits at the positive
@@ -79,7 +76,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import product
 
 from .biquandle import Biquandle
 from .gausscode import _DIAGRAMS_CACHED, LABEL_SLOTS, GaussDiagram, Move, _moved
@@ -136,9 +132,8 @@ class _Relation:
     def __init__(self, b: Biquandle):
         self.radix = r = b.n + 1
         self.everything = sum(1 << v for v in b.elements)  # the mask of all values
-        pairs = list(product(b.elements, repeat=2))
-        pos = [(a, b.under_of(a, t), b.over_of(t, a), t) for a, t in pairs]
-        neg = [(b.under_of(a, t), a, t, b.over_of(t, a)) for a, t in pairs]
+        pos = b.crossings
+        neg = [(u_out, u_in, o_out, o_in) for u_in, u_out, o_in, o_out in pos]
         self.values: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
         self.forced: dict[tuple[int, int], dict[int, tuple[tuple[int, int], ...]]] = {}
         for sign, tuples in ((1, pos), (-1, neg)):

@@ -1,5 +1,8 @@
 """Biquandle axioms, table validation, inverses, and endomorphisms."""
 
+import random
+from itertools import product
+
 import pytest
 
 from arrowquiver.biquandle import (
@@ -87,6 +90,74 @@ class TestValidation:
         )
 
 
+def _axiom_oracle(under, over) -> list[tuple[str, tuple[int, ...]]]:
+    """The (axiom, witness) list of ``validate_tables`` for well-shaped
+    tables, from the definitions: B2 by column images, then B1 on the
+    diagonal and B2 by the image count of S, then B3 by solving
+    over(t, x) == y by search and comparing both sides of Yang-Baxter."""
+    n = len(under)
+    xs = range(1, n + 1)
+    out = [
+        ("B2", (y,))
+        for table in (under, over)
+        for y in xs
+        if len({table[x - 1][y - 1] for x in xs}) != n
+    ]
+    if out:
+        return out
+    out = [("B1", (x,)) for x in xs if under[x - 1][x - 1] != over[x - 1][x - 1]]
+    if len({(over[y - 1][x - 1], under[x - 1][y - 1]) for x in xs for y in xs}) != n * n:
+        out.append(("B2", ()))
+    if out:
+        return out
+
+    def gate(x, y):
+        (t,) = [t for t in xs if over[t - 1][x - 1] == y]
+        return t, under[x - 1][t - 1]
+
+    def p12(x, y, z):
+        return (*gate(x, y), z)
+
+    def p23(x, y, z):
+        return (x, *gate(y, z))
+
+    return [
+        ("B3", (x, y, z))
+        for x, y, z in product(xs, repeat=3)
+        if p12(*p23(*p12(x, y, z))) != p23(*p12(*p23(x, y, z)))
+    ]
+
+
+def _random_tables(rng: random.Random, n: int):
+    """Tables on 1..n with bijective columns; one swap within each over
+    column puts under(y, y) at over(y, y), so B1 holds."""
+    under = [[0] * n for _ in range(n)]
+    over = [[0] * n for _ in range(n)]
+    for table in (under, over):
+        for y in range(n):
+            for x, v in enumerate(rng.sample(range(1, n + 1), n)):
+                table[x][y] = v
+    for y in range(n):
+        x = next(x for x in range(n) if over[x][y] == under[y][y])
+        over[x][y], over[y][y] = over[y][y], over[x][y]
+    return tuple(map(tuple, under)), tuple(map(tuple, over))
+
+
+class TestAxiomOracle:
+    def test_random_tables_match_the_definitions(self):
+        rng = random.Random(20261020)
+        reached_b3 = violated_b3 = 0
+        for _ in range(20000):
+            under, over = _random_tables(rng, rng.randint(2, 3))
+            expected = _axiom_oracle(under, over)
+            got = [(v.axiom, v.witness) for v in validate_tables(under, over)]
+            assert got == expected, (under, over)
+            reached_b3 += not expected or expected[0][0] == "B3"
+            violated_b3 += bool(expected) and expected[0][0] == "B3"
+        # both outcomes of the triple point check occur
+        assert reached_b3 > violated_b3 > 100, (reached_b3, violated_b3)
+
+
 class TestOperations:
     def test_flip_operations(self, flip2):
         assert flip2.under_of(1, 1) == 2
@@ -106,19 +177,23 @@ class TestOperations:
                 for y in b.elements:
                     v = b.under_of(x, y)
                     assert [w for w in b.elements if b.under_of(w, y) == v] == [x]
-                    assert b.over_inv(b.over_of(x, y), y) == x
+                    v = b.over_of(x, y)
+                    assert [w for w in b.elements if b.over_of(w, y) == v] == [x]
 
     def test_gate_bijective(self, quad4):
-        images = {quad4.gate(x, y) for x in quad4.elements for y in quad4.elements}
-        assert len(images) == quad4.n * quad4.n
+        # the gate (u_in, o_in) -> (o_out, u_out) is a bijection of X^2
+        gate = {(u_in, o_in): (o_out, u_out) for u_in, u_out, o_in, o_out in quad4.crossings}
+        assert len(gate) == quad4.n * quad4.n
+        assert len(set(gate.values())) == quad4.n * quad4.n
 
     def test_gate_solves_crossing(self, shift4):
-        # gate(x, y) = (t, v) means over(t, x) == y and under(x, t) == v.
-        for x in shift4.elements:
-            for y in shift4.elements:
-                t, v = shift4.gate(x, y)
-                assert shift4.over_of(t, x) == y
-                assert shift4.under_of(x, t) == v
+        # each (u_in, u_out, o_in, o_out) satisfies both crossing equations,
+        # one tuple per (u_in, o_out) in lexicographic order
+        for u_in, u_out, o_in, o_out in shift4.crossings:
+            assert shift4.over_of(o_out, u_in) == o_in
+            assert shift4.under_of(u_in, o_out) == u_out
+        pairs = [(u_in, o_out) for u_in, _, _, o_out in shift4.crossings]
+        assert pairs == list(product(shift4.elements, repeat=2))
 
 
 class TestEndomorphisms:

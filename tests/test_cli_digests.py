@@ -32,3 +32,20 @@ def test_recorded_output(code, out, err, argv, capsys, monkeypatch):
         got = exc.code
     captured = capsys.readouterr()
     assert (got, sha256(captured.out), sha256(captured.err)) == (int(code), out, err)
+
+
+@pytest.mark.parametrize("argv", [["color", "--biquandle", "biquandle_flip2.txt"], ["--help"]])
+def test_same_output_on_every_terminal_width(argv, capsys, monkeypatch):
+    # argparse would wrap usage and help to the terminal width
+    monkeypatch.chdir(bundled_path("."))
+    seen = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(argv)
+        seen.add(capsys.readouterr())
+    assert len(seen) == 1
+    if argv[0] == "color":
+        (recorded,) = [r for r in RECORDED if r[3] == " ".join(argv)]
+        (captured,) = seen
+        assert recorded[:3] == ["1", sha256(captured.out), sha256(captured.err)]

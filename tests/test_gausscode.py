@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -686,6 +686,47 @@ class TestEnumerationOracle:
         assert enumerate_moves(d) == expected
         same_size = parse_gauss_code(TREFOIL)
         assert enumerate_moves(same_size) == _brute_force_moves(same_size)
+
+
+class TestAcceptedMoves:
+    """``apply_move`` accepts exactly the deletions and slides that
+    ``enumerate_moves`` lists, and raises ValueError on every other one."""
+
+    def test_every_unlisted_variant_is_refused(self):
+        rng = random.Random(20261020)
+        diagrams = [_random_diagram_of_size(rng, rng.randint(1, 3)) for _ in range(16)]
+        # R2 pairs are rare in random words: poke one into 1-chord diagrams
+        for _ in range(8):
+            d = _random_diagram_of_size(rng, 1)
+            pokes = [mv for mv in enumerate_moves(d) if isinstance(mv, R2Insert)]
+            diagrams.append(apply_move(d, rng.choice(pokes)))
+        diagrams += _r3_template_hosts(0) + _r3_template_hosts(1)[::8]
+        kinds = Counter()
+        for d in diagrams:
+            two_n = len(d.endpoints)
+            starts = range(-1, two_n + 1)
+            candidates = [R1Delete(s) for s in starts]
+            candidates += [
+                R2Delete(i, j, anti) for i in starts for j in starts for anti in (False, True)
+            ]
+            candidates += [
+                R3Slide(sites, form, chords, eps)
+                for sites in permutations(range(two_n), 3)
+                for form in "LR"
+                for chords in permutations(range(1, d.n + 1), 3)
+                for eps in (1, -1)
+            ]
+            accepted = []
+            for move in candidates:
+                try:
+                    apply_move(d, move)
+                except ValueError:
+                    continue
+                accepted.append(move)
+            listed = [mv for mv in enumerate_moves(d) if not isinstance(mv, (R1Insert, R2Insert))]
+            assert sorted(accepted, key=repr) == sorted(listed, key=repr), str(d)
+            kinds.update(type(mv).__name__ for mv in accepted)
+        assert kinds.keys() == {"R1Delete", "R2Delete", "R3Slide"}, kinds
 
 
 def _same_as_validated(d) -> None:
