@@ -111,15 +111,16 @@ def _axiom_oracle(under, over) -> list[tuple[str, tuple[int, ...]]]:
     if out:
         return out
 
-    def gate(x, y):
+    gate = {}
+    for x, y in product(xs, repeat=2):
         (t,) = [t for t in xs if over[t - 1][x - 1] == y]
-        return t, under[x - 1][t - 1]
+        gate[x, y] = t, under[x - 1][t - 1]
 
     def p12(x, y, z):
-        return (*gate(x, y), z)
+        return (*gate[x, y], z)
 
     def p23(x, y, z):
-        return (x, *gate(y, z))
+        return (x, *gate[y, z])
 
     return [
         ("B3", (x, y, z))
