@@ -62,7 +62,7 @@ from .gausscode import (
     R1Insert,
     R2Insert,
     R3Slide,
-    _deletions,
+    _listing,
     enumerate_moves,
     parse_gauss_code,
 )
@@ -468,7 +468,7 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
         rotation_rows(d)
     for spectators in (0, 1):
         for d in _r3_template_hosts(spectators):
-            move_rows(d, [mv for mv in _deletions(d.endpoints) if isinstance(mv, R3Slide)])
+            move_rows(d, [mv for mv in _listing(d) if isinstance(mv, R3Slide)])
             rotation_rows(d)
     return [dict(key) for key in unique]
 
@@ -726,7 +726,7 @@ def is_valid_weight(
         d = _random_diagram_of_size(rng, rng.randint(0, _TRIAL_MAX_CHORDS))
         colorings, sums = enumerate_colorings(b, d), _weight_sums(b, w, d)
         for _ in range(rng.randint(1, 3)):
-            moves = enumerate_moves(d) if d.n < 6 else _deletions(d.endpoints)
+            moves = enumerate_moves(d) if d.n < 6 else list(_listing(d))
             if not moves:
                 break
             move = rng.choice(moves)

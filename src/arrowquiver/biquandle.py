@@ -127,15 +127,11 @@ class Biquandle:
         )
 
     def is_endomorphism(self, f: tuple[int, ...]) -> bool:
-        """Whether the map x -> f[x-1] respects both operations."""
+        """Whether the map x -> f[x-1] respects both operations: whether
+        :meth:`_maps`, with every image fixed, finds it."""
         if len(f) != self.n or set(f) - set(self.elements):
             return False
-        for x, y in product(self.elements, repeat=2):
-            if f[self.under_of(x, y) - 1] != self.under_of(f[x - 1], f[y - 1]):
-                return False
-            if f[self.over_of(x, y) - 1] != self.over_of(f[x - 1], f[y - 1]):
-                return False
-        return True
+        return next(self._maps(tuple(enumerate(f, 1)), injective=False), None) is not None
 
     def endomorphisms(self) -> list[tuple[int, ...]]:
         """All set maps X -> X respecting both operations, sorted: what

@@ -43,6 +43,14 @@ cyclically adjacent passages, keeps the order of the others and renumbers
 their chords 1..n in that order.  An R3 slide swaps the two passages of
 each of its three blocks in place.
 
+One rule decides which moves apply.  An insertion applies when its gaps
+lie in 0..2n.  A deletion or slide applies exactly when
+:func:`enumerate_moves` lists it: the matcher :func:`_deletions` finds
+them in the word, a cache of the listings of the most recently used
+diagrams (:func:`_listing`) keeps them, and :func:`apply_move` and
+:func:`inverse_move` accept a deletion or slide only as an instance found
+there, which they then apply or invert.
+
 The same rule gives the old semiarc each new one continues, which carries
 colorings through the move (:mod:`arrowquiver.homset`).  A semiarc between
 two passages of one inserted or swapped block is inside the move disk and
@@ -55,7 +63,7 @@ every passage.
 Construction: ``GaussDiagram(...)`` checks its word, and so does
 :func:`parse_gauss_code`, which builds one; every diagram read from a user
 or a file goes through that check.  A diagram derived from a valid one is
-trusted instead: the move engine, once a move's own checks have passed, and
+trusted instead: the move engine, once it has found a move legal, and
 the word transforms :meth:`~GaussDiagram.rotated`,
 :meth:`~GaussDiagram.reversed`, :meth:`~GaussDiagram.mirrored` and
 :meth:`~GaussDiagram._relabeled` build their results with
@@ -151,15 +159,17 @@ def _well_formed(e: Endpoint) -> bool:
 LABEL_SLOTS = {1: (0, 3), -1: (1, 2)}
 
 
-# diagrams whose compiled tables (:func:`_compiled`) are kept, and, in
-# homset and arrowweight, whose colorings and weight sums are.  The reuse
-# these caches serve lies within one call chain: a diagram's tables, its
-# colorings, then its weight sums and its quiver, for d1 and d2 of a
-# scramble step.  A cached entry keeps its diagram alive, so the bound is
-# what that reuse needs: at 64 entries a seed-1 perfbench scramble job
-# misses 11-14 more of its about 960 coloring lookups than with no bound,
-# and a weights job 5 more of its 200-260; tables are built again only for
-# a diagram met again after 64 others, 10-14 of about 280 per scramble job.
+# diagrams whose compiled tables (:func:`_compiled`) and listed deletions
+# and slides (:func:`_listing`) are kept, and, in homset and arrowweight,
+# whose colorings and weight sums are.  The reuse these caches serve lies
+# within one call chain: a diagram's tables, its colorings, then its weight
+# sums and its quiver, for d1 and d2 of a scramble step, and the listing
+# that lists a diagram's moves and then applies one.  A cached entry keeps
+# its diagram alive, so the bound is what that reuse needs: at 64 entries
+# a seed-1 perfbench scramble job misses 11-14 more of its about 960
+# coloring lookups than with no bound, and a weights job 5 more of its
+# 200-260; tables are built again only for a diagram met again after 64
+# others, 10-14 of about 280 per scramble job.
 _DIAGRAMS_CACHED = 64
 
 
@@ -565,30 +575,25 @@ def _swap_blocks(d: GaussDiagram, sites: tuple[int, ...]) -> Moved:
     ends = list(d.endpoints)
     keep: list[int | None] = list(range(len(ends)))
     for s in sites:
-        t = _adjacent(d, s)
+        t = (s + 1) % len(ends)
         ends[s], ends[t] = ends[t], ends[s]
         keep[s] = None
     return _trusted(tuple(ends)), keep, []
 
 
-def _adjacent(d: GaussDiagram, i: int) -> int:
-    return (i + 1) % len(d.endpoints)
-
-
-def _check_starts(d: GaussDiagram, starts: tuple[int, ...]) -> None:
-    """Every block of a deletion or slide starts at a passage of ``d``."""
-    two_n = len(d.endpoints)
-    for s in starts:
-        if s < 0:
-            raise ValueError(f"block at negative index {s}")
-        if s >= two_n:
-            raise ValueError(f"block at index {s}, but the diagram has {two_n} passages")
+@lru_cache(maxsize=_DIAGRAMS_CACHED)
+def _listing(d: GaussDiagram) -> dict[Move, Move]:
+    """The deletions and slides of ``d`` in the order of :func:`_deletions`,
+    each mapped to itself: the one rule for which of them apply to ``d``."""
+    return {mv: mv for mv in _deletions(d.endpoints)}
 
 
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """The diagram after performing ``move`` on ``d``.
 
-    Raises ValueError when the move does not match the diagram.
+    An insertion applies when its gaps lie in 0..2n; a deletion or slide
+    applies exactly when :func:`enumerate_moves` lists it for ``d``.  Any
+    other move raises ValueError, and what is no move raises TypeError.
     """
     return _moved(d, move)[0]
 
@@ -608,15 +613,6 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
             pair.reverse()
         return _insert_blocks(d, {move.gap: pair})
 
-    if isinstance(move, R1Delete):
-        i = move.start
-        _check_starts(d, (i,))
-        j = _adjacent(d, i)
-        a, b = d.endpoints[i], d.endpoints[j]
-        if a.chord != b.chord or i == j:
-            raise ValueError("R1 deletion needs adjacent passages of one chord")
-        return _delete_blocks(d, (i,))
-
     if isinstance(move, R2Insert):
         if not (0 <= move.gap_over <= two_n and 0 <= move.gap_under <= two_n):
             raise ValueError("R2 gap out of range")
@@ -630,45 +626,16 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
             return _insert_blocks(d, {move.gap_over: over + under})
         return _insert_blocks(d, {move.gap_over: over, move.gap_under: under})
 
-    if isinstance(move, R2Delete):
-        i, j = move.over_start, move.under_start
-        _check_starts(d, (i, j))
-        i2, j2 = _adjacent(d, i), _adjacent(d, j)
-        if len({i, i2, j, j2}) != 4:
-            raise ValueError("R2 blocks overlap")
-        oa, ob = d.endpoints[i], d.endpoints[i2]
-        if move.antiparallel:
-            ub, ua = d.endpoints[j], d.endpoints[j2]
-        else:
-            ua, ub = d.endpoints[j], d.endpoints[j2]
-        if (oa.passage, ob.passage, ua.passage, ub.passage) != ("O", "O", "U", "U"):
-            raise ValueError("R2 deletion passages mismatch")
-        if (oa.chord, ob.chord) != (ua.chord, ub.chord):
-            raise ValueError("R2 deletion chords mismatch")
-        if oa.sign != -ob.sign:
-            raise ValueError("R2 deletion needs opposite signs")
-        return _delete_blocks(d, (i, j))
-
-    if isinstance(move, R3Slide):
-        _check_starts(d, move.sites)
-        idx = [i for s in move.sites for i in (s, _adjacent(d, s))]
-        if len(set(idx)) != 6:
-            raise ValueError("R3 sites overlap")
-        x, y, z = move.chords
-        eps = move.eps
-        want_l = [("U", x), ("U", y), ("O", x), ("U", z), ("O", y), ("O", z)]
-        want_r = [("U", y), ("U", x), ("U", z), ("O", x), ("O", z), ("O", y)]
-        want = {"L": want_l, "R": want_r}.get(move.form)
-        if want is None:
-            raise ValueError(f"R3 form must be 'L' or 'R', got {move.form!r}")
-        got = [(d.endpoints[i].passage, d.endpoints[i].chord) for i in idx]
-        if got != want:
-            raise ValueError("R3 sites do not match the stated form")
-        if any(d.endpoints[i].sign != eps for i in idx):
-            raise ValueError("R3 needs a common sign on all three chords")
-        return _swap_blocks(d, move.sites)
-
-    raise TypeError(f"unknown move {move!r}")
+    if not isinstance(move, (R1Delete, R2Delete, R3Slide)):
+        raise TypeError(f"unknown move {move!r}")
+    listed = _listing(d).get(move)
+    if listed is None:
+        raise ValueError(f"{move!r} does not apply to {str(d)!r}")
+    if isinstance(listed, R1Delete):
+        return _delete_blocks(d, (listed.start,))
+    if isinstance(listed, R2Delete):
+        return _delete_blocks(d, (listed.over_start, listed.under_start))
+    return _swap_blocks(d, listed.sites)
 
 
 def inverse_move(d: GaussDiagram, move: Move) -> Move:
@@ -678,21 +645,15 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
     to basepoint rotation and chord renumbering (deletions renumber the
     remaining chords, and blocks that straddled the basepoint are restored
     in a single gap), so round trips compare equal under
-    :meth:`GaussDiagram.canonical_code`.  Raises exactly when
-    :func:`apply_move` raises, with the same error, since it runs the same
-    checks.
+    :meth:`GaussDiagram.canonical_code`.  It applies the move first, so it
+    raises exactly when :func:`apply_move` raises, with the same error: a
+    deletion or slide must be one that :func:`enumerate_moves` lists, and
+    its inverse is read from that listed instance.
     """
     _moved(d, move)
     two_n = len(d.endpoints)
     if isinstance(move, R1Insert):
         return R1Delete(move.gap)
-
-    if isinstance(move, R1Delete):
-        i = move.start
-        j = _adjacent(d, i)
-        head = d.endpoints[i]
-        gap = i if j > i else two_n - 2
-        return R1Insert(gap, head.passage == "U", head.sign)
 
     if isinstance(move, R2Insert):
         if move.gap_over == move.gap_under:
@@ -701,15 +662,18 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
         under = move.gap_under + (2 if move.gap_under > move.gap_over else 0)
         return R2Delete(over, under, move.antiparallel)
 
+    move = _listing(d)[move]
+    if isinstance(move, R1Delete):
+        head = d.endpoints[move.start]
+        return R1Insert(min(move.start, two_n - 2), head.passage == "U", head.sign)
+
     if isinstance(move, R2Delete):
         i, j = move.over_start, move.under_start
-        removed = {i, _adjacent(d, i), j, _adjacent(d, j)}
+        removed = {i, (i + 1) % two_n, j, (j + 1) % two_n}
         gap_over = i - sum(r < i for r in removed)
         gap_under = j - sum(r < j for r in removed)
-        sign = d.endpoints[i].sign
-        return R2Insert(gap_over, gap_under, move.antiparallel, sign)
+        return R2Insert(gap_over, gap_under, move.antiparallel, d.endpoints[i].sign)
 
-    # an R3Slide, the one kind left
     form = "R" if move.form == "L" else "L"
     return R3Slide(move.sites, form, move.chords, move.eps)
 
@@ -723,13 +687,15 @@ def enumerate_moves(d: GaussDiagram) -> list[Move]:
     tuple of them per size is built once and shared (the moves are frozen).
     Then the R1 deletions, the R2 deletions and the R3 slides, each by
     ascending first index; they are matched by lookup in one index of the
-    cyclically adjacent passage pairs, without building any diagram.
+    cyclically adjacent passage pairs, without building any diagram, and
+    read from the cached listing (:func:`_listing`) that
+    :func:`apply_move` and :func:`inverse_move` also read: a deletion or
+    slide applies to ``d`` exactly when it is listed here.
 
     The result is a new list each call; callers may change it.
     """
     moves: list[Move] = list(_insertions(len(d.endpoints)))
-    if d.endpoints:
-        moves += _deletions(d.endpoints)
+    moves += _listing(d)
     return moves
 
 
@@ -758,7 +724,7 @@ def _insertions(two_n: int) -> tuple[Move, ...]:
 
 
 def _deletions(ends: tuple[Endpoint, ...]) -> list[Move]:
-    """The R1Delete, R2Delete and R3Slide instances of a nonempty diagram.
+    """The R1Delete, R2Delete and R3Slide instances of a diagram's word.
 
     Block s is the cyclically adjacent pair (ends[s], ends[s + 1 mod 2n]).
     Each passage occurs once, so every pattern fixes its blocks: an R2 pair

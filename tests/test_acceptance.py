@@ -28,8 +28,10 @@ from arrowquiver.biquandle import BiquandleError, load as load_biquandle
 from arrowquiver.gausscode import (
     Endpoint,
     GaussDiagram,
+    R3Slide,
     apply_move,
     enumerate_moves,
+    inverse_move,
     parse_gauss_code,
 )
 from arrowquiver.homset import enumerate_colorings, transport_coloring
@@ -373,6 +375,37 @@ def test_criterion_8_invariance_many_colorings(quad4, w6, table):
     print(
         f"PASS criterion 8: {trials} move scrambles of connected sums of 4.99 "
         "(256 and 4096 colorings) preserve every invariant (modulus 6)"
+    )
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_criterion_8_slide_on_many_colorings(quad4, w6, table, copies):
+    """An R3 slide on a host with 256 or 4 096 quad4 colorings: connected
+    copies of 4.99 followed by the slide host ``U1+U2+O1+U3+O2+O3+``,
+    renumbered past them.  Every listed slide, and the slide back, keeps
+    every invariant; the slide back is listed on the slid diagram and
+    restores the word."""
+    endos = quad4.endomorphisms()
+    knots = _connected_copies(table.get("4.99"), copies)
+    host = parse_gauss_code("U1+U2+O1+U3+O2+O3+").endpoints
+    d1 = GaussDiagram(
+        knots.endpoints + tuple(Endpoint(e.chord + knots.n, e.passage, e.sign) for e in host)
+    )
+    assert len(enumerate_colorings(quad4, d1)) == 16**copies
+    # the host's one slide: the copies of 4.99 have none
+    slides = [mv for mv in enumerate_moves(d1) if isinstance(mv, R3Slide)]
+    assert len(slides) == 1
+    for move in slides:
+        d2 = apply_move(d1, move)
+        _assert_same_invariants(quad4, w6, endos, d1, d2)
+        back = inverse_move(d1, move)
+        assert back in enumerate_moves(d2)
+        restored = apply_move(d2, back)
+        assert restored == d1
+        _assert_same_invariants(quad4, w6, endos, d2, restored)
+    print(
+        f"PASS criterion 8: an R3 slide and its inverse on {copies} connected "
+        f"copies of 4.99 ({16**copies} colorings) preserve every invariant (modulus 6)"
     )
 
 

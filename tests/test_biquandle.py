@@ -1,6 +1,7 @@
 """Biquandle axioms, table validation, inverses, and endomorphisms."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -223,6 +224,35 @@ class TestEndomorphisms:
 
     def test_trivial_biquandle_endos_are_all_maps(self):
         assert TRIVIAL_2.endomorphisms() == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_same_as_the_pairwise_definition(self, flip2, cyc3, quad4, shift4):
+        """Every map X -> X of the bundled biquandles (543 maps), then of
+        the 38 distinct biquandles among the tables that TestAxiomOracle
+        draws."""
+
+        def respects_both(b, f):
+            return all(
+                f[t[x - 1][y - 1] - 1] == t[f[x - 1] - 1][f[y - 1] - 1]
+                for t in (b.under, b.over)
+                for x, y in product(b.elements, repeat=2)
+            )
+
+        def check(b) -> Counter:
+            outcomes = Counter()
+            for f in product(b.elements, repeat=b.n):
+                expected = respects_both(b, f)
+                assert b.is_endomorphism(f) == expected, (b, f)
+                outcomes[expected] += 1
+            return outcomes
+
+        bundled = sum(map(check, (flip2, cyc3, quad4, shift4)), Counter())
+        assert sum(bundled.values()) == 543 and bundled[True] > 0, bundled
+        rng = random.Random(20261020)
+        drawn = {_random_tables(rng, rng.randint(2, 3)) for _ in range(20000)}
+        valid = [Biquandle(*t) for t in sorted(drawn) if not validate_tables(*t)]
+        assert len(valid) == 38
+        drawn_outcomes = sum(map(check, valid), Counter())
+        assert drawn_outcomes[True] > 0 and drawn_outcomes[False] > 0, drawn_outcomes
 
 
 class TestLoading:
