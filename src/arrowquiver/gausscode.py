@@ -46,10 +46,9 @@ each of its three blocks in place.
 One rule decides which moves apply.  An insertion applies when its gaps
 lie in 0..2n.  A deletion or slide applies exactly when
 :func:`enumerate_moves` lists it: the matcher :func:`_deletions` finds
-them in the word, a cache of the listings of the most recently used
-diagrams (:func:`_listing`) keeps them, and :func:`apply_move` and
-:func:`inverse_move` accept a deletion or slide only as an instance found
-there, which they then apply or invert.
+them in the word, :func:`_listing` lists them for the diagram, and
+:func:`apply_move` and :func:`inverse_move` accept a deletion or slide
+only as an instance found there, which they then apply or invert.
 
 The same rule gives the old semiarc each new one continues, which carries
 colorings through the move (:mod:`arrowquiver.homset`).  A semiarc between
@@ -159,17 +158,15 @@ def _well_formed(e: Endpoint) -> bool:
 LABEL_SLOTS = {1: (0, 3), -1: (1, 2)}
 
 
-# diagrams whose compiled tables (:func:`_compiled`) and listed deletions
-# and slides (:func:`_listing`) are kept, and, in homset and arrowweight,
-# whose colorings and weight sums are.  The reuse these caches serve lies
-# within one call chain: a diagram's tables, its colorings, then its weight
-# sums and its quiver, for d1 and d2 of a scramble step, and the listing
-# that lists a diagram's moves and then applies one.  A cached entry keeps
-# its diagram alive, so the bound is what that reuse needs: at 64 entries
-# a seed-1 perfbench scramble job misses 11-14 more of its about 960
-# coloring lookups than with no bound, and a weights job 5 more of its
-# 200-260; tables are built again only for a diagram met again after 64
-# others, 10-14 of about 280 per scramble job.
+# diagrams whose compiled tables (:func:`_compiled`) are kept, and, in
+# homset and arrowweight, whose colorings and weight sums are.  The reuse
+# these caches serve lies within one call chain: a diagram's tables, its
+# colorings, then its weight sums and its quiver, for d1 and d2 of a
+# scramble step.  A cached entry keeps its diagram alive, so the bound is
+# what that reuse needs: at 64 entries a seed-1 perfbench scramble job
+# misses 11-14 more of its about 960 coloring lookups than with no bound,
+# and a weights job 5 more of its 200-260; tables are built again only for
+# a diagram met again after 64 others, 10-14 of about 280 per scramble job.
 _DIAGRAMS_CACHED = 64
 
 
@@ -581,7 +578,6 @@ def _swap_blocks(d: GaussDiagram, sites: tuple[int, ...]) -> Moved:
     return _trusted(tuple(ends)), keep, []
 
 
-@lru_cache(maxsize=_DIAGRAMS_CACHED)
 def _listing(d: GaussDiagram) -> dict[Move, Move]:
     """The deletions and slides of ``d`` in the order of :func:`_deletions`,
     each mapped to itself: the one rule for which of them apply to ``d``."""
@@ -592,8 +588,9 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """The diagram after performing ``move`` on ``d``.
 
     An insertion applies when its gaps lie in 0..2n; a deletion or slide
-    applies exactly when :func:`enumerate_moves` lists it for ``d``.  Any
-    other move raises ValueError, and what is no move raises TypeError.
+    applies exactly when :func:`enumerate_moves` lists it for ``d``, as the
+    listed instance it equals.  Any other move raises ValueError, and what
+    is no move raises TypeError.
     """
     return _moved(d, move)[0]
 
@@ -628,7 +625,10 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
 
     if not isinstance(move, (R1Delete, R2Delete, R3Slide)):
         raise TypeError(f"unknown move {move!r}")
-    listed = _listing(d).get(move)
+    try:
+        listed = _listing(d).get(move)
+    except TypeError:  # a field that cannot be hashed, so equal to no listed move
+        listed = None
     if listed is None:
         raise ValueError(f"{move!r} does not apply to {str(d)!r}")
     if isinstance(listed, R1Delete):
@@ -688,7 +688,7 @@ def enumerate_moves(d: GaussDiagram) -> list[Move]:
     Then the R1 deletions, the R2 deletions and the R3 slides, each by
     ascending first index; they are matched by lookup in one index of the
     cyclically adjacent passage pairs, without building any diagram, and
-    read from the cached listing (:func:`_listing`) that
+    read from the listing (:func:`_listing`) that
     :func:`apply_move` and :func:`inverse_move` also read: a deletion or
     slide applies to ``d`` exactly when it is listed here.
 

@@ -198,6 +198,17 @@ class TestOperations:
         assert pairs == list(product(shift4.elements, repeat=2))
 
 
+def respects_both(b, f) -> bool:
+    """The pairwise definition of an endomorphism, kept apart from the map
+    search that :meth:`Biquandle.is_endomorphism` asks: whether x -> f[x-1]
+    commutes with both operation tables."""
+    return all(
+        f[t[x - 1][y - 1] - 1] == t[f[x - 1] - 1][f[y - 1] - 1]
+        for t in (b.under, b.over)
+        for x, y in product(b.elements, repeat=2)
+    )
+
+
 class TestEndomorphisms:
     def test_identity_always_endomorphism(self, flip2, cyc3, quad4, shift4):
         for b in (flip2, cyc3, quad4, shift4):
@@ -229,13 +240,6 @@ class TestEndomorphisms:
         """Every map X -> X of the bundled biquandles (543 maps), then of
         the 38 distinct biquandles among the tables that TestAxiomOracle
         draws."""
-
-        def respects_both(b, f):
-            return all(
-                f[t[x - 1][y - 1] - 1] == t[f[x - 1] - 1][f[y - 1] - 1]
-                for t in (b.under, b.over)
-                for x, y in product(b.elements, repeat=2)
-            )
 
         def check(b) -> Counter:
             outcomes = Counter()

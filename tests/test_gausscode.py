@@ -274,6 +274,16 @@ class TestR3:
         slides = [m for m in enumerate_moves(d) if isinstance(m, R3Slide)]
         assert R3Slide((0, 2, 4), "L", (1, 2, 3), 1) in slides
 
+    def test_move_applies_as_the_listed_instance_it_equals(self):
+        # sites given as a list equal no listed slide, whose sites are a
+        # tuple, and cannot be hashed: refused like any unlisted move
+        d = parse_gauss_code(R3_HOST)
+        _refused(d, R3Slide([0, 2, 4], "L", (1, 2, 3), 1))
+        # a start of 0.0 equals the listed 0, and is applied and inverted as it
+        kink = parse_gauss_code("O1+U1+O2+U2+")
+        assert apply_move(kink, R1Delete(0.0)) == apply_move(kink, R1Delete(0))
+        assert inverse_move(kink, R1Delete(0.0)) == inverse_move(kink, R1Delete(0))
+
 
 class TestBlockStarts:
     """A deletion or slide with a block outside the passages is a ValueError,

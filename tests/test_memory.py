@@ -165,8 +165,7 @@ class TestCacheRetention:
 
     def test_compiled_tables_share_the_bound(self):
         assert homset._COLORINGS_CACHED == gausscode._DIAGRAMS_CACHED
-        for cached in (gausscode._compiled, gausscode._listing):
-            assert cached.cache_parameters()["maxsize"] == gausscode._DIAGRAMS_CACHED
+        assert gausscode._compiled.cache_parameters()["maxsize"] == gausscode._DIAGRAMS_CACHED
 
 
 class TestQuiverBuild:
