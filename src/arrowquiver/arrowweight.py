@@ -477,21 +477,6 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
 # solving over Z_m
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, s, t with s*a + t*b == g == gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _combine(
     p: int, x: dict[int, int], q: int, y: dict[int, int], m: int
 ) -> dict[int, int]:
@@ -513,10 +498,11 @@ class SolutionSet:
     row whose entry has the least gcd with m (ties: the fewest nonzeros).
     Every other entry that this gcd divides is cleared with one row
     operation; one it does not divide (possible only when m is not a prime
-    power) is merged into the pivot by an xgcd pair.  Annihilator rows
-    (m/gcd times a pivot row) are folded back in, as in a Howell form, which
-    keeps the per-column solution counts exact.  Entries are Python ints, so
-    every positive modulus is exact.
+    power) is merged into the pivot by a Bezout pair s*a + t*b == gcd(a, b),
+    s the inverse of a/gcd mod b/gcd from ``pow``.  Annihilator rows (m/gcd
+    times a pivot row) are folded back in, as in a Howell form, which keeps
+    the per-column solution counts exact.  Entries are Python ints, so every
+    positive modulus is exact.
 
     The caller's rows are never changed.  Each one is copied, reduced mod m,
     into the buckets, so every bucketed row is private to the elimination
@@ -563,7 +549,9 @@ class SolutionSet:
                             other.pop(k, None)
                     put(other)
                     continue
-                h, s, t = _xgcd(a, b)
+                h = gcd(a, b)
+                s = pow(a // h, -1, b // h)
+                t = (h - s * a) // b
                 put(_combine(b // h, piv, -(a // h), other, m))
                 piv = _combine(s, piv, t, other, m)
                 g = gcd(piv[col], m)
@@ -605,7 +593,7 @@ class SolutionSet:
             return range(0)
         # g * v == rr (mod m) has the d solutions v0 + t*(m // d)
         md = m // d
-        v0 = (rr // d * pow(g // d, -1, md)) % md if md > 1 else 0
+        v0 = rr // d * pow(g // d, -1, md) % md
         return range(v0, v0 + m, md)
 
     def __iter__(self):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from itertools import product
 
@@ -33,7 +32,7 @@ from .arrowweight import (
 )
 from .biquandle import Biquandle, BiquandleError, parse_endos
 from .biquandle import loads as parse_biquandle
-from .gausscode import GaussDiagram, parse_gauss_code
+from .gausscode import GaussDiagram, _tokens, parse_gauss_code
 from .homset import TransportError, chord_colors, enumerate_colorings
 from .invariants import phi_indegree, phi_quotient_loop, phi_twovar, phi_weight
 from .knotdata import bundled_path, bundled_table, orientation_variants, parse_table
@@ -45,9 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
-
-_CODE_RE = re.compile(r"^(?:[OU]\d+[+-])+$")
-
 
 class InputError(Exception):
     """Invalid input data; maps to exit code 2."""
@@ -66,33 +62,32 @@ class _Parser(argparse.ArgumentParser):
 # input loading
 
 
-def _read(path: str) -> str:
-    """The text of an input file; one that cannot be read is an InputError."""
+def _load(path: str, parse, prefix: str = ""):
+    """``parse`` of the text of an input file.  A file that cannot be read
+    is an InputError, and so is a ValueError from ``parse``: its message
+    after ``prefix``, or for a BiquandleError the violations, one a line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as err:
         raise InputError(str(err)) from None
     except UnicodeDecodeError as err:
         raise InputError(f"{path}: {err}") from None
+    try:
+        return parse(text)
+    except BiquandleError as err:
+        lines = ["invalid biquandle:", *(f"  {v}" for v in err.violations)]
+        raise InputError("\n".join(lines)) from None
+    except ValueError as err:
+        raise InputError(f"{prefix}{err}") from None
 
 
 def _biquandle(path: str) -> Biquandle:
-    try:
-        return parse_biquandle(_read(path))
-    except BiquandleError as err:
-        lines = ["invalid biquandle:"]
-        lines += [f"  {v}" for v in err.violations]
-        raise InputError("\n".join(lines)) from None
-    except ValueError as err:
-        raise InputError(f"invalid biquandle file {path}: {err}") from None
+    return _load(path, parse_biquandle, f"invalid biquandle file {path}: ")
 
 
 def _tensor(path: str, b: Biquandle) -> WeightTensor:
-    try:
-        w = WeightTensor.loads(_read(path))
-    except ValueError as err:
-        raise InputError(f"invalid tensor file {path}: {err}") from None
+    w = _load(path, WeightTensor.loads, f"invalid tensor file {path}: ")
     if w.n != b.n:
         raise InputError(
             f"tensor is over {w.n} elements but the biquandle has {b.n}"
@@ -105,10 +100,7 @@ def _endos(args, b: Biquandle) -> list[tuple[int, ...]]:
         return b.endomorphisms()
     if args.endos is None:
         raise InputError("this command needs --endos FILE or --full-endos")
-    try:
-        return parse_endos(_read(args.endos), b, source=args.endos)
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    return _load(args.endos, lambda text: parse_endos(text, b, source=args.endos))
 
 
 def _inputs(args, maps: bool = True) -> tuple[Biquandle, WeightTensor, list]:
@@ -120,27 +112,28 @@ def _inputs(args, maps: bool = True) -> tuple[Biquandle, WeightTensor, list]:
 
 
 def _knot(args) -> tuple[str, GaussDiagram]:
+    """The knot ``--knot`` names: a Gauss code if the tokenizer of
+    :func:`parse_gauss_code` reads all of it, else a name in the table."""
     sel = args.knot
-    if _CODE_RE.match(sel):
-        try:
-            return sel, parse_gauss_code(sel)
-        except ValueError as err:
-            raise InputError(f"invalid Gauss code {sel!r}: {err}") from None
-    table = _table_arg(args)
     try:
-        return sel, table.get(sel)
-    except KeyError as err:
-        raise InputError(str(err.args[0])) from None
+        _tokens(sel)
+    except ValueError:
+        table = _table_arg(args)
+        try:
+            return sel, table.get(sel)
+        except KeyError as err:
+            raise InputError(str(err.args[0])) from None
+    try:
+        return sel, parse_gauss_code(sel)
+    except ValueError as err:
+        raise InputError(f"invalid Gauss code {sel!r}: {err}") from None
 
 
 def _table_arg(args):
     path = getattr(args, "knots", None)
     if path is None:
         return bundled_table()
-    try:
-        return parse_table(_read(path), source=path)
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    return _load(path, lambda text: parse_table(text, source=path))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +435,8 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--knot",
             required=True,
-            help="knot name from the table, or a literal Gauss code",
+            help="knot name from the table, or a literal Gauss code (blanks "
+            "and commas may separate its tokens; '' is the unknot)",
         )
         p.add_argument("--knots", help="knot table TSV (default: bundled)")
 

@@ -412,23 +412,28 @@ def _relabel(endpoints) -> tuple[Endpoint, ...]:
     )
 
 
+def _tokens(text: str) -> list[tuple[str, str, str]]:
+    """The (passage, chord, sign) strings of a signed Gauss code, once
+    whitespace and commas are removed; ValueError ``bad Gauss code near``
+    where no token can be read."""
+    cleaned = re.sub(r"[\s,]+", "", text)
+    tokens, pos = [], 0
+    while pos < len(cleaned):
+        if not (m := _TOKEN.match(cleaned, pos)):
+            raise ValueError(f"bad Gauss code near {cleaned[pos:pos + 8]!r}")
+        tokens.append(m.groups())
+        pos = m.end()
+    return tokens
+
+
 def parse_gauss_code(text: str) -> GaussDiagram:
     """Parse a signed Gauss code such as ``O1+O2+U1+U2+``.
 
     Tokens may optionally be separated by whitespace or commas.  The empty
     string is the zero-crossing unknot.
     """
-    cleaned = re.sub(r"[\s,]+", "", text)
-    pos = 0
-    endpoints: list[Endpoint] = []
-    while pos < len(cleaned):
-        m = _TOKEN.match(cleaned, pos)
-        if not m:
-            raise ValueError(f"bad Gauss code near {cleaned[pos:pos + 8]!r}")
-        passage, chord, sign = m.group(1), int(m.group(2)), m.group(3)
-        endpoints.append(Endpoint(chord, passage, 1 if sign == "+" else -1))
-        pos = m.end()
-    return GaussDiagram(tuple(endpoints))
+    ends = (Endpoint(int(c), p, 1 if s == "+" else -1) for p, c, s in _tokens(text))
+    return GaussDiagram(tuple(ends))
 
 
 # ---------------------------------------------------------------------------

@@ -62,14 +62,8 @@ class Quiver:
         return tuple(acc)
 
     def to_dot(self) -> str:
-        lines = ["digraph quiver {"]
-        for i, (v, w) in enumerate(zip(self.vertices, self.weights)):
-            label = "".join(str(c) for c in v)
-            lines.append(f'  v{i} [label="{label} | {w}"];')
-        for src, dst, k in self.edges:
-            lines.append(f"  v{src} -> v{dst} [label=\"f{k}\"];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        labels = [f"{''.join(map(str, v))} | {w}" for v, w in zip(self.vertices, self.weights)]
+        return _dot("quiver", "v", labels, [(i, j, f"f{k}") for i, j, k in self.edges])
 
 
 @dataclass(frozen=True)
@@ -82,13 +76,16 @@ class QuotientQuiver:
     modulus: int
 
     def to_dot(self) -> str:
-        lines = ["digraph quotient {"]
-        for i, (w, s) in enumerate(zip(self.weights, self.sizes)):
-            lines.append(f'  w{i} [label="{w} (x{s})"];')
-        for src, dst, mult in self.edges:
-            lines.append(f'  w{src} -> w{dst} [label="{mult}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        labels = [f"{w} (x{s})" for w, s in zip(self.weights, self.sizes)]
+        return _dot("quotient", "w", labels, self.edges)
+
+
+def _dot(name: str, prefix: str, labels: list[str], edges) -> str:
+    """A DOT digraph with nodes ``prefix``0, 1, ... labeled by ``labels``
+    and one labeled edge per (src, dst, label) triple of ``edges``."""
+    nodes = [f'  {prefix}{i} [label="{label}"];' for i, label in enumerate(labels)]
+    arrows = [f'  {prefix}{s} -> {prefix}{t} [label="{label}"];' for s, t, label in edges]
+    return "\n".join([f"digraph {name} {{", *nodes, *arrows, "}"]) + "\n"
 
 
 def build_quiver(

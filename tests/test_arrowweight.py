@@ -755,8 +755,9 @@ class TestModulusLimit:
 class Int64SolutionSet:
     """A dense numpy int64 elimination, kept as a reference for the sparse
     one: it pivots on the last live row of each column, merges every other
-    live row into it with an xgcd pair, and enumerates by trying every value
-    of each column against its pivot row."""
+    live row into it with a Bezout pair of its own (the least s in 0..b-1
+    with s*a == gcd(a, b) mod b, found by search), and enumerates by trying
+    every value of each column against its pivot row."""
 
     def __init__(self, ncols, m, rows):
         self.ncols, self.m = ncols, m
@@ -777,7 +778,9 @@ class Int64SolutionSet:
             piv = live.pop()
             for other in live:
                 a, b = int(piv[col]), int(other[col])
-                g, s, t = arrowweight._xgcd(a, b)
+                g = gcd(a, b)
+                s = next(s for s in range(b) if (s * a - g) % b == 0)
+                t = (g - s * a) // b
                 leftover = ((b // g) * piv - (a // g) * other) % m
                 piv = (s * piv + t * other) % m
                 if leftover.any():
@@ -858,15 +861,15 @@ class TestSolverOracles:
                 for v in rng.sample(others, min(40, len(others))):
                     assert not sols.contains(v), (m, rows, v)
 
-    def test_mixed_column_mod_6_takes_the_xgcd_pair(self, monkeypatch):
+    def test_mixed_column_mod_6_takes_the_merge_branch(self, monkeypatch):
         calls = []
-        real = arrowweight._xgcd
+        real = arrowweight._combine
 
-        def xgcd(a, b):
-            calls.append((a, b))
-            return real(a, b)
+        def combine(*args):  # only the merge branch combines rows
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(arrowweight, "_xgcd", xgcd)
+        monkeypatch.setattr(arrowweight, "_combine", combine)
         # column 1 holds 2 and 3, neither of whose gcds with 6 divides the other
         rows = [{0: 2, 1: 2}, {0: 3, 1: 3}, {0: 4, 2: 1}]
         sols = SolutionSet(3, 6, rows)

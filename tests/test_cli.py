@@ -1,13 +1,18 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from arrowquiver import arrowweight
 from arrowquiver.arrowweight import is_valid_weight
+from arrowquiver.biquandle import load as load_biquandle
 from arrowquiver.cli import main
-from arrowquiver.knotdata import bundled_path
+from arrowquiver.gausscode import parse_gauss_code
+from arrowquiver.homset import enumerate_colorings
+from arrowquiver.knotdata import bundled_path, bundled_table
 
 from test_arrowweight import asymmetric_tensor, no_constraints, random_z16_tensor
 
@@ -48,6 +53,47 @@ class TestColor:
             "count": 2,
             "colorings": [[1, 2], [2, 1]],
         }
+
+    def test_empty_code_is_the_unknot(self, capsys):
+        code, out, err = run(capsys, "color", "--biquandle", FLIP2, "--knot", "")
+        assert (code, out, err) == (0, "1\n2\ncount 2\n", "")
+
+    @pytest.mark.parametrize("knot", ["O1+ U1+", "O1+,U1+", " O1+ ,\tU1+ "])
+    def test_blanks_and_commas_separate_tokens(self, capsys, knot):
+        expected = run(capsys, "color", "--biquandle", FLIP2, "--knot", "O1+U1+")
+        assert run(capsys, "color", "--biquandle", FLIP2, "--knot", knot) == expected
+
+    def test_a_code_exactly_when_the_tokenizer_reads_all_of_it(self, capsys):
+        # --knot is a Gauss code exactly when parse_gauss_code reports no
+        # "bad Gauss code near"; any other string is looked up by name
+        flip2 = load_biquandle(FLIP2)
+        names = set(bundled_table().names())
+        rng = random.Random(20261020)
+        seen = Counter()
+        for _ in range(300):
+            knot = "".join(
+                rng.choice("OU0129+-, .") if rng.random() < 0.5
+                else rng.choice("OU") + rng.choice("12") + rng.choice("+-")
+                for _ in range(rng.randint(0, 6))
+            )
+            # the = form, since a string may start with "-"
+            code, out, err = run(capsys, "color", "--biquandle", FLIP2, f"--knot={knot}")
+            try:
+                d = parse_gauss_code(knot)
+            except ValueError as exc:
+                if "bad Gauss code near" in str(exc):
+                    seen["name"] += 1
+                    unknown = f"arrowquiver: unknown knot {knot!r}\n"
+                    assert (code, err) == ((0, "") if knot in names else (2, unknown))
+                else:
+                    seen["invalid code"] += 1
+                    assert (code, out) == (2, "")
+                    assert err == f"arrowquiver: invalid Gauss code {knot!r}: {exc}\n"
+            else:
+                seen["code"] += 1
+                assert (code, err) == (0, "")
+                assert out.endswith(f"count {len(enumerate_colorings(flip2, d))}\n")
+        assert len(seen) == 3 and min(seen.values()) >= 40, seen
 
 
 class TestEndos:

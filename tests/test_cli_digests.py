@@ -25,7 +25,6 @@ def sha256(text: str) -> str:
 def test_recorded_output(code, out, err, argv, capsys, monkeypatch):
     # file arguments are bare names of bundled files, as recorded
     monkeypatch.chdir(bundled_path("."))
-    monkeypatch.setenv("COLUMNS", "80")
     try:
         got = main(argv.split(" "))
     except SystemExit as exc:  # a usage error

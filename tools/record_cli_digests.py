@@ -139,8 +139,6 @@ def digest(data: bytes) -> str:
 
 
 def record() -> None:
-    # argparse wraps usage lines to the terminal width
-    os.environ["COLUMNS"] = "80"
     os.chdir(DATA)
     lines = []
     for argv in matrix():
