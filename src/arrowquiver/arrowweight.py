@@ -62,6 +62,7 @@ from .gausscode import (
     R1Insert,
     R2Insert,
     R3Slide,
+    _insert_blocks,
     _listing,
     enumerate_moves,
     parse_gauss_code,
@@ -174,16 +175,22 @@ def _rotation_rows_at(terms: list[tuple], indices) -> list[dict[int, int]]:
     return rows
 
 
+def _coefficients(terms: list[tuple]) -> dict[int, int]:
+    """The weight sum of one coloring's pair ``terms`` as a sparse vector
+    of coefficients on tensor slots."""
+    coeffs: dict[int, int] = {}
+    for sign, slot, *_ in terms:
+        coeffs[slot] = coeffs.get(slot, 0) + sign
+    return coeffs
+
+
 def sigma_coefficients(
     cd: CompiledDiagram, coloring: tuple[int, ...], n: int
 ) -> dict[int, int]:
     """sigma_D of a coloring of the compiled diagram ``cd`` as a sparse
     vector of coefficients on tensor slots; callers read ``cd`` once per
     diagram."""
-    coeffs: dict[int, int] = {}
-    for sign, slot, *_ in _pair_terms(cd, coloring, n):
-        coeffs[slot] = coeffs.get(slot, 0) + sign
-    return coeffs
+    return _coefficients(_pair_terms(cd, coloring, n))
 
 
 def sigma_D(w: WeightTensor, d: GaussDiagram, coloring: tuple[int, ...]) -> int:
@@ -260,7 +267,10 @@ def _r3_template_hosts(spectators: int) -> list[GaussDiagram]:
     g2 != g1, in every way, each once.  So one spectator of either sign
     gives 12 words on each of the 4 bare hosts, 48 hosts in all, and in
     none of them is it a kink: a block lies between its passages both ways
-    round the circle.
+    round the circle.  The move engine builds them: its block insertion,
+    :func:`~arrowquiver.gausscode._insert_blocks`, which places every
+    inserted passage, puts one single-passage block into each of the two
+    gaps of the bare host.
 
     A spectator with both passages in one gap would be a kink, and such a
     host adds no constraint row.  Deleting the kink is an R1 move onto the
@@ -278,22 +288,15 @@ def _r3_template_hosts(spectators: int) -> list[GaussDiagram]:
         site_b = [Endpoint(1, "O", eps), Endpoint(3, "U", eps)]
         site_c = [Endpoint(2, "O", eps), Endpoint(3, "O", eps)]
         for blocks in ((site_a, site_b, site_c), (site_a, site_c, site_b)):
-            placements: list[list[list[Endpoint]]] = []
+            bare = GaussDiagram(tuple(blocks[0] + blocks[1] + blocks[2]))
             if spectators == 0:
-                placements.append([[], [], []])
-            else:
-                for s_sign in (1, -1):
-                    for g1, g2 in permutations(range(3), 2):
-                        gaps: list[list[Endpoint]] = [[], [], []]
-                        gaps[g1].append(Endpoint(4, "O", s_sign))
-                        gaps[g2].append(Endpoint(4, "U", s_sign))
-                        placements.append(gaps)
-            for gaps in placements:
-                word: list[Endpoint] = []
-                for block, gap in zip(blocks, gaps):
-                    word.extend(block)
-                    word.extend(gap)
-                hosts.append(GaussDiagram(tuple(word)))
+                hosts.append(bare)
+                continue
+            for s_sign in (1, -1):
+                o, u = [Endpoint(4, "O", s_sign)], [Endpoint(4, "U", s_sign)]
+                # the gap after block g sits before passage 2g + 2
+                for g1, g2 in permutations(range(3), 2):
+                    hosts.append(_insert_blocks(bare, {2 * g1 + 2: o, 2 * g2 + 2: u})[0])
     return hosts
 
 
@@ -355,11 +358,15 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     Rows come from three sources: each Reidemeister move applicable to a
     family of small host diagrams (weight sums of a coloring and of its
     transport must agree), slide moves on dedicated three- and four-chord
-    hosts, and basepoint rotation on every host.  The rows have integer
-    coefficients that do not depend on m, so they are built once per
-    biquandle (:func:`_integer_rows`) and only reduced mod m here; the
-    first row to reduce to a given row mod m is always the first occurrence
-    of its integer row, so the order is that of the rows as generated.
+    hosts, and basepoint rotation on every host.  Each host is walked
+    once: its colorings are looked up once and each coloring's pair terms
+    are listed once; the move rows, then the rotation rows, are read from
+    those terms, and only a transported coloring lists terms of its own.
+    The rows have integer coefficients that do not depend on m, so they
+    are built once per biquandle (:func:`_integer_rows`) and only reduced
+    mod m here; the first row to reduce to a given row mod m is always the
+    first occurrence of its integer row, so the order is that of the rows
+    as generated.
 
     R1 moves give no rows and are not carried out.  A kink's two passages
     are adjacent, so its chord interleaves no other; transport keeps every
@@ -419,21 +426,21 @@ def _r2_key(move: R2Insert, coloring: tuple[int, ...]) -> tuple[bool, int, int, 
 @lru_cache(maxsize=16)
 def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
     """The distinct nonzero integer constraint rows for ``b``, in order of
-    first occurrence."""
+    first occurrence.  One walk per host reads its colorings once and lists
+    each coloring's pair terms once; its move rows come first, then its
+    rotation rows."""
     n = b.n
     unique: dict[tuple[tuple[int, int], ...], None] = {}
-
-    def add(row: dict[int, int]) -> None:
-        key = tuple(sorted((s, c) for s, c in row.items() if c))
-        if key:
-            unique[key] = None
-
     r2_keys: set[tuple[bool, int, int, int]] = set()  # carried so far
-
-    def move_rows(d: GaussDiagram, moves) -> None:
+    hosts = [(d, [mv for mv in enumerate_moves(d) if not _rowless(mv)]) for d in _small_hosts()]
+    for d in _r3_template_hosts(0) + _r3_template_hosts(1):
+        hosts.append((d, [mv for mv in _listing(d) if isinstance(mv, R3Slide)]))
+    for d, moves in hosts:
         colorings = enumerate_colorings(b, d)
         cd = d.compiled
-        bases = [sigma_coefficients(cd, c, n) for c in colorings]
+        terms = [_pair_terms(cd, c, n) for c in colorings]
+        bases = [_coefficients(t) for t in terms]
+        rows: list[dict[int, int]] = []
         for move in moves:
             carried = range(len(colorings))
             if isinstance(move, R2Insert):
@@ -449,27 +456,18 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
             d2, images = _transport(b, d, move, [colorings[i] for i in carried])
             cd2 = d2.compiled
             for i, c2 in zip(carried, images):
-                add(_difference_row(bases[i], sigma_coefficients(cd2, c2, n)))
-
-    def rotation_rows(d: GaussDiagram) -> None:
+                rows.append(_difference_row(bases[i], sigma_coefficients(cd2, c2, n)))
         two_n = len(d.endpoints)
-        if two_n < 4:
-            return
-        # row k + 1 repeats row k when passage k is an O passage, so only
-        # row 1 (index 0) and the rows after a U passage are built and added
-        changed = [0] + [k for k in range(1, two_n - 1) if d.endpoints[k].passage == "U"]
-        cd = d.compiled
-        for c in enumerate_colorings(b, d):
-            for row in _rotation_rows_at(_pair_terms(cd, c, n), changed):
-                add(row)
-
-    for d in _small_hosts():
-        move_rows(d, [mv for mv in enumerate_moves(d) if not _rowless(mv)])
-        rotation_rows(d)
-    for spectators in (0, 1):
-        for d in _r3_template_hosts(spectators):
-            move_rows(d, [mv for mv in _listing(d) if isinstance(mv, R3Slide)])
-            rotation_rows(d)
+        if two_n >= 4:
+            # row k + 1 repeats row k when passage k is an O passage, so only
+            # row 1 (index 0) and the rows after a U passage are built
+            changed = [0] + [k for k in range(1, two_n - 1) if d.endpoints[k].passage == "U"]
+            for t in terms:
+                rows += _rotation_rows_at(t, changed)
+        for row in rows:
+            key = tuple(sorted((s, c) for s, c in row.items() if c))
+            if key:
+                unique[key] = None
     return [dict(key) for key in unique]
 
 

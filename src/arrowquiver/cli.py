@@ -96,6 +96,8 @@ def _tensor(path: str, b: Biquandle) -> WeightTensor:
 
 
 def _endos(args, b: Biquandle) -> list[tuple[int, ...]]:
+    if args.full_endos and args.endos is not None:
+        raise InputError("--endos FILE and --full-endos cannot be used together")
     if args.full_endos:
         return b.endomorphisms()
     if args.endos is None:

@@ -44,11 +44,12 @@ their chords 1..n in that order.  An R3 slide swaps the two passages of
 each of its three blocks in place.
 
 One rule decides which moves apply.  An insertion applies when its gaps
-lie in 0..2n.  A deletion or slide applies exactly when
-:func:`enumerate_moves` lists it: the matcher :func:`_deletions` finds
-them in the word, :func:`_listing` lists them for the diagram, and
-:func:`apply_move` and :func:`inverse_move` accept a deletion or slide
-only as an instance found there, which they then apply or invert.
+are ``int`` values (not bools) in 0..2n.  A deletion or slide applies
+exactly when :func:`enumerate_moves` lists it: the matcher
+:func:`_deletions` finds them in the word, :func:`_listing` lists them
+for the diagram, and :func:`apply_move` and :func:`inverse_move` accept
+a deletion or slide only as an instance found there, which they then
+apply or invert.
 
 The same rule gives the old semiarc each new one continues, which carries
 colorings through the move (:mod:`arrowquiver.homset`).  A semiarc between
@@ -592,12 +593,18 @@ def _listing(d: GaussDiagram) -> dict[Move, Move]:
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """The diagram after performing ``move`` on ``d``.
 
-    An insertion applies when its gaps lie in 0..2n; a deletion or slide
-    applies exactly when :func:`enumerate_moves` lists it for ``d``, as the
-    listed instance it equals.  Any other move raises ValueError, and what
-    is no move raises TypeError.
+    An insertion applies when its gaps are ``int`` values in 0..2n; a
+    deletion or slide applies exactly when :func:`enumerate_moves` lists it
+    for ``d``, as the listed instance it equals.  Any other move raises
+    ValueError, and what is no move raises TypeError.
     """
     return _moved(d, move)[0]
+
+
+def _is_gap(gap, two_n: int) -> bool:
+    """Whether ``gap`` is an insertion gap of a word of ``two_n`` passages:
+    an ``int`` (not a bool) in 0..2n."""
+    return type(gap) is int and 0 <= gap <= two_n
 
 
 def _moved(d: GaussDiagram, move: Move) -> Moved:
@@ -607,7 +614,7 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
     semiarcs that a deletion joins into one."""
     two_n = len(d.endpoints)
     if isinstance(move, R1Insert):
-        if not 0 <= move.gap <= two_n:
+        if not _is_gap(move.gap, two_n):
             raise ValueError("R1 gap out of range")
         c = d.n + 1
         pair = [Endpoint(c, "U", move.sign), Endpoint(c, "O", move.sign)]
@@ -616,7 +623,7 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
         return _insert_blocks(d, {move.gap: pair})
 
     if isinstance(move, R2Insert):
-        if not (0 <= move.gap_over <= two_n and 0 <= move.gap_under <= two_n):
+        if not (_is_gap(move.gap_over, two_n) and _is_gap(move.gap_under, two_n)):
             raise ValueError("R2 gap out of range")
         a, b = d.n + 1, d.n + 2
         sa, sb = move.sign, -move.sign

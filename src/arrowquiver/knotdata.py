@@ -68,6 +68,7 @@ class KnotTable:
 def parse_table(text: str, source: str = "<string>") -> KnotTable:
     """Parse TSV lines ``name<TAB>code[<TAB>note]`` into a table."""
     entries: list[KnotEntry] = []
+    names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -81,6 +82,9 @@ def parse_table(text: str, source: str = "<string>") -> KnotTable:
             diagram = parse_gauss_code(code)
         except ValueError as err:
             raise ValueError(f"{source}:{lineno}: {err}") from None
+        if name in names:
+            raise ValueError(f"{source}:{lineno}: duplicate knot name {name!r}")
+        names.add(name)
         entries.append(KnotEntry(name, diagram, note))
     return KnotTable(tuple(entries))
 

@@ -633,6 +633,44 @@ class TestConstraintRowsOracle:
         }
 
 
+class TestOneWalkPerHost:
+    """The row builder walks each host once: it looks up the host's
+    colorings once and lists each coloring's pair terms once, for both its
+    move rows and its rotation rows; only the transported images add
+    listings, one each."""
+
+    @pytest.mark.parametrize("name", ["flip2", "cyc3", "quad4", "shift4"])
+    def test_colorings_and_pair_terms_are_read_once(self, monkeypatch, request, name):
+        b = request.getfixturevalue(name)
+        looked_up: list = []
+        calls = Counter()
+
+        def lookup(b_, d):
+            looked_up.append(d)
+            return enumerate_colorings(b_, d)
+
+        def pair_terms(cd, c, n):
+            calls["pair_terms"] += 1
+            return _pair_terms(cd, c, n)
+
+        def transport(b_, d, move, colorings):
+            d2, images = homset._transport(b_, d, move, colorings)
+            calls["images"] += len(images)
+            return d2, images
+
+        monkeypatch.setattr(arrowweight, "enumerate_colorings", lookup)
+        monkeypatch.setattr(arrowweight, "_pair_terms", pair_terms)
+        monkeypatch.setattr(arrowweight, "_transport", transport)
+        rows = _integer_rows.__wrapped__(b)  # cold: past the cache of _integer_rows
+        monkeypatch.undo()
+        assert rows == _integer_rows(b)
+        hosts = _small_hosts() + _r3_template_hosts(0) + _r3_template_hosts(1)
+        assert looked_up == hosts
+        host_colorings = sum(len(enumerate_colorings(b, d)) for d in hosts)
+        assert calls["images"] > 0
+        assert calls["pair_terms"] == host_colorings + calls["images"]
+
+
 def _affine_z3(a, b, c, d) -> Biquandle:
     """The biquandle on Z_3 with under(x, y) = a x + b y, over(x, y) = c x + d y."""
     under = tuple(tuple((a * x + b * y) % 3 or 3 for y in (1, 2, 3)) for x in (1, 2, 3))

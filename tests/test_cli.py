@@ -456,6 +456,19 @@ class TestErrors:
         assert code == 2
         assert "needs --endos FILE or --full-endos" in err
 
+    @pytest.mark.parametrize("kind", ["indeg", "weight-poly"])
+    def test_endos_file_with_full_endos_exits_2(self, capsys, tmp_path, kind):
+        # the file would be ignored; a directory shows it is never read
+        code, out, err = run(
+            capsys,
+            "invariant", "--type", kind,
+            "--biquandle", CYC3, "--tensor", W8,
+            "--full-endos", "--endos", str(tmp_path), "--knot", "2.1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--endos FILE and --full-endos cannot be used together" in err
+
     def test_non_endomorphism_file_exits_2(self, capsys, tmp_path):
         endos = tmp_path / "endos.txt"
         endos.write_text("1 2 3\n1 1 2\n")
@@ -620,6 +633,16 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"{knots}:1: expected name<TAB>code" in err
+
+    def test_duplicate_knot_name_names_file_and_line(self, capsys, tmp_path):
+        knots = tmp_path / "knots.tsv"
+        knots.write_text("2.1\tO1+U1+\n2.2\tO1-U1-\n2.1\tO1-U1-\n")
+        code, out, err = run(
+            capsys, "color", "--biquandle", FLIP2, "--knots", str(knots), "--knot", "2.1"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{knots}:3: duplicate knot name '2.1'" in err
 
     def test_non_integer_tensor_entry_exits_2(self, capsys, tmp_path):
         path = tmp_path / "w.txt"

@@ -199,8 +199,10 @@ class TestR1:
         assert str(apply_move(d, R1Insert(0, False, 1))) == "O2+U2+O1+U1+"
 
     def test_insert_gap_out_of_range(self):
-        with pytest.raises(ValueError, match="R1 gap out of range"):
-            apply_move(parse_gauss_code("O1+U1+"), R1Insert(3, False, 1))
+        # a gap is an int: 1.0 and True name gap 1 but are refused
+        for gap in (3, -1, 1.0, True):
+            with pytest.raises(ValueError, match="R1 gap out of range"):
+                apply_move(parse_gauss_code("O1+U1+"), R1Insert(gap, False, 1))
 
     def test_delete(self):
         d = parse_gauss_code("O1+U2-O2-U1+")
@@ -230,7 +232,7 @@ class TestR2:
         assert str(apply_move(d, R2Insert(0, 0, False, -1))) == "O1-O2+U1-U2+"
         assert str(apply_move(d, R2Insert(0, 0, True, -1))) == "O1-O2+U2+U1-"
 
-    @pytest.mark.parametrize("gaps", [(0, 3), (-1, 0), (3, 3)])
+    @pytest.mark.parametrize("gaps", [(0, 3), (-1, 0), (3, 3), (1.0, 2), (1.5, 2), (0, True)])
     def test_insert_gap_out_of_range(self, gaps):
         with pytest.raises(ValueError, match="R2 gap out of range"):
             apply_move(parse_gauss_code("O1+U1+"), R2Insert(*gaps, False, 1))

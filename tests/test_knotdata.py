@@ -68,6 +68,10 @@ class TestParsing:
         with pytest.raises(ValueError, match="duplicate knot name 'k1'"):
             parse_table("k1\tO1+U1+\nk1\tO1-U1-\n")
 
+    def test_duplicate_name_reports_line_of_the_repeat(self):
+        with pytest.raises(ValueError, match=r"^mytable:3: duplicate knot name 'k1'$"):
+            parse_table("k1\tO1+U1+\n# note\nk1\tO1-U1-\n", source="mytable")
+
     def test_load_table_roundtrip(self, table, tmp_path):
         path = tmp_path / "knots.tsv"
         lines = [f"{e.name}\t{e.diagram}" for e in table]
