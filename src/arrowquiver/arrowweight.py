@@ -16,15 +16,18 @@ its tensor slot and its under-passage indices.
 :func:`_sums` is the one loop that adds tensor entries into weight sums,
 straight from that table; :func:`sigma_D`, :func:`weight_multiset`, the
 ``nontrivial`` probes of :func:`search_weights` and the validity trials all
-read their sums from it.  The symbolic side, :func:`sigma_coefficients`, the
-rotation rows and the basepoint check, lists one coloring's terms with
-:func:`_pair_terms`, from compiled tables that its caller reads once per
-diagram.
+read their sums from it.  The symbolic side, :func:`sigma_coefficients` and
+the rotation rows, lists one coloring's terms with :func:`_pair_terms`,
+from compiled tables that its caller reads once per diagram.
 Moving the basepoint to passage k swaps the labels of exactly the pairs
-it straddles, those with under-passages u1 < k <= u2.  For W to define a
-knot invariant the multiset of weight sums over all colorings must be
-unchanged by Reidemeister moves and by moving the basepoint; both are
-linear conditions on the entries of W, collected by
+it straddles, those with under-passages u1 < k <= u2
+(:func:`_rotation_rows_at`).  A rotation row can change only after a U
+passage (:func:`_basepoints`); the constraint generator emits the rows at
+those basepoints, and the validity trials evaluate the same rows at the
+tensor (:func:`_check_rotations`).
+For W to define a knot invariant the multiset of weight sums over all
+colorings must be unchanged by Reidemeister moves and by moving the
+basepoint; both are linear conditions on the entries of W, collected by
 :func:`generate_constraints` and solved over Z_m by :func:`solve_constraints`.
 The conditions are integer rows that do not depend on m: they are built and
 deduplicated once per biquandle, and each modulus reduces that one list.
@@ -92,11 +95,12 @@ class WeightTensor:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        # type, not isinstance: a bool is an int, and a float entry gives float sums
+        if type(self.m) is not int or self.m < 1:
             raise ValueError(f"modulus must be a positive integer, got {self.m}")
-        if len(self.entries) != self.n**4:
+        if type(self.n) is not int or len(self.entries) != self.n**4:
             raise ValueError("wrong number of tensor entries")
-        if any(not 0 <= e < self.m for e in self.entries):
+        if any(type(e) is not int or not 0 <= e < self.m for e in self.entries):
             raise ValueError(f"entries must lie in 0..{self.m - 1}")
 
     def __hash__(self) -> int:
@@ -232,26 +236,34 @@ def _sums(w: WeightTensor, d: GaussDiagram, colorings) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def _basepoints(cd: CompiledDiagram) -> list[int]:
+    """The indices of the rotation rows of the compiled diagram ``cd`` (see
+    :func:`_rotation_rows_at`) that can differ from the row before: row 0,
+    and row i for each U passage i with 0 < i < 2n - 1.
+
+    Row i covers the pair terms with u1 <= i < u2, where u1 and u2 are
+    under-passage indices, so it differs from row i - 1 only in the terms
+    with u1 or u2 equal to i.  If passage i is an O passage, no term has
+    either, and row i repeats row i - 1.  So each row left out repeats the
+    listed row before it: the listed rows are every distinct rotation row,
+    and the first of them that is nonzero at a tensor is the first rotation
+    row that is.  A diagram of at most one chord has no pair, so its one
+    listed row, row 0, is empty."""
+    last = 2 * len(cd.slots) - 1
+    return [0, *sorted(u for _, u, _, _ in cd.slots if 0 < u < last)]
+
+
 def _check_rotations(w: WeightTensor, cd: CompiledDiagram, coloring: tuple[int, ...]) -> None:
     """Raise ValueError at the first basepoint k, 0 < k < 2n, from which the
     weight sum of ``coloring`` of the compiled diagram ``cd`` differs; it
-    never does for a valid arrow weight.
-
-    Rotation row k - 1 (see :func:`_rotation_rows_at`), evaluated at w, is
-    the sum of sign * (W[slot] - W[swapped]) over the pairs with
-    u1 < k <= u2: a prefix sum of +x at u1 + 1 and -x at u2 + 1."""
+    never does for a valid arrow weight.  It evaluates the rotation rows at
+    :func:`_basepoints` at w: row k - 1 is sigma_D minus sigma_D from
+    basepoint k."""
     e, m = w.entries, w.m
-    two_n = 2 * len(cd.slots)
-    steps = [0] * (two_n + 1)
-    for sign, slot, swapped, u1, u2 in _pair_terms(cd, coloring, w.n):
-        x = sign * (e[slot] - e[swapped])
-        steps[u1 + 1] += x
-        steps[u2 + 1] -= x
-    value = 0
-    for k in range(1, two_n):
-        value += steps[k]
-        if value % m:
-            raise ValueError(f"weight sum depends on the basepoint (rotation {k})")
+    indices = _basepoints(cd)
+    for i, row in zip(indices, _rotation_rows_at(_pair_terms(cd, coloring, w.n), indices)):
+        if sum(c * e[s] for s, c in row.items()) % m:
+            raise ValueError(f"weight sum depends on the basepoint (rotation {i + 1})")
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +408,9 @@ def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     rows of a bare host (see :func:`_r3_template_hosts`).  The one-chord
     small hosts are kinks, but their R2 inserts give rows.
 
-    Rotation rows are added only where they can change.  Rotation row k
-    covers the pair terms with u1 < k <= u2, where u1 and u2 are
-    under-passage indices.  If passage k is an O passage, no term has u1
-    or u2 equal to k, so row k + 1 equals row k.  So only row 1 and the
-    rows k whose passage k - 1 is a U passage are added; each row skipped
-    repeats the row just before it, so the rows and their order are
-    unchanged.
+    Rotation rows are added only at :func:`_basepoints`, where they can
+    change; each row skipped repeats the row just before it, so the rows
+    and their order are unchanged.
     """
     return ConstraintSystem(b.n, m, _integer_rows(b))
 
@@ -457,13 +465,9 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
             cd2 = d2.compiled
             for i, c2 in zip(carried, images):
                 rows.append(_difference_row(bases[i], sigma_coefficients(cd2, c2, n)))
-        two_n = len(d.endpoints)
-        if two_n >= 4:
-            # row k + 1 repeats row k when passage k is an O passage, so only
-            # row 1 (index 0) and the rows after a U passage are built
-            changed = [0] + [k for k in range(1, two_n - 1) if d.endpoints[k].passage == "U"]
-            for t in terms:
-                rows += _rotation_rows_at(t, changed)
+        basepoints = _basepoints(cd)
+        for t in terms:
+            rows += _rotation_rows_at(t, basepoints)
         for row in rows:
             key = tuple(sorted((s, c) for s, c in row.items() if c))
             if key:

@@ -44,12 +44,12 @@ their chords 1..n in that order.  An R3 slide swaps the two passages of
 each of its three blocks in place.
 
 One rule decides which moves apply.  An insertion applies when its gaps
-are ``int`` values (not bools) in 0..2n.  A deletion or slide applies
-exactly when :func:`enumerate_moves` lists it: the matcher
-:func:`_deletions` finds them in the word, :func:`_listing` lists them
-for the diagram, and :func:`apply_move` and :func:`inverse_move` accept
-a deletion or slide only as an instance found there, which they then
-apply or invert.
+are ``int`` values (not bools) in 0..2n and its flag is a ``bool``.  A
+deletion or slide applies exactly when :func:`enumerate_moves` lists it:
+the matcher :func:`_deletions` finds them in the word, :func:`_listing`
+lists them for the diagram, and :func:`apply_move` and
+:func:`inverse_move` accept a deletion or slide only as an instance found
+there, which they then apply or invert.
 
 The same rule gives the old semiarc each new one continues, which carries
 colorings through the move (:mod:`arrowquiver.homset`).  A semiarc between
@@ -593,10 +593,11 @@ def _listing(d: GaussDiagram) -> dict[Move, Move]:
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """The diagram after performing ``move`` on ``d``.
 
-    An insertion applies when its gaps are ``int`` values in 0..2n; a
-    deletion or slide applies exactly when :func:`enumerate_moves` lists it
-    for ``d``, as the listed instance it equals.  Any other move raises
-    ValueError, and what is no move raises TypeError.
+    An insertion applies when its gaps are ``int`` values in 0..2n and its
+    flag, ``head_first`` or ``antiparallel``, is a ``bool``; a deletion or
+    slide applies exactly when :func:`enumerate_moves` lists it for ``d``,
+    as the listed instance it equals.  Any other move raises ValueError,
+    and what is no move raises TypeError.
     """
     return _moved(d, move)[0]
 
@@ -616,6 +617,8 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
     if isinstance(move, R1Insert):
         if not _is_gap(move.gap, two_n):
             raise ValueError("R1 gap out of range")
+        if type(move.head_first) is not bool:
+            raise ValueError(f"R1 head_first must be a bool, got {move.head_first!r}")
         c = d.n + 1
         pair = [Endpoint(c, "U", move.sign), Endpoint(c, "O", move.sign)]
         if not move.head_first:
@@ -625,6 +628,8 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
     if isinstance(move, R2Insert):
         if not (_is_gap(move.gap_over, two_n) and _is_gap(move.gap_under, two_n)):
             raise ValueError("R2 gap out of range")
+        if type(move.antiparallel) is not bool:
+            raise ValueError(f"R2 antiparallel must be a bool, got {move.antiparallel!r}")
         a, b = d.n + 1, d.n + 2
         sa, sb = move.sign, -move.sign
         over = [Endpoint(a, "O", sa), Endpoint(b, "O", sb)]

@@ -13,8 +13,10 @@ The polynomials, the weight quotient and the isomorphism test read these
 tuples; the triples are listed from them on demand, for rendering.
 
 The quotient quiver merges vertices of equal weight, keeping every edge
-with multiplicity; the polynomial invariants of
-:mod:`arrowquiver.invariants` read either object.
+with multiplicity.  The polynomial invariants of
+:mod:`arrowquiver.invariants` read a :class:`Quiver`, not its
+quotient; ``phi_quotient_loop`` counts the quotient's loops as the edges
+of the quiver between equal weights.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from arrowquiver.arrowweight import (
     ConstraintSystem,
     SolutionSet,
     WeightTensor,
+    _basepoints,
     _check_rotations,
     _difference_row,
     _integer_rows,
@@ -95,6 +96,23 @@ class TestTensor:
     def test_modulus_checked(self, m):
         with pytest.raises(ValueError, match=f"^modulus must be a positive integer, got {m}$"):
             WeightTensor(1, m, (0,))
+
+    @pytest.mark.parametrize(
+        "n, m, entries, message",
+        [
+            (2, 16.0, (0,) * 16, "^modulus must be a positive integer, got 16.0$"),
+            (1, True, (0,), "^modulus must be a positive integer, got True$"),
+            (2.0, 16, (0,) * 16, "^wrong number of tensor entries$"),
+            (True, 16, (0,), "^wrong number of tensor entries$"),
+            (2, 16, (1.5,) + (0,) * 15, r"^entries must lie in 0\.\.15$"),
+            (2, 16, (2.0,) + (0,) * 15, r"^entries must lie in 0\.\.15$"),
+            (1, 4, (True,), r"^entries must lie in 0\.\.3$"),
+        ],
+    )
+    def test_only_ints_accepted(self, n, m, entries, message):
+        # a float tensor would give float weight sums
+        with pytest.raises(ValueError, match=message):
+            WeightTensor(n, m, entries)
 
     def test_is_zero(self, w16):
         assert not any(WeightTensor(1, 4, (0,)).entries)
@@ -357,9 +375,32 @@ class TestEvaluatorOracles:
         assert checked > 1000
 
     @pytest.mark.parametrize("name", ["flip2", "cyc3", "quad4", "shift4"])
+    def test_rows_off_the_basepoints_repeat_the_row_before(self, request, name):
+        b = request.getfixturevalue(name)
+        n = b.n
+        skipped = 0
+        for d in _oracle_diagrams():
+            two_n = len(d.endpoints)
+            kept = _basepoints(d.compiled)
+            assert kept[0] == 0 and kept == sorted(set(kept))
+            assert all(d.endpoints[i].passage == "U" for i in kept[1:]), str(d)
+            for c in enumerate_colorings(b, d):
+                rows = _rotation_rows_at(_pair_terms(d.compiled, c, n), range(two_n - 1))
+                for i in range(1, two_n - 1):
+                    if i not in kept:
+                        assert rows[i] == rows[i - 1], (str(d), c, i)
+                        skipped += 1
+        assert skipped > 400
+
+    def test_basepoints_of_diagrams_without_pairs(self):
+        for code in ("", "O1+U1+", "U1-O1-"):
+            assert _basepoints(parse_gauss_code(code).compiled) == [0]
+
+    @pytest.mark.parametrize("name", ["flip2", "cyc3", "quad4", "shift4"])
     def test_rotation_check_matches_rotation_rows(self, request, name):
-        """The prefix-sum check against each rotation row evaluated at w: the
-        same first failing rotation, or the same sum when none fails."""
+        """The basepoint check against every rotation row, all 2n - 1 of
+        them, evaluated at w: the same first failing rotation, or the same
+        sum when none fails."""
         b = request.getfixturevalue(name)
         n = b.n
         rng = random.Random(name)

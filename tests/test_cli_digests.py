@@ -3,6 +3,7 @@
 recorded sha256 of its stdout and of its stderr."""
 
 import hashlib
+import importlib.util
 
 import pytest
 
@@ -48,3 +49,13 @@ def test_same_output_on_every_terminal_width(argv, capsys, monkeypatch):
         (recorded,) = [r for r in RECORDED if r[3] == " ".join(argv)]
         (captured,) = seen
         assert recorded[:3] == ["1", sha256(captured.out), sha256(captured.err)]
+
+
+def test_recorded_commands_are_the_tool_matrix():
+    # the file is re-recorded only by the tool, so its argv column must be
+    # the tool's matrix, command for command and in order
+    path = TESTS.parent / "tools" / "record_cli_digests.py"
+    spec = importlib.util.spec_from_file_location("record_cli_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.matrix() == [argv.split(" ") for *_, argv in RECORDED]

@@ -389,6 +389,18 @@ class TestInverseChecks:
         assert _outcome(apply_move, d, move) == (ValueError, message)
         assert _outcome(inverse_move, d, move) == (ValueError, message)
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0.0, None])
+    def test_insertion_flags_must_be_bools(self, flag):
+        # read as truthy, R1Insert(0, "no", 1) would insert a [U O] kink and
+        # R2Insert(0, 2, "no", 1) an antiparallel pair
+        d = parse_gauss_code("O1+U1+")
+        for move, message in (
+            (R1Insert(0, flag, 1), f"R1 head_first must be a bool, got {flag!r}"),
+            (R2Insert(0, 2, flag, 1), f"R2 antiparallel must be a bool, got {flag!r}"),
+        ):
+            assert _outcome(apply_move, d, move) == (ValueError, message)
+            assert _outcome(inverse_move, d, move) == (ValueError, message)
+
     def test_unknown_move(self):
         d = parse_gauss_code(TREFOIL)
         assert _outcome(inverse_move, d, "R1") == _outcome(apply_move, d, "R1") == (
