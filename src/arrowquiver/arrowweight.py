@@ -57,6 +57,7 @@ import numpy  # noqa: F401
 
 from .biquandle import Biquandle
 from .gausscode import (
+    _DIAGRAMS_CACHED,
     CompiledDiagram,
     Endpoint,
     GaussDiagram,
@@ -70,7 +71,7 @@ from .gausscode import (
     enumerate_moves,
     parse_gauss_code,
 )
-from .homset import _COLORINGS_CACHED, _colorings, _transport, enumerate_colorings
+from .homset import _colorings, _transport, enumerate_colorings
 
 __all__ = [
     "WeightTensor",
@@ -98,8 +99,13 @@ class WeightTensor:
         # type, not isinstance: a bool is an int, and a float entry gives float sums
         if type(self.m) is not int or self.m < 1:
             raise ValueError(f"modulus must be a positive integer, got {self.m}")
+        # a list would construct, then fail at the first hash
+        if not isinstance(self.entries, tuple):
+            raise ValueError(f"entries must be a tuple, got {type(self.entries).__name__}")
         if type(self.n) is not int or len(self.entries) != self.n**4:
             raise ValueError("wrong number of tensor entries")
+        if self.n < 1:
+            raise ValueError(f"size must be a positive integer, got {self.n}")
         if any(type(e) is not int or not 0 <= e < self.m for e in self.entries):
             raise ValueError(f"entries must lie in 0..{self.m - 1}")
 
@@ -207,7 +213,7 @@ def weight_multiset(b: Biquandle, w: WeightTensor, d: GaussDiagram) -> tuple[int
     return tuple(sorted(_weight_sums(b, w, d)))
 
 
-@lru_cache(maxsize=_COLORINGS_CACHED)
+@lru_cache(maxsize=_DIAGRAMS_CACHED)
 def _weight_sums(b: Biquandle, w: WeightTensor, d: GaussDiagram) -> tuple[int, ...]:
     """The weight sum of each coloring of ``d`` by ``b``, in the order of
     :func:`~arrowquiver.homset.enumerate_colorings`."""

@@ -194,9 +194,9 @@ def _orbits(b: Biquandle) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     with g(r) == a, as the tuple (0, g(1), ..., g(n)), so that g[v] is the
     image of v.  Each element is tried against the representatives found
     so far and becomes one itself when no automorphism carries any of them
-    to it; :func:`_automorphism` asks the one map search of
-    :mod:`arrowquiver.biquandle` for each such automorphism, and all these
-    searches share one budget.  Should it be spent, an element is kept as
+    to it; the first automorphism that the one map search of
+    :mod:`arrowquiver.biquandle` meets is kept, and all these searches
+    share one budget.  Should it be spent, an element is kept as
     its own representative: an orbit may then be split in several, which
     costs the coloring search speed, never correctness.
     """
@@ -204,23 +204,13 @@ def _orbits(b: Biquandle) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     orbits: list[tuple[int, list[tuple[int, ...]]]] = []
     for a in b.elements:
         for r, carriers in orbits:
-            g = _automorphism(b, r, a, budget)
+            g = next(b._maps(((r, a),), injective=True, budget=budget), None)
             if g is not None:
                 carriers.append(g)
                 break
         else:
             orbits.append((a, []))
     return tuple((r, tuple(carriers)) for r, carriers in orbits)
-
-
-def _automorphism(
-    b: Biquandle, r: int, a: int, budget: list[int]
-) -> tuple[int, ...] | None:
-    """The first automorphism g of ``b`` with g(r) == a that the map search
-    :meth:`~arrowquiver.biquandle.Biquandle._maps` meets, as :func:`_orbits`
-    stores it.  None when there is none, or once ``budget[0]``, the images
-    the search may still try, is spent."""
-    return next(b._maps(((r, a),), injective=True, budget=budget), None)
 
 
 def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> bool:
@@ -270,10 +260,7 @@ def enumerate_colorings(
 
 
 # the one bound of the diagram caches, set and explained in gausscode
-_COLORINGS_CACHED = _DIAGRAMS_CACHED
-
-
-@lru_cache(maxsize=_COLORINGS_CACHED)
+@lru_cache(maxsize=_DIAGRAMS_CACHED)
 def _colorings(b: Biquandle, d: GaussDiagram) -> tuple[tuple[int, ...], ...]:
     found: list[tuple[int, ...]] = []
     start = [0] * d.num_semiarcs

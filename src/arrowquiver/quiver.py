@@ -22,6 +22,7 @@ of the quiver between equal weights.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -169,6 +170,9 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver, ignore_weights: bool = False) -> b
 
     Both quivers are refined as one disjoint union; pairing two vertices
     pairs their forward orbits, and only unreached vertices are branched on.
+    A vertex of ``q1`` takes its partner from the side-2 vertices of its
+    refined color, listed once per color in ascending order, trying only
+    those still unpaired.
     """
     if len(q1.vertices) != len(q2.vertices) or len(q1.endos) != len(q2.endos):
         return False
@@ -181,48 +185,41 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver, ignore_weights: bool = False) -> b
     if sorted(colors[:n]) != sorted(colors[n:]):
         return False
     partner = [-1] * (2 * n)
-
-    def pair(v: int, w: int, trail: list[int]) -> bool:
-        # the coloring is stable, so every forced pair is equally colored
-        todo = [(v, w)]
-        while todo:
-            a, b = todo.pop()
-            if partner[a] == b:
-                continue
-            if partner[a] != -1 or partner[b] != -1:
-                return False
-            partner[a], partner[b] = b, a
-            trail.append(a)
-            todo.extend((s[a], s[b]) for s in succ)
-        return True
-
-    def unpair(trail: list[int]) -> None:
-        for a in trail:
-            partner[partner[a]] = -1
-            partner[a] = -1
-
+    members: dict[int, list[int]] = {}
+    for x in range(n, 2 * n):
+        members.setdefault(colors[x], []).append(x)
     # an explicit stack of branch points, so the depth is not bounded by the
-    # recursion limit: (vertex, its next candidate partner, trail of the
-    # pairing tried)
-    stack: list[tuple[int, int, list[int]]] = []
-    v, w = 0, n
-    while v < n:
-        w = next(
-            (x for x in range(w, 2 * n) if partner[x] == -1 and colors[x] == colors[v]),
-            2 * n,
-        )
-        if w == 2 * n:
-            if not stack:
-                return False
-            v, w, trail = stack.pop()
-            unpair(trail)
-            continue
-        trail = []
-        if pair(v, w, trail):
-            stack.append((v, w + 1, trail))
-            v = next((u for u in range(v + 1, n) if partner[u] == -1), n)
-            w = n
-        else:
-            unpair(trail)
-            w += 1
+    # recursion limit: (vertex, the unpaired members of its color not yet
+    # tried, trail of the pairing tried)
+    stack: list[tuple[int, Iterator[int], list[int]]] = []
+    v = -1
+    while (v := next((u for u in range(v + 1, n) if partner[u] == -1), n)) < n:
+        tries = (x for x in members[colors[v]] if partner[x] == -1)
+        trail: list[int] = []
+        while True:
+            # undo the pairing tried last, which failed or was backtracked
+            for a in trail:
+                partner[partner[a]] = -1
+                partner[a] = -1
+            w = next(tries, -1)
+            if w == -1:
+                if not stack:
+                    return False
+                v, tries, trail = stack.pop()
+                continue
+            # pairing v with w pairs their forward orbits; the coloring is
+            # stable, so every forced pair is equally colored
+            trail, todo = [], [(v, w)]
+            while todo:
+                a, b = todo.pop()
+                if partner[a] == b:
+                    continue
+                if partner[a] != -1 or partner[b] != -1:
+                    break
+                partner[a], partner[b] = b, a
+                trail.append(a)
+                todo.extend((s[a], s[b]) for s in succ)
+            else:  # no forced pair clashed: keep the pairing, go deeper
+                stack.append((v, tries, trail))
+                break
     return True

@@ -378,9 +378,9 @@ def test_criterion_8_invariance_many_colorings(quad4, w6, table):
     )
 
 
-@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("copies", [2, 3, 4])
 def test_criterion_8_slide_on_many_colorings(quad4, w6, table, copies):
-    """An R3 slide on a host with 256 or 4 096 quad4 colorings: connected
+    """An R3 slide on a host with 256, 4 096 or 65 536 quad4 colorings: connected
     copies of 4.99 followed by the slide host ``U1+U2+O1+U3+O2+O3+``,
     renumbered past them.  Every listed slide, and the slide back, keeps
     every invariant; the slide back is listed on the slid diagram and

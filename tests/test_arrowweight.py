@@ -114,6 +114,22 @@ class TestTensor:
         with pytest.raises(ValueError, match=message):
             WeightTensor(n, m, entries)
 
+    @pytest.mark.parametrize(
+        "n, entries",
+        [(0, ()), (-1, (0,)), (-2, (0,) * 16)],
+    )
+    def test_size_checked(self, n, entries):
+        # (-1)^4 == 1 and 0^4 == 0: the entry count alone lets these through
+        with pytest.raises(ValueError, match=f"^size must be a positive integer, got {n}$"):
+            WeightTensor(n, 4, entries)
+
+    @pytest.mark.parametrize("entries", [[0], range(1), b"\x00"], ids=["list", "range", "bytes"])
+    def test_entries_must_be_a_tuple(self, entries):
+        # a list would construct and then raise TypeError at its first hash
+        name = type(entries).__name__
+        with pytest.raises(ValueError, match=f"^entries must be a tuple, got {name}$"):
+            WeightTensor(1, 4, entries)
+
     def test_is_zero(self, w16):
         assert not any(WeightTensor(1, 4, (0,)).entries)
         assert any(w16.entries)

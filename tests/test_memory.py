@@ -85,7 +85,7 @@ class TestCacheReuse:
         orbits = len(homset._orbits(quad4))
         assert orbits == 2
         seen = set()
-        for d1, d2 in _scramble_items(3 * homset._COLORINGS_CACHED, 20261019):
+        for d1, d2 in _scramble_items(3 * gausscode._DIAGRAMS_CACHED, 20261019):
             searched.clear()
             summed.clear()
             # the calls of one scramble item, in its order
@@ -159,12 +159,11 @@ class TestCacheRetention:
         assert gausscode._compiled.cache_info().misses == misses + 1
 
     def test_cache_bound(self):
-        assert homset._COLORINGS_CACHED < self.RENDERED
+        assert gausscode._DIAGRAMS_CACHED < self.RENDERED
         for cached in (homset._colorings, arrowweight._weight_sums):
-            assert cached.cache_parameters()["maxsize"] == homset._COLORINGS_CACHED
+            assert cached.cache_parameters()["maxsize"] == gausscode._DIAGRAMS_CACHED
 
     def test_compiled_tables_share_the_bound(self):
-        assert homset._COLORINGS_CACHED == gausscode._DIAGRAMS_CACHED
         assert gausscode._compiled.cache_parameters()["maxsize"] == gausscode._DIAGRAMS_CACHED
 
 

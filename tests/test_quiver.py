@@ -229,6 +229,23 @@ class TestIsomorphismOracle:
                 answers[expected] += 1
         assert min(answers.values()) > 400, answers
 
+    def test_edges_of_the_search(self):
+        # no vertices: the empty bijection is the isomorphism, with or
+        # without maps; no maps: only the weight multisets can differ
+        cases = [
+            (_quiver([], []), _quiver([], []), True, True),
+            (_quiver([[]], []), _quiver([[]], []), True, True),
+            (_quiver([], []), _quiver([[]], []), False, False),
+            (_quiver([], (3, 5), 6), _quiver([], (5, 3), 6), True, True),
+            (_quiver([], (3, 5), 6), _quiver([], (5, 5), 6), False, True),
+            (_quiver([], (3,), 6), _quiver([], (3, 3), 6), False, False),
+        ]
+        for q1, q2, weighted, unweighted in cases:
+            for ignore, expected in ((False, weighted), (True, unweighted)):
+                assert _brute_isomorphic(q1, q2, ignore) == expected, (q1, q2, ignore)
+                assert quiver_isomorphic(q1, q2, ignore) == expected, (q1, q2, ignore)
+                assert quiver_isomorphic(q2, q1, ignore) == expected, (q2, q1, ignore)
+
     @pytest.mark.parametrize("n", [12, 16, 32, 64])
     def test_star_against_star_with_hanging_leaf(self, n):
         # one leaf of the second star maps to another leaf, not the centre;

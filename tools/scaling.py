@@ -11,8 +11,18 @@ biquandle's relation tables are built once, untimed.  ``max_ms`` and
 (biquandle, crossings) pair; all its samples and repeats run under one
 ``SIGALRM`` timeout of ``TIMEOUT_S`` seconds.  A point that times
 out is recorded with status ``"timeout"``, and the larger points of that
-biquandle are recorded as ``"skipped"`` without running.  The result is
-one JSON object on stdout.
+biquandle are recorded as ``"skipped"`` without running.
+
+The ``"isomorphism"`` series times quiver isomorphism on the quivers that
+``tests/test_acceptance.py`` compares across an R3 slide: for each count
+in ``COPIES``, connected copies of 4.99 followed by the slide host
+``U1+U2+O1+U3+O2+O3+``, renumbered past them, under quad4 with every
+endomorphism and the bundled Z_6 weight.  A point records the vertex count
+(16 per copy), the time of ``build_quiver`` on the host from empty caches,
+and the time of one ``quiver_isomorphic`` call of the host's quiver
+against the quiver of its one listed slide.  The two builds and the call
+run under one timeout of ``TIMEOUT_S`` seconds, and the larger counts are
+skipped after a timeout, as above.  The result is one JSON object on stdout.
 
 Run from the repository root (uses only the standard library and the
 package in ``src``):
@@ -33,11 +43,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from arrowquiver.arrowweight import _random_diagram_of_size  # noqa: E402
+from arrowquiver.arrowweight import (  # noqa: E402
+    WeightTensor,
+    _random_diagram_of_size,
+    _weight_sums,
+)
 from arrowquiver.biquandle import load as load_biquandle  # noqa: E402
-from arrowquiver.gausscode import GaussDiagram  # noqa: E402
+from arrowquiver.gausscode import (  # noqa: E402
+    Endpoint,
+    GaussDiagram,
+    R3Slide,
+    apply_move,
+    enumerate_moves,
+    parse_gauss_code,
+)
 from arrowquiver.homset import _colorings, enumerate_colorings  # noqa: E402
-from arrowquiver.knotdata import bundled_path  # noqa: E402
+from arrowquiver.knotdata import bundled_path, bundled_table  # noqa: E402
+from arrowquiver.quiver import build_quiver, quiver_isomorphic  # noqa: E402
 
 BIQUANDLES = ("flip2", "cyc3", "quad4", "shift4")
 SIZES = (8, 10, 12, 14, 16, 20, 24, 30)
@@ -45,6 +67,7 @@ SAMPLES = 5
 REPEATS = 5
 SEED = 1
 TIMEOUT_S = 10.0
+COPIES = (1, 2, 3, 4)
 
 
 class PointTimeout(Exception):
@@ -87,6 +110,67 @@ def run_point(b, name: str, chords: int) -> dict:
     }
 
 
+def slide_pair(copies: int) -> tuple[GaussDiagram, GaussDiagram]:
+    """``copies`` connected copies of 4.99 followed by the slide host, and
+    the diagram after the host's one listed slide."""
+    knot = bundled_table().get("4.99")
+    parts = [knot] * copies + [parse_gauss_code("U1+U2+O1+U3+O2+O3+")]
+    d1 = GaussDiagram(
+        tuple(
+            Endpoint(e.chord + i * knot.n, e.passage, e.sign)
+            for i, part in enumerate(parts)
+            for e in part.endpoints
+        )
+    )
+    (slide,) = (mv for mv in enumerate_moves(d1) if isinstance(mv, R3Slide))
+    return d1, apply_move(d1, slide)
+
+
+def run_isomorphism_point(b, w: WeightTensor, endos, copies: int) -> dict:
+    d1, d2 = slide_pair(copies)
+    point: dict = {
+        "copies": copies,
+        "vertices": None,
+        "build_ms": None,
+        "isomorphic": None,
+        "isomorphic_ms": None,
+    }
+    _colorings.cache_clear()
+    _weight_sums.cache_clear()
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
+    try:
+        t0 = time.perf_counter()
+        q1 = build_quiver(b, w, d1, endos)
+        point["build_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
+        point["vertices"] = len(q1.vertices)
+        q2 = build_quiver(b, w, d2, endos)
+        t0 = time.perf_counter()
+        point["isomorphic"] = quiver_isomorphic(q1, q2)
+        point["isomorphic_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
+        point["status"] = "ok"
+    except PointTimeout:
+        point["status"] = "timeout"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    return point
+
+
+def isomorphism_series() -> list[dict]:
+    b = load_biquandle(str(bundled_path("biquandle_quad4.txt")))
+    w = WeightTensor.load(str(bundled_path("weight_quad4_z6.txt")))
+    endos = b.endomorphisms()
+    series = []
+    timed_out = False
+    for copies in COPIES:
+        if timed_out:
+            series.append({"copies": copies, "status": "skipped"})
+            continue
+        point = run_isomorphism_point(b, w, endos, copies)
+        timed_out = point["status"] == "timeout"
+        series.append(point)
+    return series
+
+
 def main() -> int:
     signal.signal(signal.SIGALRM, _alarm)
     points = []
@@ -111,6 +195,7 @@ def main() -> int:
                 "repeats": REPEATS,
                 "timeout_s": TIMEOUT_S,
                 "points": points,
+                "isomorphism": isomorphism_series(),
             },
             indent=1,
         )
