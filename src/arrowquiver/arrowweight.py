@@ -204,7 +204,17 @@ def sigma_coefficients(
 
 
 def sigma_D(w: WeightTensor, d: GaussDiagram, coloring: tuple[int, ...]) -> int:
-    """The weight sum of one coloring, reduced mod m."""
+    """The weight sum of one coloring, reduced mod m.
+
+    ``coloring`` must be a tuple of ``d.num_semiarcs`` ints, each from 1 to
+    ``w.n`` (ValueError otherwise).  With no biquandle at hand, sigma_D
+    cannot check the crossing equations: a tuple of that shape that is not
+    a coloring still gets a sum."""
+    if type(coloring) is not tuple or len(coloring) != d.num_semiarcs:
+        raise ValueError(f"a coloring of this diagram is a tuple of {d.num_semiarcs} colors")
+    for v in coloring:
+        if type(v) is not int or not 0 < v <= w.n:
+            raise ValueError(f"color {v!r} is not an int from 1 to {w.n}")
     return _sums(w, d, (coloring,))[0]
 
 

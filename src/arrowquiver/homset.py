@@ -19,14 +19,17 @@ Search: one solver finds every coloring that extends a partial one.  It
 reads the diagram compiled to flat tables
 (:attr:`~arrowquiver.gausscode.GaussDiagram.compiled`: the four semiarc
 slots around each chord, the relation table each chord reads and the
-slots each semiarc fills) and, per biquandle, the crossing relation
-tabulated by which slots are known.  It propagates, then branches: when
-the solutions of a crossing's equations that agree with its known colors
-all give an uncolored slot the same value, the slot gets that value, and a
-crossing with no such solution prunes the branch.  These forced values are
-tabulated too, per sign, kink shape and set of known colors, so a crossing
-is propagated with one table lookup; and a crossing waits in the queue at
-most once, since it is queued again only after it has been taken out.
+slots each semiarc fills) and, per biquandle, the crossing relation:
+one table per crossing kind (sign, and kink shape: whether a kink makes
+u_in and o_out, or u_out and o_in, one semiarc), which maps the known
+colors around a crossing to the entry (m0, m1, m2, m3, forced).  m_k is
+the mask of the values that the solutions of the crossing's equations
+agreeing with the known colors give slot k, and ``forced`` the slots to
+which all of them give one value, with that value; a table has at most
+16 n^2 keys.  The solver propagates, then branches: a crossing gets its
+forced values with one table lookup, a crossing whose known colors have
+no entry prunes the branch, and a crossing waits in the queue at most
+once, since it is queued again only after it has been taken out.
 By axiom B2 the colors of (u_in, o_out), (o_in, u_out), (u_in, o_in) or
 (u_out, o_out) each fix a crossing, so propagation usually runs around the
 whole knot.  When nothing is forced, the uncolored semiarc whose crossings
@@ -108,75 +111,61 @@ def chord_colors(
     return coloring[s0], coloring[s1], coloring[s2], coloring[s3]
 
 
-class _Relation:
-    """One biquandle's crossing relation, tabulated for the solver.
+@lru_cache(maxsize=64)
+def _relation(b: Biquandle) -> dict[tuple[int, int], dict[int, tuple]]:
+    """One biquandle's crossing relation, tabulated for the solver: one
+    table per crossing kind (sign, shape).
 
     A partial tuple (u_in, u_out, o_in, o_out) is encoded as the integer sum
-    of v_k * (n+1)^k, with v_k = 0 for an unknown slot.  ``values[sign,
-    shape]`` maps the key of each partial tuple that some valid tuple (one
-    satisfying a crossing's equations) extends to, for each slot, the
-    bitmask of the values those tuples give it; a key that no valid tuple
-    extends is absent, so a table has at most 16 n^2 keys, and a tuple over
-    1..n is valid exactly when its key is in ``values[sign, 0]``.  ``shape``
-    marks the slots that coincide at a kink: bit 0 for u_in == o_out, bit 1
-    for u_out == o_in; the table of a shape keeps only tuples that agree on
-    the coinciding slots.
-
-    ``forced[sign, shape]`` has the same keys and maps each to the
-    (position, value) pairs of its unknown slots on which every valid tuple
-    extending it agrees: what propagation assigns.  A slot that a kink joins
-    to an earlier one (o_out at shape bit 0, o_in at bit 1) is left out, so
-    the pairs of one key color distinct semiarcs.
+    of v_k * (n+1)^k, with v_k = 0 for an unknown slot.  The table of a kind
+    maps the key of each partial tuple that some valid tuple (one satisfying
+    a crossing's equations) extends to the entry (m0, m1, m2, m3, forced):
+    m_k is the bitmask of the values those tuples give slot k, and
+    ``forced`` holds the (position, value) pairs of its unknown slots on
+    which every one of them agrees, which is what propagation assigns.  A
+    key that no valid tuple extends is absent, so a table has at most
+    16 n^2 keys, and a tuple over 1..n is valid exactly when its key is in
+    the table of (sign, 0).  ``shape`` marks the slots that coincide at a
+    kink: bit 0 for u_in == o_out, bit 1 for u_out == o_in; the table of a
+    shape keeps only tuples that agree on the coinciding slots, and a slot
+    that a kink joins to an earlier one (o_out at bit 0, o_in at bit 1) is
+    left out of ``forced``, so the pairs of one key color distinct semiarcs.
     """
-
-    def __init__(self, b: Biquandle):
-        self.radix = r = b.n + 1
-        self.everything = sum(1 << v for v in b.elements)  # the mask of all values
-        pos = b.crossings
-        neg = [(u_out, u_in, o_out, o_in) for u_in, u_out, o_in, o_out in pos]
-        self.values: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
-        self.forced: dict[tuple[int, int], dict[int, tuple[tuple[int, int], ...]]] = {}
-        for sign, tuples in ((1, pos), (-1, neg)):
-            for shape in range(4):
-                # per set of known slots (bit k for slot k), the slots a key
-                # may force: the unknown ones, less o_out or o_in where a kink
-                # joins it to u_in or u_out
-                joined = (shape & 1) << 3 | (shape & 2) << 1
-                forcible = [
-                    [k for k in range(4) if not (known | joined) >> k & 1]
-                    for known in range(16)
-                ]
-                masks: dict[int, tuple[int, ...]] = {}
-                candidates: dict[int, list[int]] = {}
-                for t in tuples:
-                    if (shape & 1 and t[0] != t[3]) or (shape & 2 and t[1] != t[2]):
-                        continue
-                    bits = tuple(1 << v for v in t)
-                    keys = [0]  # the keys of t's 16 partial tuples, by known slots
-                    for k in range(4):
-                        keys += [key + t[k] * r**k for key in keys]
-                    for known, key in enumerate(keys):
-                        m = masks.get(key)
-                        if m is None:
-                            masks[key] = bits
-                            candidates[key] = forcible[known]
-                        else:
-                            masks[key] = tuple([x | y for x, y in zip(m, bits)])
-                self.values[sign, shape] = masks
-                self.forced[sign, shape] = forced = {}
-                for key, m in masks.items():
-                    forced[key] = tuple(
-                        [
-                            (k, m[k].bit_length() - 1)
-                            for k in candidates[key]
-                            if not m[k] & (m[k] - 1)
-                        ]
-                    )
-
-
-@lru_cache(maxsize=64)
-def _relation(b: Biquandle) -> _Relation:
-    return _Relation(b)
+    r = b.n + 1
+    pos = b.crossings
+    neg = [(u_out, u_in, o_out, o_in) for u_in, u_out, o_in, o_out in pos]
+    tables: dict[tuple[int, int], dict[int, tuple]] = {}
+    for sign, tuples in ((1, pos), (-1, neg)):
+        for shape in range(4):
+            # per set of known slots (bit k for slot k), the slots a key
+            # may force: the unknown ones, less o_out or o_in where a kink
+            # joins it to u_in or u_out
+            joined = (shape & 1) << 3 | (shape & 2) << 1
+            forcible = [
+                [k for k in range(4) if not (known | joined) >> k & 1]
+                for known in range(16)
+            ]
+            masks: dict[int, tuple[int, ...]] = {}
+            free: dict[int, list[int]] = {}  # per key, the slots it may force
+            for t in tuples:
+                if (shape & 1 and t[0] != t[3]) or (shape & 2 and t[1] != t[2]):
+                    continue
+                bits = tuple(1 << v for v in t)
+                keys = [0]  # the keys of t's 16 partial tuples, by known slots
+                for k in range(4):
+                    keys += [key + t[k] * r**k for key in keys]
+                for known, key in enumerate(keys):
+                    m = masks.get(key)
+                    if m is None:
+                        masks[key] = bits
+                        free[key] = forcible[known]
+                    else:
+                        masks[key] = tuple([x | y for x, y in zip(m, bits)])
+            table = tables[sign, shape] = {}
+            for key, m in masks.items():
+                forced = [(k, m[k].bit_length() - 1) for k in free[key] if not m[k] & (m[k] - 1)]
+                table[key] = m + (tuple(forced),)
+    return tables
 
 
 # images the automorphism search of one biquandle may try in all, so that a
@@ -225,8 +214,8 @@ def _all_colorings(b: Biquandle, d: GaussDiagram, colorings) -> bool:
     """:func:`is_coloring` of each of ``colorings``, reading the tables of
     ``d`` once."""
     elements = range(1, b.n + 1)
-    values, r = _relation(b).values, b.n + 1
-    tables = {1: values[1, 0], -1: values[-1, 0]}
+    rel, r = _relation(b), b.n + 1
+    tables = {1: rel[1, 0], -1: rel[-1, 0]}
     cd, semiarcs = d.compiled, d.num_semiarcs
     for coloring in colorings:
         if len(coloring) != semiarcs or not all(map(elements.__contains__, coloring)):
@@ -286,13 +275,12 @@ def _extensions(
     """
     cd = d.compiled
     rel = _relation(b)
-    r = rel.radix
+    r = b.n + 1
     r2, r3 = r * r, r * r * r
-    everything = rel.everything
+    everything = (1 << r) - 2  # the mask of all values 1..n
     slots, touching = cd.slots, cd.touching
-    # per chord: the tables of its sign and kink shape
-    values = [rel.values[kind] for kind in cd.kind]
-    forced = [rel.forced[kind] for kind in cd.kind]
+    # per chord: the table of its sign and kink shape
+    tables = [rel[kind] for kind in cd.kind]
     val = list(start)
     queue = list(range(len(slots)))
     queued = [True] * len(slots)  # exactly the chords in the queue
@@ -305,14 +293,14 @@ def _extensions(
             ch = queue.pop()
             sl = slots[ch]
             s0, s1, s2, s3 = sl
-            pairs = forced[ch].get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
-            if pairs is None:
+            entry = tables[ch].get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
+            if entry is None:
                 for c in queue:
                     queued[c] = False
                 queued[ch] = False
                 queue.clear()
                 break
-            for k, v in pairs:
+            for k, v in entry[4]:
                 s = sl[k]
                 val[s] = v
                 trail.append(s)
@@ -332,7 +320,7 @@ def _extensions(
                 allowed = everything
                 for ch, k in touching[s]:
                     s0, s1, s2, s3 = slots[ch]
-                    allowed &= values[ch][
+                    allowed &= tables[ch][
                         val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]
                     ][k]
                 count = allowed.bit_count()

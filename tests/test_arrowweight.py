@@ -162,6 +162,25 @@ class TestWeightSums:
         assert sigma_D(w16, VIRTUAL_HOPF, (1, 2, 1, 2)) == 8
         assert sigma_D(w16, VIRTUAL_HOPF, (2, 1, 2, 1)) == 8
 
+    @pytest.mark.parametrize(
+        "coloring, message",
+        [
+            ((0,) * 6, "color 0 is not an int from 1 to 3"),
+            ((4,) * 6, "color 4 is not an int from 1 to 3"),
+            ((1,) * 5 + (True,), "color True is not an int"),
+            ((1.0,) * 6, "color 1.0 is not an int"),
+            ((1,) * 5, "a tuple of 6 colors"),
+            ((1,) * 7, "a tuple of 6 colors"),
+            ([1] * 6, "a tuple of 6 colors"),
+        ],
+        ids=["zero", "past_n", "bool", "float", "short", "long", "list"],
+    )
+    def test_sigma_rejects_what_is_not_shaped_as_a_coloring(self, w8, coloring, message):
+        # a color of 0 once read the tensor at a negative index, which wraps
+        d = parse_gauss_code("O1+U2+O3+U1+O2+U3+")
+        with pytest.raises(ValueError, match=message):
+            sigma_D(w8, d, coloring)
+
     def test_multiset_pins(self, flip2, w16, cyc3, w8):
         assert weight_multiset(flip2, w16, VIRTUAL_HOPF) == (8, 8)
         assert weight_multiset(cyc3, w8, VIRTUAL_HOPF) == (4, 4, 4)

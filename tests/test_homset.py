@@ -39,6 +39,7 @@ from arrowquiver.homset import (
 )
 
 from test_biquandle import respects_both
+from test_coloring_oracle import _alexander
 
 VIRTUAL_HOPF = parse_gauss_code("O1+O2+U1+U2+")
 TREFOIL = parse_gauss_code("O1+U2+O3+U1+O2+U3+")
@@ -202,17 +203,18 @@ class TestEnumeration:
         n = 32
         rows = tuple((x,) * n for x in range(1, n + 1))
         trivial = Biquandle(rows, rows)
-        tables = homset._relation(trivial).values
+        tables = homset._relation(trivial)
         assert len(tables) == 8  # one per sign and kink shape
         assert all(len(t) <= 16 * n * n for t in tables.values())
         assert counting_invariant(trivial, TREFOIL) == n
 
 
-def _dihedral6() -> Biquandle:
-    """The dihedral quandle R_6 as a biquandle: under(x, y) = 2y - x mod 6,
+def _dihedral(n: int) -> Biquandle:
+    """The dihedral quandle R_n as a biquandle: under(x, y) = 2y - x mod n,
     over(x, y) = x."""
-    under = tuple(tuple((2 * y - x) % 6 or 6 for y in range(1, 7)) for x in range(1, 7))
-    over = tuple((x,) * 6 for x in range(1, 7))
+    elements = range(1, n + 1)
+    under = tuple(tuple((2 * y - x) % n or n for y in elements) for x in elements)
+    over = tuple((x,) * n for x in elements)
     return Biquandle(under, over)
 
 
@@ -220,7 +222,7 @@ def _dihedral6_swapped() -> Biquandle:
     """R_6 with the roles of the operations exchanged: under(x, y) = x,
     over(x, y) = 2y - x mod 6.  Every permutation respects its under
     operation, so only the over operation rules out most of them."""
-    b = _dihedral6()
+    b = _dihedral(6)
     assert validate_tables(b.over, b.under) == []
     return Biquandle(b.over, b.under)
 
@@ -249,14 +251,26 @@ def _valid_tuples(b, sign: int, shape: int) -> list[tuple[int, ...]]:
     return out
 
 
+# biquandles off the bundle whose relation tables are checked by brute force:
+# R_3 and R_6, and an Alexander biquandle, whose over operation is not the
+# identity
+OFF_BUNDLE = {
+    "dihedral3": lambda: _dihedral(3),
+    "dihedral6": lambda: _dihedral(6),
+    "alexander_5_2_3": lambda: _alexander(5, 2, 3),
+}
+
+
 class TestRelationTables:
-    @pytest.mark.parametrize("name", ["flip2", "cyc3", "quad4", "shift4", "dihedral6"])
+    @pytest.mark.parametrize(
+        "name", ["flip2", "cyc3", "quad4", "shift4", "dihedral6", "dihedral3", "alexander_5_2_3"]
+    )
     def test_forced_values_match_brute_force(self, request, name):
-        b = _dihedral6() if name == "dihedral6" else request.getfixturevalue(name)
+        b = OFF_BUNDLE[name]() if name in OFF_BUNDLE else request.getfixturevalue(name)
         rel = homset._relation(b)
         r = b.n + 1
-        assert len(rel.forced) == 8
-        for (sign, shape), table in rel.forced.items():
+        assert len(rel) == 8
+        for (sign, shape), table in rel.items():
             valid = _valid_tuples(b, sign, shape)
             # a kink's o_out (shape bit 0) or o_in (bit 1) is the same
             # semiarc as its u_in or u_out, which carries the forced value
@@ -269,15 +283,19 @@ class TestRelationTables:
                 ]
                 if not extending:
                     continue
-                expected[key] = tuple(
-                    (k, extending[0][k])
-                    for k in range(4)
-                    if not partial[k]
-                    and k not in joined
-                    and all(t[k] == extending[0][k] for t in extending)
+                # per slot, the mask of the values the extending tuples give it
+                masks = (sum(1 << v for v in {t[k] for t in extending}) for k in range(4))
+                expected[key] = (
+                    *masks,
+                    tuple(
+                        (k, extending[0][k])
+                        for k in range(4)
+                        if not partial[k]
+                        and k not in joined
+                        and all(t[k] == extending[0][k] for t in extending)
+                    ),
                 )
             assert table == expected, (sign, shape)
-            assert table.keys() == rel.values[sign, shape].keys()
 
 
 def _every_automorphism(b) -> list[tuple[int, ...]]:
@@ -311,7 +329,7 @@ def _every_endomorphism(b) -> list[tuple[int, ...]]:
 
 
 SIX_ELEMENTS = {
-    "dihedral6": _dihedral6,
+    "dihedral6": lambda: _dihedral(6),
     "dihedral6_swapped": _dihedral6_swapped,
     "sigma6": _sigma6,
 }
@@ -397,7 +415,7 @@ class TestOrbits:
     def test_spent_budget_costs_no_colorings(self, monkeypatch):
         # R_6's automorphisms all need a branch after the root, so with no
         # budget every element is its own representative
-        b = _dihedral6()
+        b = _dihedral(6)
         diagrams = [TREFOIL, R3_HOST, VIRTUAL_HOPF]
         expected = [enumerate_colorings(b, d) for d in diagrams]
         monkeypatch.setattr(homset, "_AUTOMORPHISM_BUDGET", 0)
@@ -697,14 +715,13 @@ def _recursive_extensions(b, d, start) -> list[tuple[int, ...]]:
     list for list and in order."""
     cd = d.compiled
     rel = homset._relation(b)
-    r = rel.radix
+    r = b.n + 1
     r2, r3 = r * r, r * r * r
-    everything = rel.everything
+    everything = (1 << r) - 2
     slots, touching = cd.slots, cd.touching
     # per semiarc, the chords it touches, each once, in order
     touches = [list(dict.fromkeys(c for c, _ in t)) for t in touching]
-    values = [rel.values[kind] for kind in cd.kind]
-    forced = [rel.forced[kind] for kind in cd.kind]
+    tables = [rel[kind] for kind in cd.kind]
     val = list(start)
     queued = [True] * len(slots)
     found = []
@@ -714,14 +731,14 @@ def _recursive_extensions(b, d, start) -> list[tuple[int, ...]]:
             ch = queue.pop()
             sl = slots[ch]
             s0, s1, s2, s3 = sl
-            pairs = forced[ch].get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
-            if pairs is None:
+            entry = tables[ch].get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
+            if entry is None:
                 for c in queue:
                     queued[c] = False
                 queued[ch] = False
                 queue.clear()
                 return False
-            for k, v in pairs:
+            for k, v in entry[4]:
                 s = sl[k]
                 val[s] = v
                 trail.append(s)
@@ -742,7 +759,7 @@ def _recursive_extensions(b, d, start) -> list[tuple[int, ...]]:
                 allowed = everything
                 for ch, k in touching[s]:
                     s0, s1, s2, s3 = slots[ch]
-                    allowed &= values[ch][val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]][k]
+                    allowed &= tables[ch][val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]][k]
                 count = allowed.bit_count()
                 if count < fewest:
                     best, best_values, fewest = s, allowed, count

@@ -22,7 +22,17 @@ endomorphism and the bundled Z_6 weight.  A point records the vertex count
 and the time of one ``quiver_isomorphic`` call of the host's quiver
 against the quiver of its one listed slide.  The two builds and the call
 run under one timeout of ``TIMEOUT_S`` seconds, and the larger counts are
-skipped after a timeout, as above.  The result is one JSON object on stdout.
+skipped after a timeout, as above.
+
+The ``"relation"`` list times the build of the coloring solver's crossing
+tables, ``homset._relation``, which is the cold cost of the first
+coloring search by a biquandle.  For the bundled biquandles, the dihedral
+quandles R_n for n in ``DIHEDRAL`` (under(x, y) = 2y - x mod n, over(x, y)
+= x) and the Alexander biquandles (n, t, s) in ``ALEXANDER`` (on Z_n,
+under(x, y) = t x + (s - t) y and over(x, y) = s x, the biquandles of
+``tests/test_coloring_oracle.py``), it records the number of keys of each
+crossing kind's table and the best of ``REPEATS`` builds, each from an
+empty cache.  The result is one JSON object on stdout.
 
 Run from the repository root (uses only the standard library and the
 package in ``src``):
@@ -48,6 +58,7 @@ from arrowquiver.arrowweight import (  # noqa: E402
     _random_diagram_of_size,
     _weight_sums,
 )
+from arrowquiver.biquandle import Biquandle  # noqa: E402
 from arrowquiver.biquandle import load as load_biquandle  # noqa: E402
 from arrowquiver.gausscode import (  # noqa: E402
     Endpoint,
@@ -57,7 +68,7 @@ from arrowquiver.gausscode import (  # noqa: E402
     enumerate_moves,
     parse_gauss_code,
 )
-from arrowquiver.homset import _colorings, enumerate_colorings  # noqa: E402
+from arrowquiver.homset import _colorings, _relation, enumerate_colorings  # noqa: E402
 from arrowquiver.knotdata import bundled_path, bundled_table  # noqa: E402
 from arrowquiver.quiver import build_quiver, quiver_isomorphic  # noqa: E402
 
@@ -68,6 +79,8 @@ REPEATS = 5
 SEED = 1
 TIMEOUT_S = 10.0
 COPIES = (1, 2, 3, 4)
+DIHEDRAL = (7, 9, 11)
+ALEXANDER = ((4, 3, 1), (5, 2, 3), (7, 3, 2), (8, 3, 5), (9, 2, 4))
 
 
 class PointTimeout(Exception):
@@ -171,6 +184,37 @@ def isomorphism_series() -> list[dict]:
     return series
 
 
+def relation_point(name: str, b: Biquandle) -> dict:
+    best = float("inf")
+    for _ in range(REPEATS):
+        _relation.cache_clear()
+        t0 = time.perf_counter()
+        tables = _relation(b)
+        best = min(best, time.perf_counter() - t0)
+    return {
+        "biquandle": name,
+        "n": b.n,
+        "keys": {f"{sign:+d},{shape}": len(t) for (sign, shape), t in tables.items()},
+        "build_ms": round(best * 1e3, 3),
+    }
+
+
+def relation_series() -> list[dict]:
+    biquandles = {
+        name: load_biquandle(str(bundled_path(f"biquandle_{name}.txt"))) for name in BIQUANDLES
+    }
+    for n in DIHEDRAL:
+        x = range(n)
+        under = tuple(tuple((2 * j - i) % n + 1 for j in x) for i in x)
+        biquandles[f"R_{n}"] = Biquandle(under, tuple((i + 1,) * n for i in x))
+    for n, t, s in ALEXANDER:
+        x = range(n)
+        under = tuple(tuple((t * i + (s - t) * j) % n + 1 for j in x) for i in x)
+        over = tuple((s * i % n + 1,) * n for i in x)
+        biquandles[f"alexander({n},{t},{s})"] = Biquandle(under, over)
+    return [relation_point(name, b) for name, b in biquandles.items()]
+
+
 def main() -> int:
     signal.signal(signal.SIGALRM, _alarm)
     points = []
@@ -196,6 +240,7 @@ def main() -> int:
                 "timeout_s": TIMEOUT_S,
                 "points": points,
                 "isomorphism": isomorphism_series(),
+                "relation": relation_series(),
             },
             indent=1,
         )
