@@ -66,8 +66,8 @@ from .gausscode import (
     R1Insert,
     R2Insert,
     R3Slide,
+    _deletions,
     _insert_blocks,
-    _listing,
     enumerate_moves,
     parse_gauss_code,
 )
@@ -118,11 +118,18 @@ class WeightTensor:
 
     @staticmethod
     def slot(n: int, a: int, b: int, c: int, d: int) -> int:
+        """The index in ``entries`` of (a, b, c, d): plain index arithmetic,
+        which checks no label (:meth:`get` does)."""
         return (((a - 1) * n + (b - 1)) * n + (c - 1)) * n + (d - 1)
 
     def get(self, first: tuple[int, int], second: tuple[int, int]) -> int:
+        """The entry of the labels ``first`` = (a, b) and ``second`` = (c, d);
+        ValueError unless a, b, c and d are ints from 1 to n."""
         a, b = first
         c, d = second
+        for label in (first, second):
+            if not all(type(v) is int and 0 < v <= self.n for v in label):
+                raise ValueError(f"label {label!r} is not a pair of ints from 1 to {self.n}")
         return self.entries[self.slot(self.n, a, b, c, d)]
 
     def dumps(self) -> str:
@@ -458,7 +465,7 @@ def _integer_rows(b: Biquandle) -> list[dict[int, int]]:
     r2_keys: set[tuple[bool, int, int, int]] = set()  # carried so far
     hosts = [(d, [mv for mv in enumerate_moves(d) if not _rowless(mv)]) for d in _small_hosts()]
     for d in _r3_template_hosts(0) + _r3_template_hosts(1):
-        hosts.append((d, [mv for mv in _listing(d) if isinstance(mv, R3Slide)]))
+        hosts.append((d, [mv for mv in _deletions(d.endpoints) if isinstance(mv, R3Slide)]))
     for d, moves in hosts:
         colorings = enumerate_colorings(b, d)
         cd = d.compiled
@@ -732,7 +739,7 @@ def is_valid_weight(
         d = _random_diagram_of_size(rng, rng.randint(0, _TRIAL_MAX_CHORDS))
         colorings, sums = enumerate_colorings(b, d), _weight_sums(b, w, d)
         for _ in range(rng.randint(1, 3)):
-            moves = enumerate_moves(d) if d.n < 6 else list(_listing(d))
+            moves = enumerate_moves(d) if d.n < 6 else _deletions(d.endpoints)
             if not moves:
                 break
             move = rng.choice(moves)

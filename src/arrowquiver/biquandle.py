@@ -111,11 +111,18 @@ class Biquandle:
     def elements(self) -> range:
         return range(1, self.n + 1)
 
+    # the operations take elements only as ints from 1 to n; any other
+    # raises ValueError
     def under_of(self, x: int, y: int) -> int:
-        return self.under[x - 1][y - 1]
+        return self.under[self._index(x)][self._index(y)]
 
     def over_of(self, x: int, y: int) -> int:
-        return self.over[x - 1][y - 1]
+        return self.over[self._index(x)][self._index(y)]
+
+    def _index(self, x: int) -> int:
+        if type(x) is not int or not 0 < x <= self.n:
+            raise ValueError(f"element {x!r} is not an int from 1 to {self.n}")
+        return x - 1
 
     @cached_property
     def crossings(self) -> tuple[tuple[int, int, int, int], ...]:

@@ -46,10 +46,9 @@ each of its three blocks in place.
 One rule decides which moves apply.  An insertion applies when its gaps
 are ``int`` values (not bools) in 0..2n and its flag is a ``bool``.  A
 deletion or slide applies exactly when :func:`enumerate_moves` lists it:
-the matcher :func:`_deletions` finds them in the word, :func:`_listing`
-lists them for the diagram, and :func:`apply_move` and
-:func:`inverse_move` accept a deletion or slide only as an instance found
-there, which they then apply or invert.
+the one listing of them is :func:`_deletions`, which finds them in the
+word, and :func:`apply_move` and :func:`inverse_move` apply or invert a
+deletion or slide as the listed instance it equals (by ``==``).
 
 The same rule gives the old semiarc each new one continues, which carries
 colorings through the move (:mod:`arrowquiver.homset`).  A semiarc between
@@ -356,11 +355,9 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
     # strictly inside its span, or q is the chord itself
     crossed = [0] * n
     open_chords = 0
-    # semiarc i leaves passage i and enters passage i + 1 (the last one
-    # enters passage 0), at the slot (chord index, position) of each: u_out 1
-    # or o_out 3 where it leaves, u_in 0 or o_in 2 where it enters
-    touching = []
-    leaving = None  # the slot where the semiarc before passage i leaves
+    # per passage, the index in ``refs`` of the slot entering it: u_in 4c or
+    # o_in 4c + 2
+    entering = []
     for i, e in enumerate(endpoints):
         c = e.chord - 1
         sign[c] = e.sign
@@ -368,17 +365,13 @@ def _compile(endpoints: tuple[Endpoint, ...]) -> CompiledDiagram:
         open_chords ^= 1 << c
         if e.passage == "U":
             under[c] = i
-            entering, leave = refs[4 * c], refs[4 * c + 1]
+            entering.append(4 * c)
         else:
             over[c] = i
-            entering, leave = refs[4 * c + 2], refs[4 * c + 3]
-        if i:
-            touching.append((leaving, entering))
-        else:
-            first = entering
-        leaving = leave
-    if two_n:
-        touching.append((leaving, first))
+            entering.append(4 * c + 2)
+    # semiarc i leaves passage i at the slot after the one entering it (u_out
+    # or o_out) and enters passage i + 1 (the last one enters passage 0)
+    touching = [(refs[k + 1], refs[j]) for k, j in zip(entering, entering[1:] + entering[:1])]
     slots = []
     kind = []
     labels = []  # per chord, the two semiarcs of its arrow label
@@ -584,20 +577,15 @@ def _swap_blocks(d: GaussDiagram, sites: tuple[int, ...]) -> Moved:
     return _trusted(tuple(ends)), keep, []
 
 
-def _listing(d: GaussDiagram) -> dict[Move, Move]:
-    """The deletions and slides of ``d`` in the order of :func:`_deletions`,
-    each mapped to itself: the one rule for which of them apply to ``d``."""
-    return {mv: mv for mv in _deletions(d.endpoints)}
-
-
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """The diagram after performing ``move`` on ``d``.
 
     An insertion applies when its gaps are ``int`` values in 0..2n and its
     flag, ``head_first`` or ``antiparallel``, is a ``bool``; a deletion or
     slide applies exactly when :func:`enumerate_moves` lists it for ``d``,
-    as the listed instance it equals.  Any other move raises ValueError,
-    and what is no move raises TypeError.
+    as the instance of the one listing, :func:`_deletions`, that it equals
+    (by ``==``).  Any other move raises ValueError, and what is no move
+    raises TypeError.
     """
     return _moved(d, move)[0]
 
@@ -642,10 +630,7 @@ def _moved(d: GaussDiagram, move: Move) -> Moved:
 
     if not isinstance(move, (R1Delete, R2Delete, R3Slide)):
         raise TypeError(f"unknown move {move!r}")
-    try:
-        listed = _listing(d).get(move)
-    except TypeError:  # a field that cannot be hashed, so equal to no listed move
-        listed = None
+    listed = next((mv for mv in _deletions(d.endpoints) if mv == move), None)
     if listed is None:
         raise ValueError(f"{move!r} does not apply to {str(d)!r}")
     if isinstance(listed, R1Delete):
@@ -679,7 +664,7 @@ def inverse_move(d: GaussDiagram, move: Move) -> Move:
         under = move.gap_under + (2 if move.gap_under > move.gap_over else 0)
         return R2Delete(over, under, move.antiparallel)
 
-    move = _listing(d)[move]
+    move = next(mv for mv in _deletions(d.endpoints) if mv == move)
     if isinstance(move, R1Delete):
         head = d.endpoints[move.start]
         return R1Insert(min(move.start, two_n - 2), head.passage == "U", head.sign)
@@ -704,16 +689,15 @@ def enumerate_moves(d: GaussDiagram) -> list[Move]:
     tuple of them per size is built once and shared (the moves are frozen).
     Then the R1 deletions, the R2 deletions and the R3 slides, each by
     ascending first index; they are matched by lookup in one index of the
-    cyclically adjacent passage pairs, without building any diagram, and
-    read from the listing (:func:`_listing`) that
-    :func:`apply_move` and :func:`inverse_move` also read: a deletion or
-    slide applies to ``d`` exactly when it is listed here.
+    cyclically adjacent passage pairs, without building any diagram.  They
+    come from the one listing, :func:`_deletions`, which :func:`apply_move`
+    and :func:`inverse_move` also read: a deletion or slide applies to
+    ``d`` exactly when it is listed here, as the listed instance it equals
+    (by ``==``).
 
     The result is a new list each call; callers may change it.
     """
-    moves: list[Move] = list(_insertions(len(d.endpoints)))
-    moves += _listing(d)
-    return moves
+    return [*_insertions(len(d.endpoints)), *_deletions(d.endpoints)]
 
 
 # Scrambles meet a handful of sizes; at 30 chords one size holds about

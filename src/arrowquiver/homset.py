@@ -207,23 +207,15 @@ def is_coloring(b: Biquandle, d: GaussDiagram, coloring: tuple[int, ...]) -> boo
 
     Every color must equal one of 1..n: a key built from any other value
     could collide with a key of the relation table."""
-    return _all_colorings(b, d, (coloring,))
-
-
-def _all_colorings(b: Biquandle, d: GaussDiagram, colorings) -> bool:
-    """:func:`is_coloring` of each of ``colorings``, reading the tables of
-    ``d`` once."""
-    elements = range(1, b.n + 1)
+    if len(coloring) != d.num_semiarcs or not all(map(b.elements.__contains__, coloring)):
+        return False
     rel, r = _relation(b), b.n + 1
     tables = {1: rel[1, 0], -1: rel[-1, 0]}
-    cd, semiarcs = d.compiled, d.num_semiarcs
-    for coloring in colorings:
-        if len(coloring) != semiarcs or not all(map(elements.__contains__, coloring)):
+    cd = d.compiled
+    for (s0, s1, s2, s3), (sign, _) in zip(cd.slots, cd.kind):
+        key = coloring[s0] + r * (coloring[s1] + r * (coloring[s2] + r * coloring[s3]))
+        if key not in tables[sign]:
             return False
-        for (s0, s1, s2, s3), (sign, _) in zip(cd.slots, cd.kind):
-            key = coloring[s0] + r * (coloring[s1] + r * (coloring[s2] + r * coloring[s3]))
-            if key not in tables[sign]:
-                return False
     return True
 
 
@@ -404,7 +396,7 @@ def transport_colorings(
     non-move).
     """
     colorings = list(colorings)
-    if not _all_colorings(b, d, colorings):
+    if not all(is_coloring(b, d, c) for c in colorings):
         raise TransportError("not a coloring of the input diagram")
     return _transport(b, d, move, colorings)
 

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import random
+import re
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, product
@@ -83,6 +84,23 @@ class TestTensor:
     def test_get(self, w16):
         assert w16.get((1, 1), (1, 2)) == 4
         assert w16.get((1, 2), (2, 1)) == 8
+
+    @pytest.mark.parametrize(
+        "first, second, bad",
+        [
+            ((0, 1), (1, 1), (0, 1)),
+            ((1, 3), (1, 1), (1, 3)),
+            ((1, 1), (2, -1), (2, -1)),
+            ((1, 1), (True, 1), (True, 1)),
+            ((1.0, 1), (1, 1), (1.0, 1)),
+        ],
+    )
+    def test_get_rejects_a_label_outside_1_to_n(self, w16, first, second, bad):
+        """A 0 would wrap to a negative index and a 3 alias into the next
+        row, both reading the entry of ((2, 1), (1, 1)); each is refused,
+        naming the label."""
+        with pytest.raises(ValueError, match=re.escape(f"label {bad!r} is not a pair of ints")):
+            w16.get(first, second)
 
     def test_entry_count_checked(self):
         with pytest.raises(ValueError, match="wrong number of tensor entries"):

@@ -167,6 +167,16 @@ class TestOperations:
         assert flip2.over_of(1, 2) == 2
         assert list(flip2.elements) == [1, 2]
 
+    @pytest.mark.parametrize(
+        "x, y, bad", [(0, 1, 0), (4, 1, 4), (1, 0, 0), (2, 4, 4), (True, 1, True)]
+    )
+    def test_operations_reject_an_element_outside_1_to_n(self, cyc3, x, y, bad):
+        """Element 0 would wrap to element 3, and 4 would raise a bare
+        IndexError; each is refused, naming the element."""
+        for op in (cyc3.under_of, cyc3.over_of):
+            with pytest.raises(ValueError, match=f"element {bad!r} is not an int from 1 to 3"):
+                op(x, y)
+
     def test_cyclic_operations_ignore_second_argument(self, cyc3):
         for x in cyc3.elements:
             for y in cyc3.elements:

@@ -32,7 +32,15 @@ quandles R_n for n in ``DIHEDRAL`` (under(x, y) = 2y - x mod n, over(x, y)
 under(x, y) = t x + (s - t) y and over(x, y) = s x, the biquandles of
 ``tests/test_coloring_oracle.py``), it records the number of keys of each
 crossing kind's table and the best of ``REPEATS`` builds, each from an
-empty cache.  The result is one JSON object on stdout.
+empty cache.
+
+The ``"moves"`` list times the move engine.  For each count in
+``MOVE_SIZES``, it draws ``SAMPLES`` random diagrams of that many chords
+from ``SEED`` and records the best of ``REPEATS`` mean per-call times of
+the compile of a word into its tables (``gausscode._compile``), of
+``enumerate_moves`` and of ``apply_move`` over each listed deletion and
+slide, with the number of those moves applied.  The result is one JSON
+object on stdout.
 
 Run from the repository root (uses only the standard library and the
 package in ``src``):
@@ -48,6 +56,7 @@ import random
 import signal
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +73,8 @@ from arrowquiver.gausscode import (  # noqa: E402
     Endpoint,
     GaussDiagram,
     R3Slide,
+    _compile,
+    _deletions,
     apply_move,
     enumerate_moves,
     parse_gauss_code,
@@ -81,6 +92,7 @@ TIMEOUT_S = 10.0
 COPIES = (1, 2, 3, 4)
 DIHEDRAL = (7, 9, 11)
 ALEXANDER = ((4, 3, 1), (5, 2, 3), (7, 3, 2), (8, 3, 5), (9, 2, 4))
+MOVE_SIZES = (4, 8, 16, 30)
 
 
 class PointTimeout(Exception):
@@ -215,6 +227,33 @@ def relation_series() -> list[dict]:
     return [relation_point(name, b) for name, b in biquandles.items()]
 
 
+def best_mean_us(calls: list) -> float | None:
+    """The best of ``REPEATS`` mean times of the zero-argument ``calls``, in
+    microseconds per call; None when there are no calls."""
+    if not calls:
+        return None
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for call in calls:
+            call()
+        best = min(best, time.perf_counter() - t0)
+    return round(best / len(calls) * 1e6, 3)
+
+
+def moves_point(chords: int) -> dict:
+    rng = random.Random(f"{SEED}:moves:{chords}")
+    diagrams = [_random_diagram_of_size(rng, chords) for _ in range(SAMPLES)]
+    applied = [(d, mv) for d in diagrams for mv in _deletions(d.endpoints)]
+    return {
+        "crossings": chords,
+        "compile_us": best_mean_us([partial(_compile, d.endpoints) for d in diagrams]),
+        "enumerate_moves_us": best_mean_us([partial(enumerate_moves, d) for d in diagrams]),
+        "apply_move_us": best_mean_us([partial(apply_move, d, mv) for d, mv in applied]),
+        "applied": len(applied),
+    }
+
+
 def main() -> int:
     signal.signal(signal.SIGALRM, _alarm)
     points = []
@@ -241,6 +280,7 @@ def main() -> int:
                 "points": points,
                 "isomorphism": isomorphism_series(),
                 "relation": relation_series(),
+                "moves": [moves_point(chords) for chords in MOVE_SIZES],
             },
             indent=1,
         )
