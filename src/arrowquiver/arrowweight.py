@@ -55,7 +55,7 @@ from math import gcd
 # benchmark records it only when loaded (ROADMAP items 5 and 8).
 import numpy  # noqa: F401
 
-from .biquandle import Biquandle
+from .biquandle import Biquandle, _int, _numbered
 from .gausscode import (
     _DIAGRAMS_CACHED,
     CompiledDiagram,
@@ -139,19 +139,19 @@ class WeightTensor:
 
     @classmethod
     def loads(cls, text: str) -> "WeightTensor":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = _numbered(text)
         for i, field in enumerate(("modulus", "size")):
-            value = lines[i] if i < len(lines) else "nothing"
+            k, value = lines[i] if i < len(lines) else (0, "nothing")
             if not value.isdecimal() or int(value) < 1:
-                raise ValueError(f"{field} must be a positive integer, found {value}")
-        m, n = int(lines[0]), int(lines[1])
+                at = f" (line {k})" if k else ""
+                raise ValueError(f"{field} must be a positive integer, found {value}{at}")
+        m, n = int(lines[0][1]), int(lines[1][1])
         rows = lines[2:]
         if len(rows) != n * n:
             raise ValueError(f"expected {n * n} tensor rows, found {len(rows)}")
         entries: list[int] = []
-        for ln in rows:
-            vals = [int(tok) % m for tok in ln.split()]
+        for k, ln in rows:
+            vals = [_int(tok, k) % m for tok in ln.split()]
             if len(vals) != n * n:
                 raise ValueError("tensor row has wrong length")
             entries.extend(vals)
@@ -259,6 +259,12 @@ def _sums(w: WeightTensor, d: GaussDiagram, colorings) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def _at(row: dict[int, int], values, m: int) -> int:
+    """The sparse ``row``, a map from index to coefficient, evaluated at the
+    sequence ``values`` and reduced mod m."""
+    return sum(c * values[k] for k, c in row.items()) % m
+
+
 def _basepoints(cd: CompiledDiagram) -> list[int]:
     """The indices of the rotation rows of the compiled diagram ``cd`` (see
     :func:`_rotation_rows_at`) that can differ from the row before: row 0,
@@ -282,10 +288,9 @@ def _check_rotations(w: WeightTensor, cd: CompiledDiagram, coloring: tuple[int, 
     never does for a valid arrow weight.  It evaluates the rotation rows at
     :func:`_basepoints` at w: row k - 1 is sigma_D minus sigma_D from
     basepoint k."""
-    e, m = w.entries, w.m
     indices = _basepoints(cd)
     for i, row in zip(indices, _rotation_rows_at(_pair_terms(cd, coloring, w.n), indices)):
-        if sum(c * e[s] for s, c in row.items()) % m:
+        if _at(row, w.entries, w.m):
             raise ValueError(f"weight sum depends on the basepoint (rotation {i + 1})")
 
 
@@ -373,10 +378,7 @@ class ConstraintSystem:
         """The indices of the rows that ``w`` does not satisfy."""
         if (w.n, w.m) != (self.n, self.m):
             raise ValueError("tensor shape does not match the system")
-        m, e = self.m, w.entries
-        return tuple(
-            i for i, row in enumerate(self.rows) if sum(c * e[s] for s, c in row.items()) % m
-        )
+        return tuple(i for i, row in enumerate(self.rows) if _at(row, w.entries, self.m))
 
 
 def _difference_row(before: dict[int, int], after: dict[int, int]) -> dict[int, int]:
@@ -554,14 +556,12 @@ class SolutionSet:
                 raise ValueError(f"row names column {bad}, outside 0..{ncols - 1}")
             put({s: c % m for s, c in row.items() if c % m})
         for col in range(ncols - 1, -1, -1):
-            live = buckets.pop(col, None)
-            if not live:
+            if not (live := buckets.pop(col, None)):
                 continue
-            first = piv = min(live, key=lambda r: (gcd(r[col], m), len(r)))
+            i = min(range(len(live)), key=lambda k: (gcd(live[k][col], m), len(live[k])))
+            piv = live.pop(i)
             g = gcd(piv[col], m)
             for other in live:
-                if other is first:
-                    continue
                 a, b = piv[col], other[col]
                 if b % g == 0:
                     # c * a == b (mod m); a // g is a unit mod m // g
@@ -597,11 +597,7 @@ class SolutionSet:
     def contains(self, values: tuple[int, ...]) -> bool:
         if len(values) != self.ncols:
             raise ValueError(f"expected {self.ncols} values, got {len(values)}")
-        m = self.m
-        return all(
-            sum(c * values[k] for k, c in row.items()) % m == 0
-            for row in self.pivot.values()
-        )
+        return not any(_at(row, values, self.m) for row in self.pivot.values())
 
     def _values(self, prefix: list[int]) -> range:
         """The values of column ``len(prefix)`` that extend ``prefix``."""

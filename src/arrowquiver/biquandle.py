@@ -311,28 +311,43 @@ def validate_tables(
     return violations
 
 
+def _numbered(text: str) -> list[tuple[int, str]]:
+    """The lines of ``text`` that are neither blank nor a ``#`` comment,
+    stripped, each with its physical line number, counted from 1."""
+    lines = ((k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1))
+    return [(k, ln) for k, ln in lines if ln and not ln.startswith("#")]
+
+
+def _int(token: str, line: int) -> int:
+    """``int(token)``, whose ValueError for a token that is not an integer
+    ends by naming the physical ``line`` of the token."""
+    try:
+        return int(token)
+    except ValueError as err:
+        raise ValueError(f"{err} (line {line})") from None
+
+
 def loads(text: str) -> Biquandle:
     """Parse a biquandle from its text form.
 
     The format is the element count (at least 1) on the first line, then
     the ``under`` table one row per line, a blank line, and the ``over``
-    table.  Entries are whitespace-separated integers in 1..n.
+    table.  Entries are whitespace-separated integers in 1..n.  A token
+    that is not an integer, or a size below 1, raises ValueError naming its
+    line.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if not ln.startswith("#")]
-    while lines and not lines[0]:
-        lines.pop(0)
+    lines = _numbered(text)
     if not lines:
         raise ValueError("empty biquandle description")
-    n = int(lines[0])
+    n = _int(lines[0][1], lines[0][0])
     if n < 1:
-        raise ValueError(f"size must be a positive integer, found {n}")
-    rows = [ln for ln in lines[1:] if ln]
+        raise ValueError(f"size must be a positive integer, found {n} (line {lines[0][0]})")
+    rows = lines[1:]
     if len(rows) != 2 * n:
         raise ValueError(f"expected {2 * n} table rows, found {len(rows)}")
 
-    def parse_table(chunk: list[str]) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(tok) for tok in ln.split()) for ln in chunk)
+    def parse_table(chunk: list[tuple[int, str]]) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_int(tok, k) for tok in ln.split()) for k, ln in chunk)
 
     under = parse_table(rows[:n])
     over = parse_table(rows[n:])

@@ -310,6 +310,29 @@ class TestSearch:
         for w in search_weights(cyc3, 2, limit=3, nontrivial=True):
             assert is_valid_weight(cyc3, w, trials=2)
 
+    @pytest.mark.parametrize(
+        "name, m",
+        [
+            ("flip2", 16),
+            ("cyc3", 3),
+            pytest.param(
+                "cyc3",
+                8,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the generated rows miss slide rows with spectators, so every "
+                    "second tensor fails a trial (ROADMAP items 1-2)",
+                ),
+            ),
+        ],
+    )
+    def test_find_lists_only_tensors_that_check_accepts(self, request, name, m):
+        """``weights find`` lists search_weights and ``weights check`` runs
+        is_valid_weight: each of the first 8 tensors found must pass."""
+        b = request.getfixturevalue(name)
+        for w in islice(search_weights(b, m), 8):
+            assert is_valid_weight(b, w), w.entries
+
 
 class TestValidity:
     def test_bundled_tensor_valid(self, flip2, w16):
@@ -1082,6 +1105,24 @@ class TestTensorHeader:
     def test_bad_header_names_the_field(self, text, message):
         with pytest.raises(ValueError, match=message):
             WeightTensor.loads(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the physical line, counting the comment and the blank
+            ("# w\n\nx\n1\n0\n", "modulus must be a positive integer, found x (line 3)"),
+            ("2\n# size\ny\n0\n", "size must be a positive integer, found y (line 3)"),
+            ("2\n0\n", "size must be a positive integer, found 0 (line 2)"),
+            (
+                "2\n2\n0 0 0 0\n\n# row 2\n0 x 0 0\n0 0 0 0\n0 0 0 0\n",
+                "invalid literal for int() with base 10: 'x' (line 6)",
+            ),
+        ],
+    )
+    def test_bad_token_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            WeightTensor.loads(text)
+        assert str(info.value) == message
 
 
 class TestCachedWeightSums:

@@ -286,6 +286,24 @@ class TestLoading:
         with pytest.raises(ValueError, match=expected):
             loads(f"{size}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("hello\n", "invalid literal for int() with base 10: 'hello' (line 1)"),
+            ("# size\n\nx\n", "invalid literal for int() with base 10: 'x' (line 3)"),
+            # the physical line, counting the comments and the blanks
+            (
+                "# flip\n\n2\n2 2\n1 1\n\n# over\n2 y\n1 1\n",
+                "invalid literal for int() with base 10: 'y' (line 8)",
+            ),
+            ("\n0\n", "size must be a positive integer, found 0 (line 2)"),
+        ],
+    )
+    def test_loads_bad_token_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            loads(text)
+        assert str(info.value) == message
+
     def test_loads_wrong_row_count(self):
         with pytest.raises(ValueError, match="expected 4 table rows, found 3"):
             loads("2\n2 2\n1 1\n2 2\n")

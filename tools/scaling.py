@@ -1,17 +1,23 @@
 """Time coloring search on seeded random diagrams of growing size.
 
-For each bundled biquandle and each crossing count in ``SIZES``, draw
-``SAMPLES`` random signed Gauss diagrams (virtual, so every shuffle of the
-passages is allowed) from ``SEED`` and time ``enumerate_colorings`` on
-each.  A diagram's time is the best of ``REPEATS`` runs, each after the
-coloring cache is cleared, so every run searches from scratch and the
-least time is the one least disturbed by the rest of the machine; the
-biquandle's relation tables are built once, untimed.  ``max_ms`` and
-``median_ms`` are taken over these per-diagram times.  One *point* is one
-(biquandle, crossings) pair; all its samples and repeats run under one
-``SIGALRM`` timeout of ``TIMEOUT_S`` seconds.  A point that times
-out is recorded with status ``"timeout"``, and the larger points of that
-biquandle are recorded as ``"skipped"`` without running.
+Every list below is a series of *points*, and one runner,
+:func:`run_series`, runs each: a point runs under one ``SIGALRM`` timeout
+of ``TIMEOUT_S`` seconds and gets ``"status"`` ``"ok"`` or ``"timeout"``,
+and every later point of its series is recorded as ``"skipped"`` without
+running.  A point's measure writes its fields as it goes, so a point that
+times out keeps what it finished.  A *best-of* time (:func:`best_of`) is
+the least of ``REPEATS`` runs, each after an optional reset such as a cache
+clear, so it is the run least disturbed by the rest of the machine.
+
+The ``"points"`` list: for each bundled biquandle and each crossing count
+in ``SIZES``, draw ``SAMPLES`` random signed Gauss diagrams (virtual, so
+every shuffle of the passages is allowed) from ``SEED`` and time
+``enumerate_colorings`` on each.  A diagram's time is its best-of time,
+each run after the coloring cache is cleared, so every run searches from
+scratch; the biquandle's relation tables are built once, untimed.
+``max_ms`` and ``median_ms`` are taken over these per-diagram times, and
+``done`` counts them.  One point is one (biquandle, crossings) pair; each
+biquandle's sizes are one series.
 
 The ``"isomorphism"`` series times quiver isomorphism on the quivers that
 ``tests/test_acceptance.py`` compares across an R3 slide: for each count
@@ -20,21 +26,19 @@ in ``COPIES``, connected copies of 4.99 followed by the slide host
 endomorphism and the bundled Z_6 weight.  A point records the vertex count
 (16 per copy), the time of ``build_quiver`` on the host from empty caches,
 and the time of one ``quiver_isomorphic`` call of the host's quiver
-against the quiver of its one listed slide.  The two builds and the call
-run under one timeout of ``TIMEOUT_S`` seconds, and the larger counts are
-skipped after a timeout, as above.
+against the quiver of its one listed slide.
 
-The ``"relation"`` list times the build of the coloring solver's crossing
+The ``"relation"`` series times the build of the coloring solver's crossing
 tables, ``homset._relation``, which is the cold cost of the first
 coloring search by a biquandle.  For the bundled biquandles, the dihedral
 quandles R_n for n in ``DIHEDRAL`` (under(x, y) = 2y - x mod n, over(x, y)
 = x) and the Alexander biquandles (n, t, s) in ``ALEXANDER`` (on Z_n,
 under(x, y) = t x + (s - t) y and over(x, y) = s x, the biquandles of
 ``tests/test_coloring_oracle.py``), it records the number of keys of each
-crossing kind's table and the best of ``REPEATS`` builds, each from an
+crossing kind's table and the best-of time of the build, each run from an
 empty cache.
 
-The ``"moves"`` list times the move engine.  For each count in
+The ``"moves"`` series times the move engine.  For each count in
 ``MOVE_SIZES``, it draws ``SAMPLES`` random diagrams of that many chords
 from ``SEED`` and records the best of ``REPEATS`` mean per-call times of
 the compile of a word into its tables (``gausscode._compile``), of
@@ -103,36 +107,56 @@ def _alarm(signum, frame):
     raise PointTimeout
 
 
-def run_point(b, name: str, chords: int) -> dict:
-    rng = random.Random(f"{SEED}:{name}:{chords}")
-    diagrams = [_random_diagram_of_size(rng, chords) for _ in range(SAMPLES)]
+def run_series(points: list[dict], measure) -> list[dict]:
+    """Call ``measure(point)`` on each of ``points`` in order, each under one
+    ``SIGALRM`` timeout of ``TIMEOUT_S`` seconds, and record its ``"status"``
+    as ``"ok"`` or ``"timeout"``.  Every point after a timeout is marked
+    ``"skipped"`` without running.  A measure writes its fields into the
+    point as it goes, so a point that times out keeps what it recorded.
+    The caller installs :func:`_alarm` as the ``SIGALRM`` handler."""
+    timed_out = False
+    for point in points:
+        if timed_out:
+            point["status"] = "skipped"
+            continue
+        signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
+        try:
+            measure(point)
+            point["status"] = "ok"
+        except PointTimeout:
+            point["status"] = "timeout"
+            timed_out = True
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    return points
+
+
+def best_of(run, reset=None) -> float:
+    """The least time in seconds of ``REPEATS`` calls of ``run``, each after a
+    call of ``reset``, if given."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        if reset is not None:
+            reset()
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def coloring_point(b, point: dict) -> None:
+    rng = random.Random(f"{SEED}:{point['biquandle']}:{point['crossings']}")
+    diagrams = [_random_diagram_of_size(rng, point["crossings"]) for _ in range(SAMPLES)]
     times_ms: list[float] = []
-    counts: list[int] = []
-    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
-    try:
-        for d in diagrams:
-            best = float("inf")
-            for _ in range(REPEATS):
-                _colorings.cache_clear()
-                t0 = time.perf_counter()
-                count = len(enumerate_colorings(b, d))
-                best = min(best, time.perf_counter() - t0)
-            counts.append(count)
-            times_ms.append(best * 1e3)
-        status = "ok"
-    except PointTimeout:
-        status = "timeout"
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-    return {
-        "biquandle": name,
-        "crossings": chords,
-        "status": status,
-        "done": len(times_ms),
-        "max_ms": round(max(times_ms), 3) if times_ms else None,
-        "median_ms": round(sorted(times_ms)[len(times_ms) // 2], 3) if times_ms else None,
-        "colorings": counts,
-    }
+    point.update(done=0, max_ms=None, median_ms=None, colorings=[])
+    for d in diagrams:
+        times_ms.append(best_of(partial(enumerate_colorings, b, d), _colorings.cache_clear) * 1e3)
+        point["colorings"].append(len(enumerate_colorings(b, d)))  # a cache hit
+        point.update(
+            done=len(times_ms),
+            max_ms=round(max(times_ms), 3),
+            median_ms=round(sorted(times_ms)[len(times_ms) // 2], 3),
+        )
 
 
 def slide_pair(copies: int) -> tuple[GaussDiagram, GaussDiagram]:
@@ -151,67 +175,30 @@ def slide_pair(copies: int) -> tuple[GaussDiagram, GaussDiagram]:
     return d1, apply_move(d1, slide)
 
 
-def run_isomorphism_point(b, w: WeightTensor, endos, copies: int) -> dict:
-    d1, d2 = slide_pair(copies)
-    point: dict = {
-        "copies": copies,
-        "vertices": None,
-        "build_ms": None,
-        "isomorphic": None,
-        "isomorphic_ms": None,
-    }
+def isomorphism_point(b, w: WeightTensor, endos, point: dict) -> None:
+    d1, d2 = slide_pair(point["copies"])
+    point.update(vertices=None, build_ms=None, isomorphic=None, isomorphic_ms=None)
     _colorings.cache_clear()
     _weight_sums.cache_clear()
-    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
-    try:
-        t0 = time.perf_counter()
-        q1 = build_quiver(b, w, d1, endos)
-        point["build_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
-        point["vertices"] = len(q1.vertices)
-        q2 = build_quiver(b, w, d2, endos)
-        t0 = time.perf_counter()
-        point["isomorphic"] = quiver_isomorphic(q1, q2)
-        point["isomorphic_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
-        point["status"] = "ok"
-    except PointTimeout:
-        point["status"] = "timeout"
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-    return point
+    t0 = time.perf_counter()
+    q1 = build_quiver(b, w, d1, endos)
+    point["build_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
+    point["vertices"] = len(q1.vertices)
+    q2 = build_quiver(b, w, d2, endos)
+    t0 = time.perf_counter()
+    point["isomorphic"] = quiver_isomorphic(q1, q2)
+    point["isomorphic_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
 
 
-def isomorphism_series() -> list[dict]:
-    b = load_biquandle(str(bundled_path("biquandle_quad4.txt")))
-    w = WeightTensor.load(str(bundled_path("weight_quad4_z6.txt")))
-    endos = b.endomorphisms()
-    series = []
-    timed_out = False
-    for copies in COPIES:
-        if timed_out:
-            series.append({"copies": copies, "status": "skipped"})
-            continue
-        point = run_isomorphism_point(b, w, endos, copies)
-        timed_out = point["status"] == "timeout"
-        series.append(point)
-    return series
+def relation_point(biquandles: dict[str, Biquandle], point: dict) -> None:
+    b = biquandles[point["biquandle"]]
+    point["n"] = b.n
+    build_s = best_of(partial(_relation, b), _relation.cache_clear)
+    point["keys"] = {f"{sign:+d},{shape}": len(t) for (sign, shape), t in _relation(b).items()}
+    point["build_ms"] = round(build_s * 1e3, 3)
 
 
-def relation_point(name: str, b: Biquandle) -> dict:
-    best = float("inf")
-    for _ in range(REPEATS):
-        _relation.cache_clear()
-        t0 = time.perf_counter()
-        tables = _relation(b)
-        best = min(best, time.perf_counter() - t0)
-    return {
-        "biquandle": name,
-        "n": b.n,
-        "keys": {f"{sign:+d},{shape}": len(t) for (sign, shape), t in tables.items()},
-        "build_ms": round(best * 1e3, 3),
-    }
-
-
-def relation_series() -> list[dict]:
+def relation_biquandles() -> dict[str, Biquandle]:
     biquandles = {
         name: load_biquandle(str(bundled_path(f"biquandle_{name}.txt"))) for name in BIQUANDLES
     }
@@ -224,7 +211,7 @@ def relation_series() -> list[dict]:
         under = tuple(tuple((t * i + (s - t) * j) % n + 1 for j in x) for i in x)
         over = tuple((s * i % n + 1,) * n for i in x)
         biquandles[f"alexander({n},{t},{s})"] = Biquandle(under, over)
-    return [relation_point(name, b) for name, b in biquandles.items()]
+    return biquandles
 
 
 def best_mean_us(calls: list) -> float | None:
@@ -232,26 +219,17 @@ def best_mean_us(calls: list) -> float | None:
     microseconds per call; None when there are no calls."""
     if not calls:
         return None
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for call in calls:
-            call()
-        best = min(best, time.perf_counter() - t0)
-    return round(best / len(calls) * 1e6, 3)
+    return round(best_of(lambda: [call() for call in calls]) / len(calls) * 1e6, 3)
 
 
-def moves_point(chords: int) -> dict:
-    rng = random.Random(f"{SEED}:moves:{chords}")
-    diagrams = [_random_diagram_of_size(rng, chords) for _ in range(SAMPLES)]
+def moves_point(point: dict) -> None:
+    rng = random.Random(f"{SEED}:moves:{point['crossings']}")
+    diagrams = [_random_diagram_of_size(rng, point["crossings"]) for _ in range(SAMPLES)]
     applied = [(d, mv) for d in diagrams for mv in _deletions(d.endpoints)]
-    return {
-        "crossings": chords,
-        "compile_us": best_mean_us([partial(_compile, d.endpoints) for d in diagrams]),
-        "enumerate_moves_us": best_mean_us([partial(enumerate_moves, d) for d in diagrams]),
-        "apply_move_us": best_mean_us([partial(apply_move, d, mv) for d, mv in applied]),
-        "applied": len(applied),
-    }
+    point["compile_us"] = best_mean_us([partial(_compile, d.endpoints) for d in diagrams])
+    point["enumerate_moves_us"] = best_mean_us([partial(enumerate_moves, d) for d in diagrams])
+    point["apply_move_us"] = best_mean_us([partial(apply_move, d, mv) for d, mv in applied])
+    point["applied"] = len(applied)
 
 
 def main() -> int:
@@ -260,14 +238,11 @@ def main() -> int:
     for name in BIQUANDLES:
         b = load_biquandle(str(bundled_path(f"biquandle_{name}.txt")))
         enumerate_colorings(b, GaussDiagram(()))  # per-biquandle set-up, untimed
-        timed_out = False
-        for chords in SIZES:
-            if timed_out:
-                points.append({"biquandle": name, "crossings": chords, "status": "skipped"})
-                continue
-            point = run_point(b, name, chords)
-            timed_out = point["status"] == "timeout"
-            points.append(point)
+        series = [{"biquandle": name, "crossings": chords} for chords in SIZES]
+        points += run_series(series, partial(coloring_point, b))
+    quad4 = load_biquandle(str(bundled_path("biquandle_quad4.txt")))
+    w = WeightTensor.load(str(bundled_path("weight_quad4_z6.txt")))
+    relations = relation_biquandles()
     print(
         json.dumps(
             {
@@ -278,9 +253,15 @@ def main() -> int:
                 "repeats": REPEATS,
                 "timeout_s": TIMEOUT_S,
                 "points": points,
-                "isomorphism": isomorphism_series(),
-                "relation": relation_series(),
-                "moves": [moves_point(chords) for chords in MOVE_SIZES],
+                "isomorphism": run_series(
+                    [{"copies": copies} for copies in COPIES],
+                    partial(isomorphism_point, quad4, w, quad4.endomorphisms()),
+                ),
+                "relation": run_series(
+                    [{"biquandle": name} for name in relations],
+                    partial(relation_point, relations),
+                ),
+                "moves": run_series([{"crossings": c} for c in MOVE_SIZES], moves_point),
             },
             indent=1,
         )
