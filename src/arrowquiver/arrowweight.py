@@ -363,7 +363,8 @@ class ConstraintSystem:
     """Homogeneous linear conditions on tensor slots over Z_m."""
 
     def __init__(self, n: int, m: int, rows: list[dict[int, int]]):
-        if m < 1:
+        # type, not isinstance: a bool is an int, and 16.0 == 16
+        if type(m) is not int or m < 1:
             raise ValueError(f"modulus must be a positive integer, got {m}")
         self.n = n
         self.m = m
@@ -388,7 +389,7 @@ def _difference_row(before: dict[int, int], after: dict[int, int]) -> dict[int, 
     return row
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def generate_constraints(b: Biquandle, m: int) -> ConstraintSystem:
     """Every invariance condition on arrow weights for ``b`` over Z_m.
 
@@ -514,6 +515,14 @@ def _combine(
     return {k: v % m for k, v in out.items() if v % m}
 
 
+def _unit_part(a: int, m: int) -> tuple[int, int]:
+    """g = gcd(a, m) and the inverse of a // g mod m // g, which is a unit
+    there: a*v == r (mod m) is solvable exactly when g divides r, by
+    v == r // g * inverse (mod m // g)."""
+    g = gcd(a, m)
+    return g, pow(a // g, -1, m // g)
+
+
 class SolutionSet:
     """The solutions of a homogeneous system over Z_m, in echelon form.
 
@@ -531,19 +540,32 @@ class SolutionSet:
     the per-column solution counts exact.  Entries are Python ints, so every
     positive modulus is exact.
 
+    ``pivot`` maps each pivot column to one record (row, g, inverse): for
+    the row's entry a at that column, g = gcd(a, m) and the inverse of
+    a // g mod m // g (:func:`_unit_part`).  The record is computed where
+    the pivot is chosen and again after each Bezout merge, and nowhere
+    else: the divisible branch clears b with b // g times the inverse,
+    :meth:`count` multiplies the g values (and m per free column), and the
+    walk reads both.  The walk keeps one list of ``ncols`` values; before
+    solving a pivot column it sets that column to 0, so :func:`_at` of the
+    pivot row sums only the earlier columns, r, and a*v == -r (mod m) has
+    the g solutions v == (-r) // g * inverse mod m // g, stepped by m // g,
+    or none unless g divides r.
+
     The caller's rows are never changed.  Each one is copied, reduced mod m,
     into the buckets, so every bucketed row is private to the elimination
     and a row cleared by the pivot is reduced in place over the pivot's
-    entries.  A row that names a column outside 0..ncols - 1 raises
+    entries.  A modulus that is not a positive int (a bool is refused too)
+    and a row that names a column other than an int in 0..ncols - 1 raise
     ValueError.
     """
 
     def __init__(self, ncols: int, m: int, rows: list[dict[int, int]]):
-        if m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError(f"modulus must be a positive integer, got {m}")
         self.ncols = ncols
         self.m = m
-        self.pivot: dict[int, dict[int, int]] = {}
+        self.pivot: dict[int, tuple[dict[int, int], int, int]] = {}
         buckets: dict[int, list[dict[int, int]]] = {}
 
         def put(row: dict[int, int]) -> None:
@@ -551,7 +573,7 @@ class SolutionSet:
                 buckets.setdefault(max(row), []).append(row)
 
         for row in rows:
-            bad = next((s for s in row if not 0 <= s < ncols), None)
+            bad = next((s for s in row if type(s) is not int or not 0 <= s < ncols), None)
             if bad is not None:
                 raise ValueError(f"row names column {bad}, outside 0..{ncols - 1}")
             put({s: c % m for s, c in row.items() if c % m})
@@ -560,12 +582,12 @@ class SolutionSet:
                 continue
             i = min(range(len(live)), key=lambda k: (gcd(live[k][col], m), len(live[k])))
             piv = live.pop(i)
-            g = gcd(piv[col], m)
+            g, inv = _unit_part(piv[col], m)
             for other in live:
                 a, b = piv[col], other[col]
                 if b % g == 0:
                     # c * a == b (mod m); a // g is a unit mod m // g
-                    c = b // g * pow(a // g, -1, m // g)
+                    c = b // g * inv
                     for k, v in piv.items():
                         x = (other.get(k, 0) - c * v) % m
                         if x:
@@ -579,60 +601,46 @@ class SolutionSet:
                 t = (h - s * a) // b
                 put(_combine(b // h, piv, -(a // h), other, m))
                 piv = _combine(s, piv, t, other, m)
-                g = gcd(piv[col], m)
+                g, inv = _unit_part(piv[col], m)
             ann = m // g
             if ann != m:
                 put({s: ann * c % m for s, c in piv.items() if ann * c % m})
-            self.pivot[col] = piv
+            self.pivot[col] = (piv, g, inv)
 
     def count(self) -> int:
-        total = 1
-        for col in range(self.ncols):
-            if col in self.pivot:
-                total *= gcd(self.pivot[col][col], self.m)
-            else:
-                total *= self.m
+        total = self.m ** (self.ncols - len(self.pivot))
+        for _, g, _ in self.pivot.values():
+            total *= g
         return total
 
     def contains(self, values: tuple[int, ...]) -> bool:
         if len(values) != self.ncols:
             raise ValueError(f"expected {self.ncols} values, got {len(values)}")
-        return not any(_at(row, values, self.m) for row in self.pivot.values())
-
-    def _values(self, prefix: list[int]) -> range:
-        """The values of column ``len(prefix)`` that extend ``prefix``."""
-        m = self.m
-        col = len(prefix)
-        if col not in self.pivot:
-            return range(m)
-        row = self.pivot[col]
-        g = row[col]
-        r = sum(c * prefix[k] for k, c in row.items() if k != col) % m
-        d = gcd(g, m)
-        rr = (-r) % m
-        if rr % d:
-            return range(0)
-        # g * v == rr (mod m) has the d solutions v0 + t*(m // d)
-        md = m // d
-        v0 = rr // d * pow(g // d, -1, md) % md
-        return range(v0, v0 + m, md)
+        return not any(_at(row, values, self.m) for row, _, _ in self.pivot.values())
 
     def __iter__(self):
         # an explicit stack of per-column value iterators, so the depth is
         # not bounded by the recursion limit (n^4 columns)
-        prefix: list[int] = []
+        m = self.m
+        values = [0] * self.ncols
         stack = []
         while True:
-            if len(prefix) == self.ncols:
-                yield tuple(prefix)
+            col = len(stack)
+            if col == self.ncols:
+                yield tuple(values)
+            elif col not in self.pivot:
+                stack.append(iter(range(m)))
             else:
-                stack.append(iter(self._values(prefix)))
+                row, g, inv = self.pivot[col]
+                values[col] = 0
+                r = -_at(row, values, m) % m
+                step = m // g
+                stack.append(iter(range(r // g * inv % step, m, step) if r % g == 0 else ()))
             while stack and (v := next(stack[-1], None)) is None:
                 stack.pop()
             if not stack:
                 return
-            del prefix[len(stack) - 1 :]
-            prefix.append(v)
+            values[len(stack) - 1] = v
 
 
 def solve_constraints(system: ConstraintSystem) -> SolutionSet:

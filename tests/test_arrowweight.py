@@ -903,6 +903,30 @@ class TestModulusLimit:
         with pytest.raises(ValueError, match=message):
             SolutionSet(3, m, [{0: 1}])
 
+    @pytest.mark.parametrize("m", [16.0, True, 2.0])
+    def test_modulus_that_is_not_an_int_rejected(self, flip2, m):
+        message = f"modulus must be a positive integer, got {m}"
+        with pytest.raises(ValueError, match=message):
+            generate_constraints(flip2, m)
+        with pytest.raises(ValueError, match=message):
+            ConstraintSystem(2, m, [{0: 1}])
+        with pytest.raises(ValueError, match=message):
+            SolutionSet(3, m, [{0: 1}])
+
+    def test_float_modulus_leaves_the_int_system_uncached(self, flip2):
+        """16.0 == 16 and they hash alike, so a float system cached under the
+        float's key would be served to the int call."""
+        generate_constraints.cache_clear()
+        with pytest.raises(ValueError):
+            generate_constraints(flip2, 16.0)
+        w = next(search_weights(flip2, 16))
+        assert all(type(e) is int for e in w.entries)
+        assert type(generate_constraints(flip2, 16).m) is int
+
+    def test_column_that_is_not_an_int_rejected(self):
+        with pytest.raises(ValueError, match=r"^row names column 1\.0, outside 0\.\.1$"):
+            SolutionSet(2, 4, [{1.0: 1}])
+
     def test_limit_zero_yields_nothing(self, flip2):
         assert list(search_weights(flip2, 2, limit=0)) == []
 
@@ -1089,6 +1113,43 @@ class TestSolverOracles:
             sols.contains((0, 0, 0))
         with pytest.raises(ValueError, match="expected 4 values, got 5"):
             sols.contains((0,) * 5)
+
+
+class TestMembershipPaths:
+    """The constraint system's ``violated`` and the echelon form's
+    ``contains`` decide membership by separate paths; they must agree."""
+
+    PAIRS = {
+        "flip2/16": ("flip2", "w16"),
+        "cyc3/8": ("cyc3", "w8"),
+        "cyc3/3": ("cyc3", "w3"),
+        "quad4/6": ("quad4", "w6"),
+        "shift4/4": ("shift4", "w4"),
+    }
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_violated_and_contains_agree(self, request, pair):
+        name, tensor = self.PAIRS[pair]
+        b = request.getfixturevalue(name)
+        w = request.getfixturevalue(tensor)
+        m = w.m
+        system = generate_constraints(b, m)
+        sols = solve_constraints(system)
+        walked = list(islice(sols, 64))
+        assert all(u < v for u, v in zip(walked, walked[1:]))
+        rng = random.Random(pair)
+        probes = [w.entries, *walked]
+        probes += [tuple(rng.randrange(m) for _ in w.entries) for _ in range(40)]
+        for slot in range(len(w.entries)):
+            bumped = list(w.entries)
+            bumped[slot] = (bumped[slot] + rng.randrange(1, m)) % m
+            probes.append(tuple(bumped))
+        answers = []
+        for v in probes:
+            answers.append(sols.contains(v))
+            assert (system.violated(WeightTensor(b.n, m, v)) == ()) == answers[-1], v
+        assert all(answers[: 1 + len(walked)])
+        assert not all(answers)
 
 
 class TestTensorHeader:

@@ -1,9 +1,10 @@
 """Every script under ``tools/`` imports without running: each one guards
 its ``main``, so a broken import or a top-level error shows here, not only
 when the script is run.  The bounded runner of ``tools/scaling.py`` is
-tested on stand-in measures."""
+tested on stand-in measures, and its solver series on the bundled pairs."""
 
 import importlib.util
+import math
 import signal
 import time
 from pathlib import Path
@@ -69,3 +70,22 @@ def test_scaling_best_of_resets_before_each_run(scaling):
     events.clear()
     scaling.best_of(lambda: events.append("run"))
     assert events == ["run"] * scaling.REPEATS
+
+
+def test_scaling_solver_series_records_every_bundled_pair(scaling, monkeypatch):
+    monkeypatch.setattr(scaling, "TIMEOUT_S", 60.0)
+    monkeypatch.setattr(scaling, "REPEATS", 1)
+    points = scaling.run_series(
+        [{"biquandle": name, "m": m} for name, m in scaling.PAIRS], scaling.solver_point
+    )
+    assert len(points) == 5
+    for point in points:
+        assert point["status"] == "ok"
+        assert point["rows"] > 0
+        assert 0 < point["pivots"] <= 256
+        assert point["count_log2"] > 0
+        for field in ("build_ms", "walk_ms", "integer_rows_ms"):
+            assert 0 <= point[field] < 60_000
+    flip2 = points[0]
+    assert (flip2["biquandle"], flip2["m"]) == ("flip2", 16)
+    assert math.isclose(flip2["count_log2"], 5.0)  # 32 tensors

@@ -43,8 +43,15 @@ The ``"moves"`` series times the move engine.  For each count in
 from ``SEED`` and records the best of ``REPEATS`` mean per-call times of
 the compile of a word into its tables (``gausscode._compile``), of
 ``enumerate_moves`` and of ``apply_move`` over each listed deletion and
-slide, with the number of those moves applied.  The result is one JSON
-object on stdout.
+slide, with the number of those moves applied.
+
+The ``"solver"`` series times the Z_m solver on each bundled (biquandle,
+m) pair in ``PAIRS``.  A point records the number of constraint rows, the
+number of pivots and log2 of the solution count, and the best-of times of
+the ``SolutionSet`` build from those rows, of the walk to the first
+``WALK`` tensors and of a cold ``_integer_rows``, each run of which starts
+with that cache and the coloring cache cleared (the relation tables stay
+built).  The result is one JSON object on stdout.
 
 Run from the repository root (uses only the standard library and the
 package in ``src``):
@@ -61,15 +68,20 @@ import signal
 import sys
 import time
 from functools import partial
+from itertools import islice
+from math import log2
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from arrowquiver.arrowweight import (  # noqa: E402
+    SolutionSet,
     WeightTensor,
+    _integer_rows,
     _random_diagram_of_size,
     _weight_sums,
+    generate_constraints,
 )
 from arrowquiver.biquandle import Biquandle  # noqa: E402
 from arrowquiver.biquandle import load as load_biquandle  # noqa: E402
@@ -97,6 +109,8 @@ COPIES = (1, 2, 3, 4)
 DIHEDRAL = (7, 9, 11)
 ALEXANDER = ((4, 3, 1), (5, 2, 3), (7, 3, 2), (8, 3, 5), (9, 2, 4))
 MOVE_SIZES = (4, 8, 16, 30)
+PAIRS = (("flip2", 16), ("cyc3", 8), ("cyc3", 3), ("quad4", 6), ("shift4", 4))
+WALK = 64
 
 
 class PointTimeout(Exception):
@@ -232,6 +246,22 @@ def moves_point(point: dict) -> None:
     point["applied"] = len(applied)
 
 
+def _cold_rows() -> None:
+    _integer_rows.cache_clear()
+    _colorings.cache_clear()
+
+
+def solver_point(point: dict) -> None:
+    b = load_biquandle(str(bundled_path(f"biquandle_{point['biquandle']}.txt")))
+    ncols, m = b.n**4, point["m"]
+    rows = generate_constraints(b, m).rows
+    sols = SolutionSet(ncols, m, rows)
+    point.update(rows=len(rows), pivots=len(sols.pivot), count_log2=round(log2(sols.count()), 4))
+    point["build_ms"] = round(best_of(partial(SolutionSet, ncols, m, rows)) * 1e3, 3)
+    point["walk_ms"] = round(best_of(lambda: list(islice(sols, WALK))) * 1e3, 3)
+    point["integer_rows_ms"] = round(best_of(partial(_integer_rows, b), _cold_rows) * 1e3, 3)
+
+
 def main() -> int:
     signal.signal(signal.SIGALRM, _alarm)
     points = []
@@ -262,6 +292,9 @@ def main() -> int:
                     partial(relation_point, relations),
                 ),
                 "moves": run_series([{"crossings": c} for c in MOVE_SIZES], moves_point),
+                "solver": run_series(
+                    [{"biquandle": name, "m": m} for name, m in PAIRS], solver_point
+                ),
             },
             indent=1,
         )
