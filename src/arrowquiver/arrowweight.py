@@ -282,16 +282,17 @@ def _basepoints(cd: CompiledDiagram) -> list[int]:
     return [0, *sorted(u for _, u, _, _ in cd.slots if 0 < u < last)]
 
 
-def _check_rotations(w: WeightTensor, cd: CompiledDiagram, coloring: tuple[int, ...]) -> None:
-    """Raise ValueError at the first basepoint k, 0 < k < 2n, from which the
-    weight sum of ``coloring`` of the compiled diagram ``cd`` differs; it
-    never does for a valid arrow weight.  It evaluates the rotation rows at
+def _check_rotations(w: WeightTensor, cd: CompiledDiagram, coloring: tuple[int, ...]) -> int:
+    """The first basepoint k, 0 < k < 2n, from which the weight sum of
+    ``coloring`` of the compiled diagram ``cd`` differs, or 0 when none
+    does, as for a valid arrow weight.  It evaluates the rotation rows at
     :func:`_basepoints` at w: row k - 1 is sigma_D minus sigma_D from
     basepoint k."""
     indices = _basepoints(cd)
     for i, row in zip(indices, _rotation_rows_at(_pair_terms(cd, coloring, w.n), indices)):
         if _at(row, w.entries, w.m):
-            raise ValueError(f"weight sum depends on the basepoint (rotation {i + 1})")
+            return i + 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +556,14 @@ class SolutionSet:
     The caller's rows are never changed.  Each one is copied, reduced mod m,
     into the buckets, so every bucketed row is private to the elimination
     and a row cleared by the pivot is reduced in place over the pivot's
-    entries.  A modulus that is not a positive int (a bool is refused too)
-    and a row that names a column other than an int in 0..ncols - 1 raise
-    ValueError.
+    entries.  A column count that is not a non-negative int, a modulus that
+    is not a positive int (a bool is refused for either) and a row that
+    names a column other than an int in 0..ncols - 1 raise ValueError.
     """
 
     def __init__(self, ncols: int, m: int, rows: list[dict[int, int]]):
+        if type(ncols) is not int or ncols < 0:
+            raise ValueError(f"ncols must be a non-negative integer, got {ncols}")
         if type(m) is not int or m < 1:
             raise ValueError(f"modulus must be a positive integer, got {m}")
         self.ncols = ncols
@@ -663,9 +666,10 @@ def search_weights(
 
     With ``nontrivial``, tensors whose weight sums vanish on every coloring
     of a small probe family of diagrams are skipped (this drops the zero
-    tensor in particular).  A negative ``limit`` raises ValueError.
+    tensor in particular).  A ``limit`` that is not a non-negative int
+    (a bool is refused too) raises ValueError.
     """
-    if limit is not None and limit < 0:
+    if limit is not None and (type(limit) is not int or limit < 0):
         raise ValueError(f"limit must be a non-negative integer, got {limit}")
     probes = [parse_gauss_code(code) for code in _PROBE_CODES] if nontrivial else []
     colorings = [(d, enumerate_colorings(b, d)) for d in probes]
@@ -729,9 +733,10 @@ def is_valid_weight(
     chords), and for every coloring the weight sum must survive
     transport and basepoint rotation exactly.  The report is truthy
     exactly when ``w`` passes.
-    A negative ``trials`` raises ValueError.
+    A ``trials`` that is not a non-negative int (a bool is refused too)
+    raises ValueError.
     """
-    if trials < 0:
+    if type(trials) is not int or trials < 0:
         raise ValueError(f"trials must be a non-negative integer, got {trials}")
     if w.n != b.n:
         return ValidityReport(False, failed_trial={"error": "dimension mismatch"})
@@ -751,25 +756,23 @@ def is_valid_weight(
             moved_sums = _sums(w, d2, images)
             cd = d.compiled
             for c, before, after in zip(colorings, sums, moved_sums):
-                try:
-                    _check_rotations(w, cd, c)
-                    mismatch = before != after
+                if k := _check_rotations(w, cd, c):
+                    detail = {"error": f"weight sum depends on the basepoint (rotation {k})"}
+                elif before != after:
                     detail = {"before": before, "after": after}
-                except ValueError as err:
-                    mismatch = True
-                    detail = {"error": str(err)}
-                if mismatch:
-                    return ValidityReport(
-                        False,
-                        failed_trial={
-                            "trial": trial,
-                            "seed": seed,
-                            "diagram": str(d),
-                            "move": repr(move),
-                            "coloring": list(c),
-                            **detail,
-                        },
-                    )
+                else:
+                    continue
+                return ValidityReport(
+                    False,
+                    failed_trial={
+                        "trial": trial,
+                        "seed": seed,
+                        "diagram": str(d),
+                        "move": repr(move),
+                        "coloring": list(c),
+                        **detail,
+                    },
+                )
             # transport is a bijection onto the colorings of d2, so the
             # images, sorted, are what enumerate_colorings(b, d2) returns,
             # and their sums come along as its weight sums

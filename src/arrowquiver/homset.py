@@ -15,8 +15,9 @@ sense of the crossing: (u_in, o_out) at a positive crossing and
 inverse crossing.  Arrow weight sums (:mod:`arrowquiver.arrowweight`) are
 functions of these labels.
 
-Search: one solver finds every coloring that extends a partial one.  It
-reads the diagram compiled to flat tables
+Search: one solver finds every coloring that extends a partial one, for
+any number of partial colorings of one diagram at a time.  It reads, once
+per call, the diagram compiled to flat tables
 (:attr:`~arrowquiver.gausscode.GaussDiagram.compiled`: the four semiarc
 slots around each chord, the relation table each chord reads and the
 slots each semiarc fills) and, per biquandle, the crossing relation:
@@ -34,19 +35,20 @@ By axiom B2 the colors of (u_in, o_out), (o_in, u_out), (u_in, o_in) or
 (u_out, o_out) each fix a crossing, so propagation usually runs around the
 whole knot.  When nothing is forced, the uncolored semiarc whose crossings
 allow the fewest values is tried with each of them in ascending order.
-The search is one loop over an explicit stack, the idiom of
-:meth:`~arrowquiver.biquandle.Biquandle._maps`: one trail lists the
-semiarcs propagation colored, in order, and each open branch point holds
-its semiarc, the values still to try and the length of the trail when it
-branched, so going back to it uncolors the trail past that length.  Its
-depth therefore does not count against the recursion limit, and a search
-allocates no closure and leaves no reference cycle for the garbage
-collector to find.
-:func:`enumerate_colorings` runs the solver once per orbit of the
-biquandle's automorphism group on its elements, with semiarc 0 colored by
-the orbit's least element r: an automorphism f sends the colorings with r
-there one-to-one onto those with f(r), so the rest of the orbit is read off
-as images.  The orbits, and one automorphism carrying r to each other
+The search is one loop per partial coloring over an explicit stack, the
+idiom of :meth:`~arrowquiver.biquandle.Biquandle._maps`: one trail lists
+the semiarcs colored, in order, the value a branch point tries as well as
+the forced ones, and each open branch point holds its semiarc, the values
+still to try and the length of the trail when it branched, so going back
+to it uncolors the trail past that length, its own semiarc included: one
+loop undoes every color.  Its depth therefore does not count against the
+recursion limit, and a search allocates no closure and leaves no
+reference cycle for the garbage collector to find.
+:func:`enumerate_colorings` calls the solver once per diagram, with one
+partial coloring per orbit of the biquandle's automorphism group on its
+elements, semiarc 0 colored by the orbit's least element r: an
+automorphism f sends the colorings with r there one-to-one onto those
+with f(r), so the rest of the orbit is read off as images.  The orbits, and one automorphism carrying r to each other
 element of its orbit, come from the map search that also lists the
 endomorphisms (:meth:`~arrowquiver.biquandle.Biquandle._maps`), asked for
 the first bijective map with one image fixed; they are built on a
@@ -66,10 +68,12 @@ colorings of one diagram through one move.  The move engine of
 :mod:`arrowquiver.gausscode` places the passages and reports, once, the
 semiarc map: per new semiarc, the old semiarc whose color it keeps (none
 inside the move disk), and the pairs of old semiarcs a deletion joins.
-Every move then takes one path per coloring: joined semiarcs must agree,
-and the same solver extends the kept colors to the moved diagram (after a
-deletion it only checks the crossing equations).  :class:`TransportError`
-is raised if a coloring was not valid or the move does not match.
+Every move then takes one path: each coloring's joined semiarcs must
+agree, and one call of the same solver extends every coloring's kept
+colors to the moved diagram, where each must have exactly one extension
+(after a deletion the solver only checks the crossing equations).
+:class:`TransportError` is raised if a coloring was not valid or the move
+does not match.
 :func:`transport_coloring` is the one-coloring case.  Callers holding the
 list :func:`enumerate_colorings` returned skip the input check through
 :func:`_transport`.
@@ -243,11 +247,11 @@ def enumerate_colorings(
 # the one bound of the diagram caches, set and explained in gausscode
 @lru_cache(maxsize=_DIAGRAMS_CACHED)
 def _colorings(b: Biquandle, d: GaussDiagram) -> tuple[tuple[int, ...], ...]:
+    orbits = _orbits(b)
+    rest = [0] * (d.num_semiarcs - 1)
+    searched = _extensions(b, d, [[r, *rest] for r, _ in orbits])
     found: list[tuple[int, ...]] = []
-    start = [0] * d.num_semiarcs
-    for r, carriers in _orbits(b):
-        start[0] = r
-        rooted = _extensions(b, d, start)
+    for (_, carriers), rooted in zip(orbits, searched):
         found += rooted
         for g in carriers:
             found += [tuple(map(g.__getitem__, c)) for c in rooted]
@@ -255,15 +259,19 @@ def _colorings(b: Biquandle, d: GaussDiagram) -> tuple[tuple[int, ...], ...]:
 
 
 def _extensions(
-    b: Biquandle, d: GaussDiagram, start: list[int]
-) -> list[tuple[int, ...]]:
-    """Every coloring of ``d`` that agrees with ``start`` where it is
-    nonzero (0 marks an uncolored semiarc), in the order of the search.
+    b: Biquandle, d: GaussDiagram, starts: list[list[int]]
+) -> list[list[tuple[int, ...]]]:
+    """Per partial coloring in ``starts``, every coloring of ``d`` that
+    agrees with it where it is nonzero (0 marks an uncolored semiarc), in
+    the order of the search.
 
-    One loop propagates and branches.  ``trail`` lists the semiarcs that
-    propagation colored, in order, and ``stack`` the open branch points as
-    [semiarc, values still to try, length of the trail at the branch]; going
-    back to a branch point uncolors the trail past its length.
+    The diagram's tables and the relation are read once; each start then
+    runs one loop that propagates and branches, with its own colors, queue,
+    trail and stack.  ``trail`` lists the semiarcs colored since the start,
+    in order, a branch value as well as a forced one, and ``stack`` the open
+    branch points as [semiarc, values still to try, length of the trail at
+    the branch]; going back to a branch point uncolors the trail past its
+    length, its own semiarc included.
     """
     cd = d.compiled
     rel = _relation(b)
@@ -273,77 +281,81 @@ def _extensions(
     slots, touching = cd.slots, cd.touching
     # per chord: the table of its sign and kink shape
     tables = [rel[kind] for kind in cd.kind]
-    val = list(start)
-    queue = list(range(len(slots)))
-    queued = [True] * len(slots)  # exactly the chords in the queue
-    trail: list[int] = []
-    stack: list[list[int]] = []
-    found: list[tuple[int, ...]] = []
-    while True:
-        # propagate: a crossing's known colors may force others
-        while queue:
-            ch = queue.pop()
-            sl = slots[ch]
-            s0, s1, s2, s3 = sl
-            entry = tables[ch].get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
-            if entry is None:
-                for c in queue:
-                    queued[c] = False
+    results: list[list[tuple[int, ...]]] = []
+    for start in starts:
+        val = list(start)
+        queue = list(range(len(slots)))
+        queued = [True] * len(slots)  # exactly the chords in the queue
+        trail: list[int] = []
+        stack: list[list[int]] = []
+        found: list[tuple[int, ...]] = []
+        results.append(found)
+        while True:
+            # propagate: a crossing's known colors may force others
+            while queue:
+                ch = queue.pop()
+                sl = slots[ch]
+                s0, s1, s2, s3 = sl
+                entry = tables[ch].get(val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3])
+                if entry is None:
+                    for c in queue:
+                        queued[c] = False
+                    queued[ch] = False
+                    queue.clear()
+                    break
+                for k, v in entry[4]:
+                    s = sl[k]
+                    val[s] = v
+                    trail.append(s)
+                    for c, _ in touching[s]:
+                        if not queued[c]:
+                            queued[c] = True
+                            queue.append(c)
+                # unqueued only now: the values it forced leave it nothing more
                 queued[ch] = False
-                queue.clear()
-                break
-            for k, v in entry[4]:
-                s = sl[k]
-                val[s] = v
-                trail.append(s)
-                for c, _ in touching[s]:
-                    if not queued[c]:
-                        queued[c] = True
-                        queue.append(c)
-            # unqueued only now: the values it forced leave it nothing more
-            queued[ch] = False
-        else:
-            # consistent: branch on the uncolored semiarc with the fewest
-            # values its crossings allow, or report a complete coloring
-            best, best_values, fewest = -1, 0, r
-            for s, v in enumerate(val):
-                if v:
-                    continue
-                allowed = everything
-                for ch, k in touching[s]:
-                    s0, s1, s2, s3 = slots[ch]
-                    allowed &= tables[ch][
-                        val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]
-                    ][k]
-                count = allowed.bit_count()
-                if count < fewest:
-                    best, best_values, fewest = s, allowed, count
-                    if count <= 1:
-                        break
-            if best < 0:
-                found.append(tuple(val))
             else:
-                stack.append([best, best_values, len(trail)])
-        # the next value of the innermost open branch point, if any
-        while stack:
-            top = stack[-1]
-            s, left, mark = top
-            for t in trail[mark:]:
-                val[t] = 0
-            del trail[mark:]
-            if left:
-                low = left & -left
-                top[1] = left ^ low
-                val[s] = low.bit_length() - 1
-                for c, _ in touching[s]:
-                    if not queued[c]:
-                        queued[c] = True
-                        queue.append(c)
-                break
-            val[s] = 0
-            stack.pop()
-        else:
-            return found
+                # consistent: branch on the uncolored semiarc with the fewest
+                # values its crossings allow, or report a complete coloring
+                best, best_values, fewest = -1, 0, r
+                for s, v in enumerate(val):
+                    if v:
+                        continue
+                    allowed = everything
+                    for ch, k in touching[s]:
+                        s0, s1, s2, s3 = slots[ch]
+                        allowed &= tables[ch][
+                            val[s0] + r * val[s1] + r2 * val[s2] + r3 * val[s3]
+                        ][k]
+                    count = allowed.bit_count()
+                    if count < fewest:
+                        best, best_values, fewest = s, allowed, count
+                        if count <= 1:
+                            break
+                if best < 0:
+                    found.append(tuple(val))
+                else:
+                    stack.append([best, best_values, len(trail)])
+            # the next value of the innermost open branch point, if any
+            while stack:
+                top = stack[-1]
+                s, left, mark = top
+                for t in trail[mark:]:
+                    val[t] = 0
+                del trail[mark:]
+                if left:
+                    low = left & -left
+                    top[1] = left ^ low
+                    val[s] = low.bit_length() - 1
+                    trail.append(s)
+                    for c, _ in touching[s]:
+                        if not queued[c]:
+                            queued[c] = True
+                            queue.append(c)
+                    break
+                stack.pop()
+            else:
+                break  # every branch point is spent: the next start
+    return results
 
 
 def counting_invariant(b: Biquandle, d: GaussDiagram) -> int:
@@ -368,18 +380,6 @@ def arrow_label(
 # transport
 
 
-def _solve_middles(
-    b: Biquandle, d2: GaussDiagram, partial: list[int | None]
-) -> tuple[int, ...]:
-    """The unique coloring of ``d2`` that extends ``partial``."""
-    solutions = _extensions(b, d2, [v or 0 for v in partial])
-    if len(solutions) != 1:
-        raise TransportError(
-            f"expected a unique extension, found {len(solutions)}"
-        )
-    return solutions[0]
-
-
 def transport_colorings(
     b: Biquandle, d: GaussDiagram, move: Move, colorings: Iterable[tuple[int, ...]]
 ) -> tuple[GaussDiagram, list[tuple[int, ...]]]:
@@ -387,10 +387,11 @@ def transport_colorings(
 
     Returns ``apply_move(d, move)`` and the image of each coloring, in
     order; semiarcs away from the move keep their colors.  The move engine
-    gives the moved diagram and its semiarc map once per call.  Each
-    coloring is then carried on its own, the same way for every move: the
-    old semiarcs a deletion joins must agree, and the solver extends the
-    kept colors to the unique coloring of the moved diagram.
+    gives the moved diagram and its semiarc map once per call.  Every
+    coloring is then carried the same way for every move: the old
+    semiarcs a deletion joins must agree, and one solver call extends the
+    kept colors of all of them, each to the unique coloring of the moved
+    diagram.
     Raises :class:`TransportError` when a coloring is invalid, its joined
     semiarcs disagree, or it has no unique extension (each signals a
     non-move).
@@ -407,13 +408,14 @@ def _transport(
     """:func:`transport_colorings` of colorings known to be colorings of
     ``d``, such as those :func:`enumerate_colorings` returned."""
     d2, keep, joins = _moved(d, move)
+    starts = [[0 if i is None else c[i] for i in keep] for c in colorings]
     images = []
-    for c in colorings:
+    for c, found in zip(colorings, _extensions(b, d2, starts)):
         if any(c[i] != c[j] for i, j in joins):
             raise TransportError("move disk boundary colors disagree")
-        images.append(
-            _solve_middles(b, d2, [None if i is None else c[i] for i in keep])
-        )
+        if len(found) != 1:
+            raise TransportError(f"expected a unique extension, found {len(found)}")
+        images.append(found[0])
     return d2, images
 
 

@@ -62,7 +62,7 @@ def test_criterion_1_two_element_pipeline(flip2, w16, table):
     colorings = enumerate_colorings(flip2, d)
     assert colorings == [(1, 2, 1, 2), (2, 1, 2, 1)]
     for c in colorings:
-        _check_rotations(w16, d.compiled, c)
+        assert _check_rotations(w16, d.compiled, c) == 0
     assert weight_multiset(flip2, w16, d) == (8, 8)
     assert str(weight_polynomial(flip2, w16, d)) == "2u^8"
     endos = flip2.endomorphisms()

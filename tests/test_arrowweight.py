@@ -217,12 +217,11 @@ class TestWeightSums:
 
     def test_rotation_check_passes_for_valid_tensor(self, flip2, w16):
         for c in ((1, 2, 1, 2), (2, 1, 2, 1)):
-            _check_rotations(w16, VIRTUAL_HOPF.compiled, c)
+            assert _check_rotations(w16, VIRTUAL_HOPF.compiled, c) == 0
             assert sigma_D(w16, VIRTUAL_HOPF, c) == 8
 
     def test_rotation_check_detects_basepoint_dependence(self):
-        with pytest.raises(ValueError, match="depends on the basepoint"):
-            _check_rotations(asymmetric_tensor(), VIRTUAL_HOPF.compiled, (1, 2, 1, 2))
+        assert _check_rotations(asymmetric_tensor(), VIRTUAL_HOPF.compiled, (1, 2, 1, 2)) == 3
 
 
 class TestConstraints:
@@ -272,6 +271,13 @@ class TestSearch:
     def test_negative_limit_named(self, flip2):
         with pytest.raises(ValueError, match="^limit must be a non-negative integer, got -1$"):
             list(search_weights(flip2, 2, limit=-1))
+
+    @pytest.mark.parametrize("limit", [True, False, 2.0])
+    def test_limit_that_is_not_an_int_rejected(self, flip2, limit):
+        # True would list one tensor, and 2.0 reach islice's own message
+        message = f"^limit must be a non-negative integer, got {limit}$"
+        with pytest.raises(ValueError, match=message):
+            list(search_weights(flip2, 16, limit=limit))
 
     def test_nontrivial_drops_vanishing_tensors(self, flip2):
         found = list(search_weights(flip2, 2, nontrivial=True))
@@ -355,6 +361,13 @@ class TestValidity:
     def test_negative_trials_named(self, flip2, w16):
         with pytest.raises(ValueError, match="^trials must be a non-negative integer, got -1$"):
             is_valid_weight(flip2, w16, trials=-1)
+
+    @pytest.mark.parametrize("trials", [True, 2.5, 2.0])
+    def test_trials_that_are_not_an_int_rejected(self, flip2, w16, trials):
+        # True would run one trial, and 2.5 reach range's TypeError
+        message = f"^trials must be a non-negative integer, got {trials}$"
+        with pytest.raises(ValueError, match=message):
+            is_valid_weight(flip2, w16, trials=trials)
 
     def test_failed_trial_names_the_basepoint_error(self, monkeypatch, flip2):
         # without constraint rows, only the randomized trials can reject
@@ -496,14 +509,11 @@ class TestEvaluatorOracles:
                     if sum(v * entries[s] for s, v in row.items()) % m
                 ]
                 if failing:
-                    with pytest.raises(ValueError) as err:
-                        _check_rotations(w, d.compiled, c)
-                    want = f"weight sum depends on the basepoint (rotation {failing[0]})"
-                    assert str(err.value) == want, (str(d), c)
+                    assert _check_rotations(w, d.compiled, c) == failing[0], (str(d), c)
                     outcomes["first" if failing[0] == 1 else "later"] += 1
                 else:
                     total = sum(v * entries[s] for s, v in sigma_coefficients(d.compiled, c, n).items())
-                    _check_rotations(w, d.compiled, c)
+                    assert _check_rotations(w, d.compiled, c) == 0, (str(d), c)
                     assert sigma_D(w, d, c) == total % m
                     outcomes["passed"] += 1
         assert min(outcomes.values()) >= 5, outcomes
@@ -520,8 +530,7 @@ class TestEvaluatorOracles:
         ]
         # rotations 1-3 agree with the basepoint; rotation 4 is the first not to
         assert rebuilt.index(next(t for t in rebuilt if t != base)) + 1 == 4
-        with pytest.raises(ValueError, match=r"basepoint \(rotation 4\)$"):
-            _check_rotations(w, d.compiled, c)
+        assert _check_rotations(w, d.compiled, c) == 4
 
 
 def _per_coloring_rows(b) -> list[dict[int, int]]:
@@ -629,7 +638,7 @@ class TestConstraintRowsOracle:
         generate_constraints.cache_clear()
         for module in (gausscode, homset):
             monkeypatch.setattr(module, "_moved", refuse)
-        monkeypatch.setattr(homset, "_solve_middles", refuse)
+        monkeypatch.setattr(homset, "_extensions", refuse)
         assert generate_constraints(cyc3, 3).rows == expected
 
     @pytest.mark.parametrize("name", MODULI)
@@ -912,6 +921,14 @@ class TestModulusLimit:
             ConstraintSystem(2, m, [{0: 1}])
         with pytest.raises(ValueError, match=message):
             SolutionSet(3, m, [{0: 1}])
+
+    @pytest.mark.parametrize("ncols", [True, -1, 2.0])
+    def test_column_count_that_is_not_a_non_negative_int_rejected(self, ncols):
+        # True would solve one column, -1 raise IndexError when walked and
+        # 2.0 a TypeError from range
+        message = f"^ncols must be a non-negative integer, got {ncols}$"
+        with pytest.raises(ValueError, match=message):
+            SolutionSet(ncols, 4, [])
 
     def test_float_modulus_leaves_the_int_system_uncached(self, flip2):
         """16.0 == 16 and they hash alike, so a float system cached under the
@@ -1236,15 +1253,15 @@ def _old_trials(b, w, trials, seed) -> arrowweight.ValidityReport:
             colorings = enumerate_colorings(b, d)
             d2, images = transport_colorings(b, d, move, colorings)
             for c, c2 in zip(colorings, images):
-                try:
-                    _check_rotations(w, d.compiled, c)
+                k = _check_rotations(w, d.compiled, c)
+                if k:
+                    mismatch = True
+                    detail = {"error": f"weight sum depends on the basepoint (rotation {k})"}
+                else:
                     before = sigma_D(w, d, c)
                     after = sigma_D(w, d2, c2)
                     mismatch = before != after
                     detail = {"before": before, "after": after}
-                except ValueError as err:
-                    mismatch = True
-                    detail = {"error": str(err)}
                 if mismatch:
                     return arrowweight.ValidityReport(
                         False,

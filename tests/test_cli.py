@@ -6,12 +6,12 @@ from collections import Counter
 
 import pytest
 
-from arrowquiver import arrowweight
+from arrowquiver import arrowweight, cli
 from arrowquiver.arrowweight import is_valid_weight
 from arrowquiver.biquandle import load as load_biquandle
 from arrowquiver.cli import main
 from arrowquiver.gausscode import parse_gauss_code
-from arrowquiver.homset import enumerate_colorings
+from arrowquiver.homset import TransportError, enumerate_colorings
 from arrowquiver.knotdata import bundled_path, bundled_table
 
 from test_arrowweight import asymmetric_tensor, no_constraints, random_z16_tensor
@@ -396,8 +396,34 @@ class TestCalibrate:
         assert ["u_in:o_out", "swapped", "under-first", "++"] in data["survivors"]
         assert len(data["combos"]) == 256
 
+    def test_no_surviving_combination_exits_3(self, monkeypatch, capsys):
+        # an evaluator that never reproduces the pinned multisets
+        monkeypatch.setattr(cli, "_calibration_multiset", lambda *args: [])
+        code, out, err = run(capsys, "calibrate")
+        assert code == 3
+        assert out == "0 of 256 combinations survive\n"
+        assert err == "calibrate: no convention combination matches the fixtures\n"
+
+    def test_shipped_combination_that_does_not_survive_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SHIPPED", ("u_in:u_in", "plain", "under-first", "++"))
+        code, out, err = run(capsys, "calibrate")
+        assert code == 3
+        assert "(shipped)" not in out
+        assert out.rstrip().endswith("48 of 256 combinations survive")
+        assert err == "calibrate: shipped conventions do not reproduce the fixtures\n"
+
 
 class TestErrors:
+    def test_transport_error_exits_3(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise TransportError("expected a unique extension, found 2")
+
+        monkeypatch.setattr(arrowweight, "_transport", refuse)
+        code, out, err = run(capsys, "weights", "check", "--biquandle", FLIP2, "--tensor", W16)
+        assert code == 3
+        assert out == ""
+        assert err == "arrowquiver: internal error: expected a unique extension, found 2\n"
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["color"])

@@ -98,17 +98,18 @@ def _brute_force_colorings(b, d) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in row) for row in grid[_equations_hold(b, d, grid)])
 
 
-def _brute_force_extension(b, d2, partial) -> tuple[int, ...]:
-    """The extension search transport once used: try every color on every
-    uncolored semiarc and keep the assignments that are colorings."""
-    middles = [i for i, v in enumerate(partial) if v is None]
-    grid = np.array([[v or 0 for v in partial]] * b.n ** len(middles))
-    if middles:
-        grid[:, middles] = list(product(b.elements, repeat=len(middles)))
-    solutions = grid[_equations_hold(b, d2, grid)]
-    if len(solutions) != 1:
-        raise TransportError(f"expected a unique extension, found {len(solutions)}")
-    return tuple(int(v) for v in solutions[0])
+def _brute_force_extensions(b, d2, starts) -> list[list[tuple[int, ...]]]:
+    """The extension search transport once used, in the solver's call shape:
+    per start, try every color on every uncolored semiarc (0) and keep the
+    assignments that are colorings."""
+    found = []
+    for start in starts:
+        middles = [i for i, v in enumerate(start) if not v]
+        grid = np.array([start] * b.n ** len(middles))
+        if middles:
+            grid[:, middles] = list(product(b.elements, repeat=len(middles)))
+        found.append([tuple(int(v) for v in row) for row in grid[_equations_hold(b, d2, grid)]])
+    return found
 
 
 def _transport_or_error(b, d, move, c):
@@ -371,20 +372,23 @@ class TestOrbits:
     def test_one_search_per_representative(self, request, monkeypatch, name, searches):
         b = _biquandle(request, name)
         expected = _brute_force_colorings(b, TREFOIL)
-        calls = []
+        calls, diagrams = [], []  # the root color of each start; each call's diagram
         solve = homset._extensions
 
-        def counted(bq, d, start):
-            calls.append(start[0])
-            return solve(bq, d, start)
+        def counted(bq, d, starts):
+            diagrams.append(d)
+            calls.extend(start[0] for start in starts)
+            return solve(bq, d, starts)
 
         monkeypatch.setattr(homset, "_extensions", counted)
         for d in (TREFOIL, parse_gauss_code(""), VIRTUAL_HOPF):
             calls.clear()
+            diagrams.clear()
             homset._colorings.cache_clear()
             enumerate_colorings(b, d)
             assert calls == [r for r, _ in homset._orbits(b)]
             assert len(calls) == searches
+            assert diagrams == [d]
         assert tuple(enumerate_colorings(b, TREFOIL)) == expected
 
     def test_search_matches_brute_force_on_random_tables(self):
@@ -590,14 +594,15 @@ class TestTransport:
 
     @pytest.mark.parametrize("kind", [R1Delete, R2Delete])
     def test_deletions_solve_each_coloring_once(self, monkeypatch, quad4, kind):
-        calls = []
-        solve = homset._solve_middles
+        calls, diagrams = [], []  # every start; each call's diagram
+        solve = homset._extensions
 
-        def recorded(b, d2, partial):
-            calls.append(partial)
-            return solve(b, d2, partial)
+        def recorded(b, d2, starts):
+            diagrams.append(d2)
+            calls.extend(starts)
+            return solve(b, d2, starts)
 
-        monkeypatch.setattr(homset, "_solve_middles", recorded)
+        monkeypatch.setattr(homset, "_extensions", recorded)
         cases = [
             (d, move)
             for d in _small_hosts()
@@ -606,10 +611,12 @@ class TestTransport:
         ]
         assert cases
         for d, move in cases:
-            calls.clear()
             colorings = enumerate_colorings(quad4, d)
-            transport_colorings(quad4, d, move, colorings)
+            calls.clear()
+            diagrams.clear()
+            d2, _ = transport_colorings(quad4, d, move, colorings)
             assert len(calls) == len(colorings)
+            assert diagrams == [d2]
 
     def test_r3_slide_bijects_colorings(self, cyc3, quad4):
         move = R3Slide((0, 2, 4), "L", (1, 2, 3), 1)
@@ -644,7 +651,9 @@ class TestTransport:
             for c in enumerate_colorings(b, d)
         ]
         got = [_transport_or_error(*case) for case in cases]
-        monkeypatch.setattr(homset, "_solve_middles", _brute_force_extension)
+        # every brute-force extension of each start: transport raises from
+        # the same count unless there is exactly one
+        monkeypatch.setattr(homset, "_extensions", _brute_force_extensions)
         expected = [_transport_or_error(*case) for case in cases]
         assert got == expected
         assert not any(isinstance(g, str) for g in got)
@@ -657,15 +666,17 @@ class TestTransport:
             with pytest.raises(TransportError, match="not a coloring"):
                 transport_coloring(quad4, R3_HOST, move, bad)
             # an inconsistent or underdetermined partial coloring of the
-            # slid diagram fails to extend exactly as the brute force does
+            # slid diagram has no unique extension, and as many as the brute
+            # force finds
             for partial in (
-                [None if i in move.sites else v for i, v in enumerate(bad)],
-                [None] * len(c),
+                [0 if i in move.sites else v for i, v in enumerate(bad)],
+                [0] * len(c),
             ):
-                with pytest.raises(TransportError) as err:
-                    homset._solve_middles(quad4, d2, partial)
-                with pytest.raises(TransportError, match=str(err.value)):
-                    _brute_force_extension(quad4, d2, partial)
+                (found,) = homset._extensions(quad4, d2, [partial])
+                (brute,) = _brute_force_extensions(quad4, d2, [partial])
+                assert len(found) != 1
+                assert len(found) == len(brute)
+                assert sorted(found) == brute
 
 
 class TestBatchTransport:
@@ -820,7 +831,7 @@ class TestSolverOracle:
                 for start in self._starts(rng, b, d):
                     expected = _recursive_extensions(b, d, start)
                     before = list(start)
-                    assert homset._extensions(b, d, start) == expected, (str(d), start)
+                    assert homset._extensions(b, d, [start])[0] == expected, (str(d), start)
                     assert start == before
                     inconsistent += not expected
                     nonempty += len(expected) > 1
@@ -831,4 +842,20 @@ class TestSolverOracle:
             for entry in table:
                 d = entry.diagram
                 start = [0] * d.num_semiarcs
-                assert homset._extensions(b, d, start) == _recursive_extensions(b, d, start)
+                assert homset._extensions(b, d, [start])[0] == _recursive_extensions(b, d, start)
+
+    @pytest.mark.parametrize("name", ["flip2", "quad4", "sigma6"])
+    def test_all_starts_in_one_call(self, request, name):
+        """One call over all of a diagram's starts gives each start what a
+        call of its own gives: no colors, queue or trail leak between
+        starts."""
+        b = _biquandle(request, name)
+        rng = random.Random(20261022)
+        for chords in range(9):
+            for _ in range(5):
+                d = _random_diagram_of_size(rng, chords)
+                starts = self._starts(rng, b, d)
+                singles = [homset._extensions(b, d, [start])[0] for start in starts]
+                assert homset._extensions(b, d, starts) == singles, str(d)
+                # reversed, an inconsistent start comes before the others
+                assert homset._extensions(b, d, starts[::-1]) == singles[::-1], str(d)

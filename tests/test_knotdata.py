@@ -4,6 +4,8 @@ import pytest
 
 from arrowquiver.gausscode import R1Delete, R2Delete, enumerate_moves, parse_gauss_code
 from arrowquiver.knotdata import (
+    KnotEntry,
+    KnotTable,
     bundled_path,
     bundled_table,
     load_table,
@@ -67,6 +69,14 @@ class TestParsing:
     def test_duplicate_name(self):
         with pytest.raises(ValueError, match="duplicate knot name 'k1'"):
             parse_table("k1\tO1+U1+\nk1\tO1-U1-\n")
+
+    def test_table_built_directly_refuses_a_repeated_name(self):
+        entries = (
+            KnotEntry("k1", parse_gauss_code("O1+U1+")),
+            KnotEntry("k1", parse_gauss_code("O1-U1-")),
+        )
+        with pytest.raises(ValueError, match="^duplicate knot name 'k1'$"):
+            KnotTable(entries)
 
     def test_duplicate_name_reports_line_of_the_repeat(self):
         with pytest.raises(ValueError, match=r"^mytable:3: duplicate knot name 'k1'$"):

@@ -67,12 +67,14 @@ class TestCacheReuse:
     def test_a_scramble_item_searches_and_sums_each_diagram_once(
         self, monkeypatch, quad4, w6, endos_quad4
     ):
-        searched, summed = Counter(), Counter()
+        # per diagram: the solver's starts and calls, and the sums
+        searched, solved, summed = Counter(), Counter(), Counter()
         extensions, sums = homset._extensions, arrowweight._sums
 
-        def counted_extensions(b, d, start):
-            searched[d] += 1
-            return extensions(b, d, start)
+        def counted_extensions(b, d, starts):
+            searched[d] += len(starts)
+            solved[d] += 1
+            return extensions(b, d, starts)
 
         def counted_sums(w, d, colorings):
             summed[d] += 1
@@ -87,6 +89,7 @@ class TestCacheReuse:
         seen = set()
         for d1, d2 in _scramble_items(3 * gausscode._DIAGRAMS_CACHED, 20261019):
             searched.clear()
+            solved.clear()
             summed.clear()
             # the calls of one scramble item, in its order
             enumerate_colorings(quad4, d1)
@@ -100,6 +103,7 @@ class TestCacheReuse:
                 # a diagram of an earlier item may still be cached
                 expected = {(orbits, 1)} if d not in seen else {(orbits, 1), (0, 0)}
                 assert (searched[d], summed[d]) in expected, str(d)
+                assert solved[d] == (searched[d] > 0), str(d)
             seen |= {d1, d2}
 
     def test_validity_trials_search_only_their_starting_diagrams(self, monkeypatch, quad4, w6):
